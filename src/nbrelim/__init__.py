@@ -47,11 +47,9 @@ from .oracle import (
     Inconclusive,
     NeverBest,
     OracleCache,
-    Reference,
     find_witness,
     full_comparison,
     is_best_response,
-    never_best_set,
 )
 from .reductions import (
     IllegalStepError,

@@ -21,7 +21,9 @@ from typing import Sequence
 
 from .beliefs import BeliefKind, render_belief
 from .catalog import catalog_entry, catalog_names, random_game
-from .games import FiniteGame, InputError, Restriction, parse_game, restrict_by_labels
+from .games import (
+    FiniteGame, FormatError, InputError, Restriction, parse_game, restrict_by_labels,
+)
 from .oracle import BestResponse, DEFAULT_GRID_RESOLUTION
 from .reductions import (
     Policy,
@@ -46,6 +48,9 @@ _POLICIES = {
     "random": Policy.RANDOM_PARTIAL,
     "single": Policy.SINGLE_RANDOM,
 }
+
+# Smallest accepted value of each numeric flag (where the subcommand has it).
+_MINIMUMS = {"resolution": 1, "random": 0, "max_size": 1, "payoff_bound": 0, "orders": 1}
 
 _CAMPAIGNS = {
     "order-independence": lambda game, args: verification.check_order_independence(
@@ -76,7 +81,11 @@ def load_game(source: str) -> FiniteGame:
     """A game from `catalog:<name>` or from a text-format file."""
     if source.startswith("catalog:"):
         return catalog_entry(source.split(":", 1)[1]).game()
-    return parse_game(Path(source).read_text())
+    try:
+        text = Path(source).read_text()
+    except UnicodeDecodeError:
+        raise FormatError(f"{source}: not a text file") from None
+    return parse_game(text)
 
 
 def parse_restriction(game: FiniteGame, literal: str) -> Restriction:
@@ -260,6 +269,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, low in _MINIMUMS.items():
+            value = getattr(args, name, low)
+            if value < low:
+                flag = "--" + name.replace("_", "-")
+                raise InputError(f"{flag} must be at least {low}, got {value}")
         if args.command == "solve":
             return cmd_solve(args)
         if args.command == "check-step":

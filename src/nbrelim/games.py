@@ -44,12 +44,14 @@ def parse_rational(token: str) -> Rational:
     token = token.strip()
     if not _RATIONAL_RE.match(token):
         raise FormatError(f"not an integer or a/b rational: {token!r}")
-    if "/" in token:
-        num, den = token.split("/")
-        if int(den) == 0:
-            raise FormatError(f"zero denominator: {token!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
+    num, _, den = token.partition("/")
+    try:
+        value = Fraction(int(num), int(den or "1"))
+    except ValueError:  # past the interpreter's int-string digit limit
+        raise FormatError(f"numeral of {len(token)} characters is too long") from None
+    except ZeroDivisionError:
+        raise FormatError(f"zero denominator: {token!r}") from None
+    return value
 
 
 def render_rational(q: Rational) -> str:
@@ -330,8 +332,8 @@ class Restriction:
         """Per-player strategies present in `other` but not in self."""
         _check_same_parent(self, other)
         return tuple(
-            tuple(s for s in o if s not in set(ks))
-            for ks, o in zip(self.kept, other.kept)
+            tuple(s for s in o if s not in keep)
+            for keep, o in zip(map(set, self.kept), other.kept)
         )
 
     def render(self) -> str:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import lcm
 from typing import Sequence, Union
@@ -27,6 +26,7 @@ from .beliefs import (
     DistributionBelief,
     ProductBelief,
     PurePoint,
+    as_product,
     expected_payoff,
     point_distribution,
 )
@@ -86,13 +86,6 @@ def render_certificate(cert: Certificate, game: FiniteGame, player: int) -> str:
     if isinstance(cert, Inconclusive):
         return f"INCONCLUSIVE(res={cert.resolution})"
     return "NBR(vacuous)"
-
-
-class Reference(Enum):
-    """Where better responses are drawn from when computing the NBR set."""
-
-    INITIAL = "initial"  # the full strategy set of the parent game
-    CURRENT = "current"  # the kept set of the restriction being reduced
 
 
 class OracleCache:
@@ -469,11 +462,12 @@ def _find_witness_fast(
         # distributions are the same belief set.
         cert = _correlated_certificate(game, player, strategy, kept, cmp, cache, colmax)
         if isinstance(cert, BestResponse):
-            cert = BestResponse(_distribution_to_product(cert.witness))
+            atoms = tuple((profile[0], p) for profile, p in cert.witness.mass)
+            cert = BestResponse(ProductBelief((atoms,)))
     else:
         cert = _pure_certificate(game, player, strategy, kept, cmp, colmax)
         if isinstance(cert, BestResponse):
-            cert = BestResponse(_pure_to_product(cert.witness))
+            cert = BestResponse(as_product(cert.witness))
         elif isinstance(cert, NeverBest):
             # Independent mixed beliefs sit inside the correlated set, so a
             # correlated never-best proof covers them exactly.
@@ -500,73 +494,3 @@ def _find_witness_fast(
         elif isinstance(cert, NeverBest) and exact:
             cache.remember_nbr(player, strategy, cmp_set, kept_sets)
     return cert
-
-
-def _pure_to_product(mu: Belief) -> ProductBelief:
-    assert isinstance(mu, PurePoint)
-    return ProductBelief(tuple(((s, Fraction(1)),) for s in mu.profile))
-
-
-def _distribution_to_product(mu: Belief) -> ProductBelief:
-    if isinstance(mu, PurePoint):
-        return _pure_to_product(mu)
-    assert isinstance(mu, DistributionBelief)
-    return ProductBelief((tuple((pr[0], p) for pr, p in mu.mass),))
-
-
-def never_best_set(
-    game: FiniteGame,
-    restriction: Restriction,
-    kind: BeliefKind,
-    reference: Reference,
-    resolution: int = DEFAULT_GRID_RESOLUTION,
-    cache: OracleCache | None = None,
-) -> tuple[tuple[int, ...], ...]:
-    """Per-player strategies certified never-best against the narrowed beliefs.
-
-    Inconclusive strategies are never included, so the result is a sound
-    under-approximation.  Strategies facing an empty opponent component are
-    vacuously never-best and are included.
-    """
-    removable, _, _ = candidate_certificates(
-        game, restriction, kind, reference, resolution, cache
-    )
-    return removable
-
-
-def candidate_certificates(
-    game: FiniteGame,
-    restriction: Restriction,
-    kind: BeliefKind,
-    reference: Reference,
-    resolution: int = DEFAULT_GRID_RESOLUTION,
-    cache: OracleCache | None = None,
-):
-    """never_best_set plus the per-strategy certificates and an inconclusive flag."""
-    if restriction.parent != game:
-        raise InputError("restriction does not belong to the game")
-    kept = restriction.kept
-    removable: list[tuple[int, ...]] = []
-    certs: dict[tuple[int, int], Certificate] = {}
-    saw_inconclusive = False
-    for player in range(game.players):
-        if reference is Reference.INITIAL:
-            cmp = full_comparison(game, player)
-        else:
-            cmp = ComparisonSet(player, kept[player])
-        colmax = None
-        if kept[player] and all(kept[j] for j in game.opponents(player)):
-            bases = game.opponent_bases(player, kept)
-            colmax = _column_best(game, player, bases, cmp)
-        gone = []
-        for s in kept[player]:
-            cert = _find_witness_fast(
-                game, kept, player, s, kind, cmp, resolution, cache, colmax
-            )
-            if isinstance(cert, (NeverBest, EmptyBeliefSet)):
-                gone.append(s)
-                certs[(player, s)] = cert
-            elif isinstance(cert, Inconclusive):
-                saw_inconclusive = True
-        removable.append(tuple(gone))
-    return tuple(removable), certs, saw_inconclusive

@@ -7,10 +7,21 @@ where better responses are drawn from:
 * arrow  — the kept sets of the restriction being reduced,
 * darrow — the kept sets of the proposed target restriction.
 
-`validate_step` certifies a single proposed reduction, `fast_step` removes the
-entire never-best set at once (tilde and arrow only; no fast variant of darrow
+`candidate_certificates` is the one per-round sweep: it decides every kept
+strategy against the comparison set its relation picks.  `validate_step`
+certifies a single proposed reduction, `fast_step` removes the entire
+never-best set at once (tilde and arrow only; no fast variant of darrow
 exists), and `iterate` drives maximal sequences under several elimination
 policies.  Traces record every removal with its certificate.
+
+Residual supports: along a chain of shrinking restrictions a witness stays a
+witness while its support survives, since the comparison set never grows
+(tilde: the full sets; arrow: the kept set; darrow: the kept set minus the
+strategy).  So a sweep re-queries a strategy only when its witness lost a
+support strategy, when it has none, or when its last answer was inconclusive.
+Never-best facts persist only under tilde, whose comparison set is fixed while
+beliefs shrink.  This memory is a `ResidualSupports` owned by one `iterate`
+call, never the shared `OracleCache`: orders sharing a cache walk other chains.
 """
 
 from __future__ import annotations
@@ -20,19 +31,17 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence, Union
 
-from .beliefs import BeliefKind
+from .beliefs import Belief, BeliefKind
 from .games import FiniteGame, InputError, Restriction, full_restriction
 from .oracle import (
     DEFAULT_GRID_RESOLUTION,
     BestResponse,
     Certificate,
     ComparisonSet,
-    EmptyBeliefSet,
     Inconclusive,
-    NeverBest,
     OracleCache,
-    Reference,
-    candidate_certificates,
+    _column_best,
+    _find_witness_fast,
     find_witness,
     full_comparison,
     render_certificate,
@@ -205,6 +214,130 @@ def validate_step(
     return Step(source, target, removed, kind, belief_kind, tuple(certs))
 
 
+class ResidualSupports:
+    """Sweep memory for one chain of shrinking restrictions of one game.
+
+    A set of strategies is held as the bits of one integer, player after
+    player.  `witnesses` maps (player, strategy) to the bits of its last
+    witness's support and the witness itself; `never_best` maps it to its
+    last never-best certificate, kept under tilde only.  A sweep over a
+    restriction that is not inside the previous one forgets everything.
+    """
+
+    __slots__ = ("game", "offsets", "alive", "witnesses", "never_best")
+
+    def __init__(self, game: FiniteGame) -> None:
+        self.game = game
+        self.offsets = [sum(game.sizes[:i]) for i in range(game.players)]
+        self.alive = -1  # every bit set: the first restriction is inside it
+        self.witnesses: dict[tuple[int, int], tuple[int, Belief]] = {}
+        self.never_best: dict[tuple[int, int], Certificate] = {}
+
+    def _bits(self, pairs) -> int:
+        """The bits of a set of (player, strategy) pairs."""
+        return sum(1 << (self.offsets[j] + t) for j, t in set(pairs))
+
+    def advance(self, restriction: Restriction) -> int:
+        """Move the chain to `restriction`; the bits of its removed strategies."""
+        if restriction.parent != self.game:
+            raise InputError("restriction does not belong to the game")
+        alive = self._bits((j, s) for j, ks in enumerate(restriction.kept) for s in ks)
+        if alive & ~self.alive:
+            self.witnesses.clear()
+            self.never_best.clear()
+        self.alive = alive
+        return ~alive
+
+    def remember_witness(self, player: int, strategy: int, witness: Belief) -> None:
+        opps = self.game.opponents(player)
+        pairs = (pair for profile in witness.support() for pair in zip(opps, profile))
+        self.witnesses[(player, strategy)] = (self._bits(pairs), witness)
+
+
+def candidate_certificates(
+    game: FiniteGame,
+    restriction: Restriction,
+    belief_kind: BeliefKind,
+    kind: ReductionKind,
+    resolution: int = DEFAULT_GRID_RESOLUTION,
+    cache: OracleCache | None = None,
+    residues: ResidualSupports | None = None,
+) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, int], Certificate], bool]:
+    """Per-player certified never-best strategies, their certificates, and
+    whether any answer was inconclusive.
+
+    Inconclusive strategies are never included, so the sets are a sound
+    under-approximation; strategies facing an empty opponent component are
+    vacuously never-best.  With `residues` the chain so far spares re-queries
+    (see the module docstring); the result is the same as without.
+    """
+    if restriction.parent != game:
+        raise InputError("restriction does not belong to the game")
+    kept = restriction.kept
+    if residues is not None:
+        dead = residues.advance(restriction)
+    removable: list[tuple[int, ...]] = []
+    certs: dict[tuple[int, int], Certificate] = {}
+    saw_inconclusive = False
+    for player in range(game.players):
+        cmp = colmax = None
+        gone = []
+        for s in kept[player]:
+            key = (player, s)
+            if residues is not None:
+                held = residues.witnesses.get(key)
+                if held is not None and not held[0] & dead:
+                    continue
+                cert = residues.never_best.get(key)
+                if cert is not None:
+                    gone.append(s)
+                    certs[key] = cert
+                    continue
+            if kind is ReductionKind.DARROW:
+                cmp = ComparisonSet(player, tuple(t for t in kept[player] if t != s))
+            elif cmp is None:
+                cmp = comparison_for(kind, game, restriction, restriction, player)
+                if all(kept[j] for j in game.opponents(player)):
+                    bases = game.opponent_bases(player, kept)
+                    colmax = _column_best(game, player, bases, cmp)
+            cert = _find_witness_fast(
+                game, kept, player, s, belief_kind, cmp, resolution, cache, colmax
+            )
+            if isinstance(cert, BestResponse):
+                if residues is not None:
+                    residues.remember_witness(player, s, cert.witness)
+            elif isinstance(cert, Inconclusive):
+                saw_inconclusive = True
+            else:
+                gone.append(s)
+                certs[key] = cert
+                if residues is not None and kind is ReductionKind.TILDE:
+                    residues.never_best[key] = cert
+        removable.append(tuple(gone))
+    return tuple(removable), certs, saw_inconclusive
+
+
+def _removal(chosen: Sequence[tuple[int, int]]) -> dict[int, list[int]]:
+    removal: dict[int, list[int]] = {}
+    for i, s in chosen:
+        removal.setdefault(i, []).append(s)
+    return removal
+
+
+def _certified_step(
+    source: Restriction,
+    chosen: Sequence[tuple[int, int]],
+    kind: ReductionKind,
+    belief_kind: BeliefKind,
+    certs: Mapping[tuple[int, int], Certificate],
+) -> Step:
+    target = source.remove(_removal(chosen))
+    step_certs = tuple(sorted((pair, certs[pair]) for pair in chosen))
+    return Step(
+        source, target, target.removed_from(source), kind, belief_kind, step_certs
+    )
+
+
 def fast_step(
     game: FiniteGame,
     source: Restriction,
@@ -214,32 +347,16 @@ def fast_step(
     cache: OracleCache | None = None,
 ) -> Step | None:
     """Remove every certified never-best strategy at once; None at a fixed point."""
-    step, _ = _fast_step_flagged(game, source, kind, belief_kind, resolution, cache)
-    return step
-
-
-def _fast_step_flagged(
-    game: FiniteGame,
-    source: Restriction,
-    kind: ReductionKind,
-    belief_kind: BeliefKind,
-    resolution: int,
-    cache: OracleCache | None,
-) -> tuple[Step | None, bool]:
     if kind is ReductionKind.DARROW:
         raise UnsupportedOperationError(
             "the darrow relation has no fast variant: removing all candidates "
             "at once is not a legal darrow step in general"
         )
-    reference = Reference.INITIAL if kind is ReductionKind.TILDE else Reference.CURRENT
-    removable, certs, saw_inconclusive = candidate_certificates(
-        game, source, belief_kind, reference, resolution, cache
+    removable, certs, _ = candidate_certificates(
+        game, source, belief_kind, kind, resolution, cache
     )
-    if all(not gone for gone in removable):
-        return None, saw_inconclusive
-    target = source.remove({i: gone for i, gone in enumerate(removable) if gone})
-    kept_certs = tuple(sorted(certs.items()))
-    return Step(source, target, removable, kind, belief_kind, kept_certs), saw_inconclusive
+    flat = [(i, s) for i, gone in enumerate(removable) for s in gone]
+    return _certified_step(source, flat, kind, belief_kind, certs) if flat else None
 
 
 def legal_removal_candidates(
@@ -256,44 +373,10 @@ def legal_removal_candidates(
     darrow only singletons are guaranteed and joint removals must be
     re-validated (the comparison set shrinks with the removal).
     """
-    sets, _, _ = _candidates(game, source, kind, belief_kind, resolution, cache)
+    sets, _, _ = candidate_certificates(
+        game, source, belief_kind, kind, resolution, cache
+    )
     return sets
-
-
-def _candidates(
-    game: FiniteGame,
-    source: Restriction,
-    kind: ReductionKind,
-    belief_kind: BeliefKind,
-    resolution: int,
-    cache: OracleCache | None,
-):
-    if kind is not ReductionKind.DARROW:
-        reference = (
-            Reference.INITIAL if kind is ReductionKind.TILDE else Reference.CURRENT
-        )
-        return candidate_certificates(
-            game, source, belief_kind, reference, resolution, cache
-        )
-    sets: list[tuple[int, ...]] = []
-    certs: dict[tuple[int, int], Certificate] = {}
-    saw_inconclusive = False
-    for player in range(game.players):
-        gone = []
-        for s in source.kept[player]:
-            cmp = ComparisonSet(
-                player, tuple(t for t in source.kept[player] if t != s)
-            )
-            cert = find_witness(
-                game, source, player, s, belief_kind, cmp, resolution, cache
-            )
-            if isinstance(cert, (NeverBest, EmptyBeliefSet)):
-                gone.append(s)
-                certs[(player, s)] = cert
-            elif isinstance(cert, Inconclusive):
-                saw_inconclusive = True
-        sets.append(tuple(gone))
-    return tuple(sets), certs, saw_inconclusive
 
 
 def iterate(
@@ -340,8 +423,8 @@ def iterate(
                 raise IllegalStepError(result)
             steps.append(result)
             current = result.target
-        sets, _, saw_inconclusive = _candidates(
-            game, current, kind, belief_kind, resolution, cache
+        sets, _, saw_inconclusive = candidate_certificates(
+            game, current, belief_kind, kind, resolution, cache
         )
         maximal = all(not s for s in sets)
         if not maximal:
@@ -353,24 +436,10 @@ def iterate(
             tuple(notes),
         )
 
+    residues = ResidualSupports(game)
     while True:
-        if policy is Policy.FAST:
-            step, saw_inconclusive = _fast_step_flagged(
-                game, current, kind, belief_kind, resolution, cache
-            )
-            if step is None:
-                if saw_inconclusive:
-                    notes.append(
-                        "inconclusive strategies kept; sound, possibly non-maximal"
-                    )
-                    maximal = False
-                break
-            steps.append(step)
-            current = step.target
-            continue
-
-        sets, certs, saw_inconclusive = _candidates(
-            game, current, kind, belief_kind, resolution, cache
+        sets, certs, saw_inconclusive = candidate_certificates(
+            game, current, belief_kind, kind, resolution, cache, residues
         )
         flat = [(i, s) for i, gone in enumerate(sets) for s in gone]
         if not flat:
@@ -380,7 +449,9 @@ def iterate(
                 )
                 maximal = False
             break
-        if policy is Policy.SINGLE_RANDOM:
+        if policy is Policy.FAST:
+            chosen = flat
+        elif policy is Policy.SINGLE_RANDOM:
             chosen = [flat[rng.randrange(len(flat))]]
         else:
             chosen = []
@@ -391,13 +462,7 @@ def iterate(
                 game, current, chosen, belief_kind, resolution, cache
             )
         else:
-            removal: dict[int, list[int]] = {}
-            for i, s in chosen:
-                removal.setdefault(i, []).append(s)
-            target = current.remove(removal)
-            removed = target.removed_from(current)
-            step_certs = tuple(sorted(((i, s), certs[(i, s)]) for i, s in chosen))
-            step = Step(current, target, removed, kind, belief_kind, step_certs)
+            step = _certified_step(current, chosen, kind, belief_kind, certs)
         steps.append(step)
         current = step.target
 
@@ -423,13 +488,10 @@ def _joint_darrow_step(
     """
     picked = list(chosen)
     while True:
-        removal: dict[int, list[int]] = {}
-        for i, s in picked:
-            removal.setdefault(i, []).append(s)
         result = validate_step(
             game,
             current,
-            current.remove(removal),
+            current.remove(_removal(picked)),
             ReductionKind.DARROW,
             belief_kind,
             resolution,

@@ -1,7 +1,14 @@
 """CLI surface: subcommands, exit codes, restriction literals, determinism."""
 
+import contextlib
+import io
 import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nbrelim.catalog import gap_3x2
 from nbrelim.cli import main
 from nbrelim.games import parse_game
 
@@ -70,6 +77,14 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--game", "catalog:bertrand100")
         assert code == 0
         assert "outcome kept={p1:[1],p2:[1]} steps=50 maximal=yes" in out
+
+    def test_numeral_past_the_digit_limit_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.game"
+        path.write_text("players 1\nstrategies 1: a\npayoff a : " + "7" * 4400 + "\n")
+        code, out, err = run(capsys, "solve", "--game", str(path))
+        assert code == 2
+        assert err.startswith("error: line 3: numeral of 4400 characters")
+        assert len(err.splitlines()) == 1
 
     def test_seeded_solve_deterministic(self, capsys):
         args = (
@@ -174,6 +189,26 @@ class TestVerify:
         assert out1 == out2
 
 
+class TestNumericFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--game", "catalog:gap3x2", "--resolution", "0"),
+            ("verify", "nash", "--game", "catalog:gap3x2", "--random", "-1"),
+            ("verify", "nash", "--random", "2", "--max-size", "0"),
+            ("verify", "nash", "--random", "2", "--payoff-bound", "-1"),
+            ("verify", "order-independence", "--random", "1", "--orders", "0"),
+        ],
+        ids=["resolution", "random", "max-size", "payoff-bound", "orders"],
+    )
+    def test_out_of_range_value_is_an_input_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {argv[-2]} must be at least")
+        assert len(err.splitlines()) == 1
+
+
 class TestTraceRevalidation:
     def test_emitted_steps_revalidate_via_check_step(self, capsys):
         # rebuild each emitted step as a check-step invocation using labels
@@ -220,3 +255,88 @@ class TestCatalog:
     def test_emit_unknown(self, capsys):
         code, _, err = run(capsys, "catalog", "emit", "nope")
         assert code == 2
+
+
+@pytest.fixture(scope="module")
+def fuzz_sources(tmp_path_factory):
+    """Game sources for the fuzz test: catalog names, small valid files,
+    malformed files and a path that does not exist."""
+    from nbrelim.catalog import random_game
+    from nbrelim.games import render_game
+
+    root = tmp_path_factory.mktemp("fuzz")
+    good = render_game(gap_3x2())
+    files = {
+        "gap.game": good,
+        "three.game": render_game(random_game(3, (2, 2, 1), 3, seed=4)),
+        "float.game": good.replace("2 0", "2.0 0"),
+        "short.game": good.replace("payoff B R : 0 0\n", ""),
+        "huge.game": good.replace("payoff M R : 1 0", "payoff M R : " + "9" * 4400 + " 0"),
+        "empty.game": "",
+    }
+    sources = ["catalog:gap3x2", "catalog:nope", str(root / "missing.game"), str(root)]
+    for name, text in files.items():
+        (root / name).write_text(text)
+        sources.append(str(root / name))
+    (root / "binary.game").write_bytes(b"\xff\xfeplayers 2\n")
+    sources.append(str(root / "binary.game"))
+    return sources
+
+
+INT_FLAGS = ("--seed", "--random", "--max-size", "--payoff-bound", "--orders")
+CHOICE_FLAGS = {
+    "--beliefs": ("pure", "mixed", "correlated", "bogus"),
+    "--relation": ("tilde", "arrow", "darrow", "bogus"),
+    "--policy": ("fast", "random", "single", "bogus"),
+    "--format": ("text", "records", "bogus"),
+}
+LITERALS = ("T,M,B;L,R", "M,B;L,R", "M;L,R", "T;L", "M,B;", "X;L", "T", ";;", "")
+
+
+@st.composite
+def cli_argv(draw, sources):
+    command = draw(st.sampled_from(("solve", "check-step", "verify")))
+    argv = [command]
+    if command == "verify":
+        argv.append(draw(st.sampled_from(
+            ("nash", "order-independence", "fast-dominance", "equivalence",
+             "oracle-agreement", "kind-monotonicity", "bogus")
+        )))
+    for _ in range(draw(st.integers(0 if command == "verify" else 1, 2))):
+        argv += ["--game", draw(st.sampled_from(sources))]
+    if command == "check-step":
+        for flag in ("--from", "--to"):
+            if draw(st.booleans()) or draw(st.booleans()):
+                argv += [flag, draw(st.sampled_from(LITERALS))]
+    flags = list(CHOICE_FLAGS) + ["--resolution"]
+    if command == "verify":
+        flags += list(INT_FLAGS) + ["--players"]
+    else:
+        flags.append("--seed")
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=5, unique=True)):
+        if flag in CHOICE_FLAGS:
+            value = draw(st.sampled_from(CHOICE_FLAGS[flag]))
+        elif flag == "--resolution":
+            value = draw(st.integers(-3, 4))
+        elif flag == "--players":
+            # More players would make the mixed-belief campaigns slow; the
+            # 3-player file covers that shape.
+            value = draw(st.integers(-3, 2))
+        else:
+            value = draw(st.integers(-3, 5))
+        argv += [flag, str(value)]
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_exit_code_is_documented(self, fuzz_sources, data):
+        argv = data.draw(cli_argv(fuzz_sources))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+        assert code in range(5), (argv, code, err.getvalue())

@@ -215,6 +215,11 @@ class TestTextFormat:
         with pytest.raises(FormatError):
             parse_game(mutation(GOOD_TEXT))
 
+    def test_numeral_past_the_digit_limit_names_its_line(self):
+        text = GOOD_TEXT.replace("payoff M R : 1 0", "payoff M R : " + "9" * 4400 + " 0")
+        with pytest.raises(FormatError, match=r"^line \d+: numeral of 4400 characters"):
+            parse_game(text)
+
     def test_comments_and_blanks_ignored(self):
         text = GOOD_TEXT.replace(
             "payoff T L : 2 0", "\n# mid comment\npayoff T L : 2 0  # inline"

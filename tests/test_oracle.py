@@ -20,13 +20,13 @@ from nbrelim.oracle import (
     Inconclusive,
     NeverBest,
     OracleCache,
-    Reference,
     find_witness,
     full_comparison,
     is_best_response,
-    never_best_set,
     render_certificate,
 )
+
+from nbrelim.reductions import ReductionKind, legal_removal_candidates
 
 from oracles import is_pure_best_to_some, replay_fast_pure
 
@@ -215,17 +215,17 @@ class TestGridSearch:
 
     def test_inconclusive_excluded_from_never_best_set(self):
         game = pinched_window_3p()
-        sets = never_best_set(
-            game, full_restriction(game), BeliefKind.INDEPENDENT_MIXED,
-            Reference.INITIAL, resolution=2,
+        sets = legal_removal_candidates(
+            game, full_restriction(game), ReductionKind.TILDE,
+            BeliefKind.INDEPENDENT_MIXED, resolution=2,
         )
         assert 0 not in sets[0]  # X stays despite the inconclusive answer
 
 
 class TestNeverBestSet:
     def test_gap_game_reference_initial(self, g):
-        sets = never_best_set(
-            g, full_restriction(g), BeliefKind.PURE, Reference.INITIAL
+        sets = legal_removal_candidates(
+            g, full_restriction(g), ReductionKind.TILDE, BeliefKind.PURE
         )
         assert sets == ((1, 2), ())
 
@@ -233,8 +233,8 @@ class TestNeverBestSet:
         # every strategy a best response to something: pure coordination
         table = {(0, 0): (1, 1), (0, 1): (0, 0), (1, 0): (0, 0), (1, 1): (1, 1)}
         game = FiniteGame([["a", "b"], ["x", "y"]], table)
-        sets = never_best_set(
-            game, full_restriction(game), BeliefKind.PURE, Reference.INITIAL
+        sets = legal_removal_candidates(
+            game, full_restriction(game), ReductionKind.TILDE, BeliefKind.PURE
         )
         assert sets == ((), ())
 
@@ -246,23 +246,27 @@ class TestNeverBestSet:
             tuple(s for s in range(100) if s not in set(kept))
             for kept in first_kept
         )
-        sets = never_best_set(
-            game, full_restriction(game), BeliefKind.PURE, Reference.INITIAL
+        sets = legal_removal_candidates(
+            game, full_restriction(game), ReductionKind.TILDE, BeliefKind.PURE
         )
         assert sets == expected_removed
         assert sets[0] == tuple(range(50, 100))  # prices 51..100
 
     def test_reference_current_differs(self, g):
         sub = restrict(g, [(1, 2), (0, 1)])
-        initial = never_best_set(g, sub, BeliefKind.PURE, Reference.INITIAL)
-        current = never_best_set(g, sub, BeliefKind.PURE, Reference.CURRENT)
+        initial = legal_removal_candidates(
+            g, sub, ReductionKind.TILDE, BeliefKind.PURE
+        )
+        current = legal_removal_candidates(
+            g, sub, ReductionKind.ARROW, BeliefKind.PURE
+        )
         assert initial == ((1, 2), ())
         assert current == ((), ())
 
     def test_degenerate_vacuous_removals(self, g):
         degenerate = restrict(g, [(0, 2), ()])
-        sets = never_best_set(
-            g, degenerate, BeliefKind.PURE, Reference.INITIAL
+        sets = legal_removal_candidates(
+            g, degenerate, ReductionKind.TILDE, BeliefKind.PURE
         )
         assert sets == ((0, 2), ())  # player 1 faces no beliefs at all
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from nbrelim.beliefs import BeliefKind
+from nbrelim.beliefs import BeliefKind, narrowed_membership
 from nbrelim.catalog import gap_3x2, hotelling_grid, naturals_truncated, random_game
 from nbrelim.games import (
     FiniteGame,
@@ -13,14 +13,23 @@ from nbrelim.games import (
     restrict,
     restrict_by_labels,
 )
-from nbrelim.oracle import BestResponse, OracleCache
+from nbrelim.oracle import (
+    BestResponse,
+    ComparisonSet,
+    OracleCache,
+    full_comparison,
+    is_best_response,
+    render_certificate,
+)
 from nbrelim.reductions import (
     IllegalStepError,
     Policy,
     ReductionKind,
     Rejection,
+    ResidualSupports,
     Step,
     UnsupportedOperationError,
+    candidate_certificates,
     fast_step,
     iterate,
     legal_removal_candidates,
@@ -392,3 +401,95 @@ class TestTraceRendering:
         assert "step 1 kind=~ removed={p1:[M,B],p2:[]} -> kept={p1:[T],p2:[L,R]}" in text
         assert "outcome kept={p1:[T],p2:[L,R]} steps=1 maximal=yes" in text
         assert "cert step=1 p1 M NBR(exhaustive)" in text
+
+
+class TestResidualSupports:
+    """A sweep that carries its chain's memory answers as a fresh one does."""
+
+    @staticmethod
+    def corpus():
+        rng = random.Random(5)
+        games = []
+        for k in range(24):
+            players = 2 if k < 14 else 3
+            sizes = [rng.randint(1, 5 if players == 2 else 3) for _ in range(players)]
+            games.append(random_game(players, sizes, 5, seed=300 + k))
+        return games
+
+    @staticmethod
+    def comparison(kind, game, current, player, s):
+        if kind is ReductionKind.TILDE:
+            return full_comparison(game, player)
+        kept = current.kept[player]
+        if kind is ReductionKind.ARROW:
+            return ComparisonSet(player, kept)
+        return ComparisonSet(player, tuple(t for t in kept if t != s))
+
+    def test_incremental_sweep_matches_a_fresh_one(self):
+        skipped_total = 0
+        for n, game in enumerate(self.corpus()):
+            for kind in ReductionKind:
+                for bk in BeliefKind:
+                    # None: drop any kept strategy, legal or not; the memory
+                    # holds along every shrinking chain, not only legal ones.
+                    for policy in (Policy.RANDOM_PARTIAL, Policy.SINGLE_RANDOM, None):
+                        skipped_total += self.walk(game, kind, bk, policy, seed=n)
+        assert skipped_total > 0
+
+    def walk(self, game, kind, bk, policy, seed):
+        rng = random.Random(seed)
+        residues = ResidualSupports(game)
+        cache = OracleCache(bk)
+        current = full_restriction(game)
+        skipped = 0
+        while True:
+            # The strategies whose last witness survives are not re-queried.
+            held = {
+                key: mu
+                for key, (_, mu) in residues.witnesses.items()
+                if key[1] in current.kept[key[0]]
+                and narrowed_membership(bk, mu, current, key[0])
+            }
+            sets, certs, flag = candidate_certificates(
+                game, current, bk, kind, 2, cache, residues
+            )
+            fresh_sets, fresh_certs, fresh_flag = candidate_certificates(
+                game, current, bk, kind, 2, None
+            )
+            assert (sets, flag) == (fresh_sets, fresh_flag)
+            assert {
+                key: render_certificate(c, game, key[0]) for key, c in certs.items()
+            } == {
+                key: render_certificate(c, game, key[0])
+                for key, c in fresh_certs.items()
+            }
+            for (player, s), mu in held.items():
+                cmp = self.comparison(kind, game, current, player, s)
+                assert is_best_response(game, player, s, mu, cmp)
+            skipped += len(held)
+            flat = [(i, s) for i, gone in enumerate(sets) for s in gone]
+            if policy is None:
+                flat = [
+                    (i, s) for i, ks in enumerate(current.kept) if len(ks) > 1
+                    for s in ks
+                ]
+            if not flat:
+                return skipped
+            if policy is not Policy.RANDOM_PARTIAL:
+                chosen = [flat[rng.randrange(len(flat))]]
+            else:
+                chosen = [pair for pair in flat if rng.getrandbits(1)] or flat[:1]
+            removal: dict[int, list[int]] = {}
+            for i, s in chosen:
+                removal.setdefault(i, []).append(s)
+            current = current.remove(removal)
+
+    def test_a_restriction_off_the_chain_forgets(self, g):
+        # M and B are best responses within {M,B}, but not once T is back.
+        residues = ResidualSupports(g)
+        sub = restrict(g, [(1, 2), (0, 1)])
+        for source, expected in ((sub, ((), ())), (full_restriction(g), ((1, 2), ()))):
+            sets, _, _ = candidate_certificates(
+                g, source, BeliefKind.PURE, ReductionKind.ARROW, residues=residues
+            )
+            assert sets == expected
