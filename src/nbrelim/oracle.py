@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .beliefs import (
     Belief,
@@ -274,7 +274,6 @@ def _correlated_certificate(
     strategy: int,
     kept: Sequence[Sequence[int]],
     cmp: ComparisonSet,
-    cache: OracleCache | None,
     colmax: Sequence[int] | None = None,
 ) -> Certificate:
     """Exact decision over all correlated beliefs supported on `kept`.
@@ -282,8 +281,8 @@ def _correlated_certificate(
     Strategy: cheap pure-witness and pure-domination scans first, then LP
     feasibility over the belief simplex, generating comparison-constraint rows
     lazily (the binding competitors are found by scanning violations at the
-    current vertex).  A sub-LP infeasibility already proves infeasibility of
-    the full system.
+    current vertex, over its support only).  A sub-LP infeasibility already
+    proves infeasibility of the full system.
     """
     opps = game.opponents(player)
     if any(not kept[j] for j in opps):
@@ -291,7 +290,8 @@ def _correlated_certificate(
     bases = game.opponent_bases(player, kept)
     ip = game._ipay[player]
     stride = game.strides[player]
-    own = [ip[b + strategy * stride] for b in bases]
+    own_off = strategy * stride
+    own = [ip[b + own_off] for b in bases]
 
     if not cmp.candidates:
         profile = next(iter(game.opponent_profiles(player, kept)))
@@ -312,48 +312,48 @@ def _correlated_certificate(
             return NeverBest("dominated", ((other, Fraction(1)),))
 
     n = len(bases)
-    pay_rows = {
-        other: [ip[b + other * stride] for b in bases] for other in cmp.candidates
-    }
-    rows: list[int] = []
-    # Start from the column where the strategy does best.
-    start = max(range(n), key=lambda pos: (own[pos], -pos))
-    point = [Fraction(0)] * n
-    point[start] = Fraction(1)
+    ineqs: list[tuple[list[int], int]] = []
+    # Start from the column where the strategy does best.  A vertex has at
+    # most len(ineqs) + 1 nonzeros: `support` lists them as (position, mass).
+    support = [(max(range(n), key=lambda pos: (own[pos], -pos)), Fraction(1))]
     while True:
-        den = lcm(*(p.denominator for p in point)) if n else 1
-        nums = [p.numerator * (den // p.denominator) for p in point]
-        own_val = sum(nm * o for nm, o in zip(nums, own))
+        den = lcm(*(p.denominator for _, p in support))
+        atoms = [
+            (bases[pos], p.numerator * (den // p.denominator)) for pos, p in support
+        ]
+        own_val = sum(nm * ip[b + own_off] for b, nm in atoms)
         worst = None
         worst_gap = 0
         for other in cmp.candidates:
-            row = pay_rows[other]
-            gap = sum(nm * r for nm, r in zip(nums, row)) - own_val
+            off = other * stride
+            gap = sum(nm * ip[b + off] for b, nm in atoms) - own_val
             if gap > worst_gap:
                 worst_gap = gap
                 worst = other
         if worst is None:
-            atoms = tuple(
-                (profile, p)
-                for profile, p in zip(game.opponent_profiles(player, kept), point)
-                if p > 0
+            return BestResponse(
+                DistributionBelief(
+                    tuple(
+                        (_nth_opponent_profile(game, player, kept, pos), p)
+                        for pos, p in support
+                    )
+                )
             )
-            return BestResponse(DistributionBelief(atoms))
-        rows.append(worst)
-        ineqs = [
-            ([o - r for o, r in zip(own, pay_rows[s])], Fraction(0)) for s in rows
-        ]
-        solution = lp_feasible(ineqs, ([Fraction(1)] * n, Fraction(1)), num_vars=n)
+        off = worst * stride
+        ineqs.append(([o - ip[b + off] for o, b in zip(own, bases)], 0))
+        solution = lp_feasible(ineqs, ([1] * n, 1), num_vars=n)
         if solution is None:
             return NeverBest("lp")
-        point = solution
+        support = [(pos, p) for pos, p in enumerate(solution) if p]
 
 
-def _simplex_grid(size: int, resolution: int) -> list[tuple[Fraction, ...]]:
-    """All probability vectors of the given size with denominator <= resolution."""
-    points: set[tuple[Fraction, ...]] = set()
+def simplex_grid(size: int, resolution: int) -> Iterator[tuple[Fraction, ...]]:
+    """Probability vectors of `size` entries with denominator <= resolution.
 
-    def compositions(total: int, parts: int):
+    Denominator first, each vector once (at its smallest denominator).
+    """
+
+    def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         if parts == 1:
             yield (total,)
             return
@@ -361,10 +361,13 @@ def _simplex_grid(size: int, resolution: int) -> list[tuple[Fraction, ...]]:
             for tail in compositions(total - head, parts - 1):
                 yield (head,) + tail
 
+    seen: set[tuple[Fraction, ...]] = set()
     for den in range(1, resolution + 1):
         for combo in compositions(den, size):
-            points.add(tuple(Fraction(a, den) for a in combo))
-    return sorted(points)
+            vec = tuple(Fraction(a, den) for a in combo)
+            if vec not in seen:
+                seen.add(vec)
+                yield vec
 
 
 def _grid_product_witness(
@@ -382,7 +385,7 @@ def _grid_product_witness(
         grids.append(
             [
                 tuple((s, p) for s, p in zip(axis, vec) if p > 0)
-                for vec in _simplex_grid(len(axis), resolution)
+                for vec in sorted(simplex_grid(len(axis), resolution))
             ]
         )
     for combo in itertools.product(*grids):
@@ -456,11 +459,11 @@ def _find_witness_fast(
     if kind is BeliefKind.PURE:
         cert = _pure_certificate(game, player, strategy, kept, cmp, colmax)
     elif kind is BeliefKind.CORRELATED:
-        cert = _correlated_certificate(game, player, strategy, kept, cmp, cache, colmax)
+        cert = _correlated_certificate(game, player, strategy, kept, cmp, colmax)
     elif game.players == 2:
         # One opponent: products of mixed strategies and correlated
         # distributions are the same belief set.
-        cert = _correlated_certificate(game, player, strategy, kept, cmp, cache, colmax)
+        cert = _correlated_certificate(game, player, strategy, kept, cmp, colmax)
         if isinstance(cert, BestResponse):
             atoms = tuple((profile[0], p) for profile, p in cert.witness.mass)
             cert = BestResponse(ProductBelief((atoms,)))
@@ -472,7 +475,7 @@ def _find_witness_fast(
             # Independent mixed beliefs sit inside the correlated set, so a
             # correlated never-best proof covers them exactly.
             corr = _correlated_certificate(
-                game, player, strategy, kept, cmp, cache, colmax
+                game, player, strategy, kept, cmp, colmax
             )
             if isinstance(corr, NeverBest):
                 cert = corr

@@ -1,14 +1,18 @@
 """Exact rational LP feasibility via phase-1 simplex with Bland's rule.
 
 The solver answers one question: does x >= 0 exist with a.x >= b for each
-inequality row and e.x == f for the normalization row?  All arithmetic is over
-`fractions.Fraction`; Bland's pivoting rule makes the run deterministic and
-cycle-free.
+inequality row and e.x == f for the normalization row?  Pivots run in exact
+integer (fraction-free) arithmetic: every row is scaled to integers by the
+common denominator of the inputs, and one running denominator, the
+determinant of the current basis, keeps the tableau integral (Edmonds 1967,
+Bareiss 1968, as in Avis's lrs).  The returned point is `fractions.Fraction`.
+Bland's pivoting rule makes the run deterministic and cycle-free.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .games import InputError, Rational
@@ -28,34 +32,37 @@ def lp_feasible(
     Returns the structural variables of a basic feasible solution found by
     phase-1 simplex, or None when the system is infeasible.
     """
-    rows: list[tuple[list[Fraction], Fraction, bool]] = []
-    widths = set()
-    for coeffs, bound in inequalities:
-        rows.append(([Fraction(c) for c in coeffs], Fraction(bound), False))
-        widths.add(len(coeffs))
+    rows = [(coeffs, bound, False) for coeffs, bound in inequalities]
     if equality is not None:
-        coeffs, bound = equality
-        rows.append(([Fraction(c) for c in coeffs], Fraction(bound), True))
-        widths.add(len(coeffs))
+        rows.append((equality[0], equality[1], True))
+    widths = {len(coeffs) for coeffs, _, _ in rows}
     if num_vars is None:
         if len(widths) != 1:
             raise InputError("constraint rows have inconsistent dimensions")
         num_vars = widths.pop()
     elif widths and widths != {num_vars}:
         raise InputError("constraint rows have inconsistent dimensions")
+    rows = [
+        ([_exact(c) for c in coeffs], _exact(bound), is_eq)
+        for coeffs, bound, is_eq in rows
+    ]
     if num_vars == 0:
         ok = all(
             (bound == 0 if is_eq else bound <= 0) for _, bound, is_eq in rows
         )
         return [] if ok else None
 
+    # Scaling every row by the common denominator leaves the surplus and
+    # artificial columns at +-1, which rescales those variables by a positive
+    # constant: reduced-cost signs and the order of ratios, hence Bland's
+    # pivots, are those of the rational tableau.
+    scale = lcm(
+        *(v.denominator for coeffs, bound, _ in rows for v in (bound, *coeffs))
+    )
     m = len(rows)
     num_surplus = sum(1 for _, _, is_eq in rows if not is_eq)
     # Column layout: structural | surplus | artificial.
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     basis: list[int] = []
     art_cols: list[int] = []
     surplus_at = num_vars
@@ -64,41 +71,41 @@ def lp_feasible(
     surplus_idx = 0
     art_idx = 0
     for coeffs, bound, is_eq in rows:
-        row = [zero] * (ncols + 1)
-        for j, c in enumerate(coeffs):
-            row[j] = c
+        row = [0] * (ncols + 1)
+        row[:num_vars] = [c.numerator * (scale // c.denominator) for c in coeffs]
         if not is_eq:
-            row[surplus_at + surplus_idx] = -one
+            row[surplus_at + surplus_idx] = -1
             this_surplus = surplus_at + surplus_idx
             surplus_idx += 1
-        row[ncols] = bound
+        row[ncols] = bound.numerator * (scale // bound.denominator)
         if row[ncols] < 0 or (row[ncols] == 0 and not is_eq):
             # Flipping a zero-bound inequality turns its surplus column into a
             # ready-made basic column, avoiding an artificial.
             row = [-v for v in row]
-        if not is_eq and row[this_surplus] == one:
+        if not is_eq and row[this_surplus] == 1:
             # The flipped surplus column is already a unit column.
             basis.append(this_surplus)
         else:
             col = art_at + art_idx
             art_idx += 1
-            row[col] = one
+            row[col] = 1
             basis.append(col)
             art_cols.append(col)
         tableau.append(row)
 
+    # The true tableau is `tableau / den`; den is the basis determinant,
+    # 1 for the starting unit basis and positive after every pivot.
+    den = 1
     art_set = set(art_cols)
     if not art_set:
-        return _extract(tableau, basis, num_vars)
+        return _extract(tableau, basis, num_vars, den)
 
     # Objective: minimize the sum of artificials.  The reduced-cost row is the
     # sum of the rows whose basic variable is artificial.
-    obj = [zero] * (ncols + 1)
+    obj = [0] * (ncols + 1)
     for r in range(m):
         if basis[r] in art_set:
-            row = tableau[r]
-            for j in range(ncols + 1):
-                obj[j] += row[j]
+            obj = [o + v for o, v in zip(obj, tableau[r])]
 
     while True:
         # Bland: entering column = smallest index with positive reduced cost,
@@ -110,58 +117,62 @@ def lp_feasible(
                 break
         if enter < 0:
             break
-        # Ratio test; Bland tie-break on the smallest basic variable index.
+        # Ratio test by cross-multiplication (both entries positive); Bland
+        # tie-break on the smallest basic variable index.
         leave = -1
-        best: Fraction | None = None
         for r in range(m):
             a = tableau[r][enter]
             if a > 0:
-                ratio = tableau[r][ncols] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[r] < basis[leave]
-                ):
-                    best = ratio
+                if leave < 0:
+                    leave = r
+                    continue
+                lhs = tableau[r][ncols] * tableau[leave][enter]
+                rhs = tableau[leave][ncols] * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
                     leave = r
         if leave < 0:
             raise InputError("phase-1 objective unbounded; inconsistent tableau")
-        _pivot(tableau, obj, basis, leave, enter, ncols)
+        den = _pivot(tableau, obj, basis, leave, enter, den)
 
     if obj[ncols] != 0:
         return None
-    return _extract(tableau, basis, num_vars)
+    return _extract(tableau, basis, num_vars, den)
+
+
+def _exact(value: Rational) -> int | Fraction:
+    return value if isinstance(value, int) else Fraction(value)
 
 
 def _pivot(
-    tableau: list[list[Fraction]],
-    obj: list[Fraction],
+    tableau: list[list[int]],
+    obj: list[int],
     basis: list[int],
     leave: int,
     enter: int,
-    ncols: int,
-) -> None:
+    den: int,
+) -> int:
+    """Integer pivot; returns the new denominator (the pivot entry).
+
+    Every other row, the objective included, becomes
+    (piv * v - f * p) // den; the division is exact (Bareiss).
+    """
     piv_row = tableau[leave]
     piv = piv_row[enter]
-    if piv != 1:
-        inv = 1 / piv
-        tableau[leave] = piv_row = [v * inv for v in piv_row]
     for r, row in enumerate(tableau):
-        if r == leave:
-            continue
-        factor = row[enter]
-        if factor:
-            tableau[r] = [v - factor * p for v, p in zip(row, piv_row)]
-    factor = obj[enter]
-    if factor:
-        for j in range(ncols + 1):
-            obj[j] -= factor * piv_row[j]
+        if r != leave:
+            f = row[enter]
+            tableau[r] = [(piv * v - f * p) // den for v, p in zip(row, piv_row)]
+    f = obj[enter]
+    obj[:] = [(piv * v - f * p) // den for v, p in zip(obj, piv_row)]
     basis[leave] = enter
+    return piv
 
 
 def _extract(
-    tableau: list[list[Fraction]], basis: list[int], num_vars: int
+    tableau: list[list[int]], basis: list[int], num_vars: int, den: int
 ) -> list[Fraction]:
     x = [Fraction(0)] * num_vars
     for r, b in enumerate(basis):
         if b < num_vars:
-            x[b] = tableau[r][-1]
+            x[b] = Fraction(tableau[r][-1], den)
     return x

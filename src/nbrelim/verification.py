@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .beliefs import BeliefKind, DistributionBelief
@@ -35,6 +34,7 @@ from .oracle import (
     find_witness,
     full_comparison,
     is_best_response,
+    simplex_grid,
 )
 from .reductions import (
     Policy,
@@ -574,26 +574,10 @@ def grid_distributions(
     profiles: Sequence[JointProfile], max_denominator: int
 ) -> Iterable[DistributionBelief]:
     """All correlated beliefs over `profiles` with denominator <= max_denominator."""
-    k = len(profiles)
-
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for tail in compositions(total - head, parts - 1):
-                yield (head,) + tail
-
-    seen: set[tuple[Fraction, ...]] = set()
-    for den in range(1, max_denominator + 1):
-        for combo in compositions(den, k):
-            vec = tuple(Fraction(a, den) for a in combo)
-            if vec in seen:
-                continue
-            seen.add(vec)
-            yield DistributionBelief(
-                tuple((pr, p) for pr, p in zip(profiles, vec) if p > 0)
-            )
+    for vec in simplex_grid(len(profiles), max_denominator):
+        yield DistributionBelief(
+            tuple((pr, p) for pr, p in zip(profiles, vec) if p > 0)
+        )
 
 
 def check_oracle_agreement(

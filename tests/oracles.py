@@ -2,8 +2,10 @@
 
 Everything here is computed straight from `FiniteGame.payoff` lookups with
 plain loops: best-response tables, fast-elimination replays, pure equilibrium
-scans, and an exact vertex-enumeration feasibility oracle for cross-checking
-the simplex.  Nothing imports the oracle or reduction machinery.
+scans, an exact vertex-enumeration feasibility oracle for cross-checking
+the simplex, and a plain-`Fraction` phase-1 simplex with a dense lazy-row
+loop that the engine's integer pivots and support-only scan must follow
+step for step.  Nothing imports the oracle or reduction machinery.
 """
 
 from __future__ import annotations
@@ -168,3 +170,124 @@ def feasible_by_vertex_enumeration(inequalities, equality, num_vars):
         if sol is not None and satisfies(sol):
             return True
     return False
+
+
+# --- plain-Fraction references for the exact LP and its row generation -----
+
+
+def lp_feasible_reference(inequalities, equality=None, num_vars=None):
+    """Phase-1 simplex with Bland's rule, every pivot over `Fraction`.
+
+    Same contract and same pivot rule as `nbrelim.simplex.lp_feasible`, so
+    both return the identical basic point (or None); a ValueError stands in
+    for the engine's input errors.
+    """
+    rows = [([Fraction(c) for c in a], Fraction(b), False) for a, b in inequalities]
+    if equality is not None:
+        rows.append(([Fraction(c) for c in equality[0]], Fraction(equality[1]), True))
+    widths = {len(a) for a, _, _ in rows}
+    if num_vars is None:
+        if len(widths) != 1:
+            raise ValueError("constraint rows have inconsistent dimensions")
+        num_vars = widths.pop()
+    elif widths and widths != {num_vars}:
+        raise ValueError("constraint rows have inconsistent dimensions")
+    if num_vars == 0:
+        ok = all((b == 0 if eq else b <= 0) for _, b, eq in rows)
+        return [] if ok else None
+
+    m = len(rows)
+    surplus_at = num_vars
+    art_at = num_vars + sum(1 for _, _, eq in rows if not eq)
+    ncols = art_at + m
+    tableau, basis, arts = [], [], set()
+    surplus = surplus_at
+    for a, b, eq in rows:
+        row = [Fraction(0)] * (ncols + 1)
+        row[:num_vars] = a
+        own_surplus = None
+        if not eq:
+            own_surplus = surplus
+            row[surplus] = Fraction(-1)
+            surplus += 1
+        row[ncols] = b
+        if b < 0 or (b == 0 and not eq):
+            row = [-v for v in row]
+        if own_surplus is not None and row[own_surplus] == 1:
+            basis.append(own_surplus)
+        else:
+            col = art_at + len(arts)
+            row[col] = Fraction(1)
+            basis.append(col)
+            arts.add(col)
+        tableau.append(row)
+
+    if arts:
+        obj = [sum(tableau[r][j] for r in range(m) if basis[r] in arts)
+               for j in range(ncols + 1)]
+        while True:
+            enter = next((j for j in range(art_at) if obj[j] > 0), None)
+            if enter is None:
+                break
+            leave, best = None, None
+            for r in range(m):
+                a = tableau[r][enter]
+                if a > 0:
+                    ratio = tableau[r][ncols] / a
+                    if best is None or ratio < best or (
+                        ratio == best and basis[r] < basis[leave]
+                    ):
+                        leave, best = r, ratio
+            pivot_row = [v / tableau[leave][enter] for v in tableau[leave]]
+            tableau[leave] = pivot_row
+            for r in range(m):
+                if r != leave:
+                    f = tableau[r][enter]
+                    tableau[r] = [v - f * p for v, p in zip(tableau[r], pivot_row)]
+            f = obj[enter]
+            obj = [v - f * p for v, p in zip(obj, pivot_row)]
+            basis[leave] = enter
+        if obj[ncols] != 0:
+            return None
+    x = [Fraction(0)] * num_vars
+    for r, b in enumerate(basis):
+        if b < num_vars:
+            x[b] = tableau[r][ncols]
+    return x
+
+
+def correlated_row_generation(game, player, strategy, kept, candidates, lp):
+    """Lazy-row LP decision over correlated beliefs, dense and in `Fraction`.
+
+    Starts from the opponent profile where `strategy` pays most (first one on
+    ties), adds the most violated competitor's row at each LP vertex (first
+    one on ties) and re-solves with `lp`.  Returns ("br", atoms, rows) with
+    the witness distribution as (profile, probability) pairs, or
+    ("nbr", None, rows); `rows` counts the generated competitor rows.
+    """
+    axes = [sorted(kept[j]) for j in range(game.players) if j != player]
+    profiles = list(itertools.product(*axes))
+
+    def pay(s, opp):
+        profile = list(opp)
+        profile.insert(player, s)
+        return game.payoff(tuple(profile), player)
+
+    own = [pay(strategy, opp) for opp in profiles]
+    start = max(range(len(profiles)), key=lambda k: (own[k], -k))
+    point = [Fraction(int(k == start)) for k in range(len(profiles))]
+    ineqs = []
+    while True:
+        own_val = sum(p * o for p, o in zip(point, own))
+        worst, worst_gap = None, 0
+        for other in sorted(candidates):
+            gap = sum(p * pay(other, opp) for p, opp in zip(point, profiles)) - own_val
+            if gap > worst_gap:
+                worst, worst_gap = other, gap
+        if worst is None:
+            atoms = tuple((opp, p) for opp, p in zip(profiles, point) if p > 0)
+            return "br", atoms, len(ineqs)
+        ineqs.append(([o - pay(worst, opp) for o, opp in zip(own, profiles)], 0))
+        point = lp(ineqs, ([1] * len(profiles), 1), num_vars=len(profiles))
+        if point is None:
+            return "nbr", None, len(ineqs)

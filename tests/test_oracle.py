@@ -1,5 +1,6 @@
 """Best-response oracle: certificates, LP routes, grids, caching, determinism."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from nbrelim.beliefs import (
     ProductBelief,
     PurePoint,
 )
-from nbrelim.catalog import bertrand_grid, gap_3x2, random_game
+from nbrelim import oracle
+from nbrelim.catalog import bertrand_grid, gap_3x2, hotelling_grid, random_game
 from nbrelim.games import FiniteGame, InputError, full_restriction, restrict
 from nbrelim.oracle import (
     BestResponse,
@@ -28,7 +30,12 @@ from nbrelim.oracle import (
 
 from nbrelim.reductions import ReductionKind, legal_removal_candidates
 
-from oracles import is_pure_best_to_some, replay_fast_pure
+from oracles import (
+    correlated_row_generation,
+    is_pure_best_to_some,
+    lp_feasible_reference,
+    replay_fast_pure,
+)
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +183,63 @@ class TestFindWitness:
             g, full_restriction(g), 0, 1, BeliefKind.PURE, ComparisonSet(0, ())
         )
         assert isinstance(cert, BestResponse)
+
+
+class TestCorrelatedRowGeneration:
+    """The support-only violation scan with incremental rows over integer
+    pivots decides as a dense scan over the plain-Fraction reference LP."""
+
+    @staticmethod
+    def lp_path_against_reference(game, seed, monkeypatch):
+        """Every query that reaches the LP, for both comparison sets over
+        seeded restrictions, against the reference; returns the most rows
+        generated by one query and the reference verdicts seen."""
+        lp_calls = []
+        real = oracle.lp_feasible
+
+        def counting(inequalities, equality, num_vars):
+            lp_calls.append(len(inequalities))
+            return real(inequalities, equality, num_vars=num_vars)
+
+        monkeypatch.setattr(oracle, "lp_feasible", counting)
+        rng = random.Random(seed)
+        most_rows = 0
+        verdicts = set()
+        for _ in range(10):
+            kept = [sorted(rng.sample(range(k), rng.randint(3, k))) for k in game.sizes]
+            r = restrict(game, kept)
+            for player in range(2):
+                for cmp, s in itertools.product(
+                    (ComparisonSet(player, kept[player]), full_comparison(game, player)),
+                    kept[player],
+                ):
+                    lp_calls.clear()
+                    cert = find_witness(game, r, player, s, BeliefKind.CORRELATED, cmp)
+                    if not lp_calls:
+                        continue  # settled by the pure scans before any LP
+                    tag, atoms, rows = correlated_row_generation(
+                        game, player, s, kept, cmp.candidates, lp_feasible_reference
+                    )
+                    assert rows == len(lp_calls)
+                    if tag == "nbr":
+                        assert cert == NeverBest("lp")
+                    else:
+                        assert cert == BestResponse(DistributionBelief(atoms))
+                    most_rows = max(most_rows, rows)
+                    verdicts.add(tag)
+        return most_rows, verdicts
+
+    @pytest.mark.parametrize("build", [bertrand_grid, hotelling_grid])
+    def test_wide_grid_verdicts_match_reference(self, build, monkeypatch):
+        most_rows, verdicts = self.lp_path_against_reference(build(16), 2, monkeypatch)
+        assert most_rows >= 3
+        assert verdicts == {"br", "nbr"}
+
+    def test_tied_violations_pick_the_first_competitor(self, monkeypatch):
+        # Payoffs in [-2, 2] make equal violations common.
+        for seed in range(4):
+            game = random_game(2, (7, 7), 2, seed)
+            self.lp_path_against_reference(game, seed, monkeypatch)
 
 
 class TestGridSearch:

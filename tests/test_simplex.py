@@ -1,4 +1,5 @@
-"""Exact LP feasibility: handwritten cases plus a vertex-enumeration oracle."""
+"""Exact LP feasibility: handwritten cases, a vertex-enumeration oracle, and
+the plain-Fraction reference pivots that the integer pivots must follow."""
 
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from nbrelim.games import InputError
 from nbrelim.simplex import lp_feasible
 
-from oracles import feasible_by_vertex_enumeration
+from oracles import feasible_by_vertex_enumeration, lp_feasible_reference
 
 
 def check_point(x, inequalities, equality):
@@ -99,3 +100,106 @@ def test_many_seeded_systems():
         assert (got is not None) == feasible_by_vertex_enumeration(ineqs, eq, nvars)
         if got is not None:
             check_point(got, ineqs, eq)
+
+
+# --- the integer pivots take the path of the Fraction pivots -----------------
+
+
+def same_as_reference(ineqs, eq, nvars):
+    got = lp_feasible(ineqs, eq, num_vars=nvars)
+    want = lp_feasible_reference(ineqs, eq, num_vars=nvars)
+    assert got == want
+    if got is not None:
+        assert all(type(v) is Fraction for v in got)
+    return got
+
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_same_point_as_fraction_pivots(data):
+    nvars = data.draw(st.integers(1, 5))
+    ineqs = [
+        (data.draw(st.lists(rationals, min_size=nvars, max_size=nvars)),
+         data.draw(st.sampled_from([Fraction(0), Fraction(-1, 2)]) | rationals))
+        for _ in range(data.draw(st.integers(0, 5)))
+    ]
+    eq = data.draw(
+        st.none()
+        | st.just(([1] * nvars, 1))
+        | st.tuples(st.lists(rationals, min_size=nvars, max_size=nvars), rationals)
+    )
+    if not ineqs and eq is None:
+        eq = ([1] * nvars, 1)
+    same_as_reference(ineqs, eq, nvars)
+
+
+def test_same_point_on_seeded_systems():
+    rng = random.Random(11)
+    feasible = 0
+    for _ in range(400):
+        nvars = rng.randint(1, 6)
+        den = rng.choice([1, 1, 2, 6, 35])
+        ineqs = [
+            (
+                [Fraction(rng.randint(-9, 9), den) for _ in range(nvars)],
+                # bound 0 starts a row basic on its surplus; negative flips it
+                Fraction(rng.choice([0, 0, -1, rng.randint(-4, 4)]), rng.randint(1, 3)),
+            )
+            for _ in range(rng.randint(0, 6))
+        ]
+        eq = ([Fraction(rng.randint(0, 4), den) for _ in range(nvars)], Fraction(1))
+        feasible += same_as_reference(ineqs, eq, nvars) is not None
+    assert 40 < feasible < 360
+
+
+def test_same_point_on_integer_comparison_rows():
+    # The correlated oracle's shape: integer payoff-difference rows with
+    # bound 0 and the unit-simplex equality, passed without Fraction.
+    rng = random.Random(5)
+    infeasible = 0
+    for _ in range(300):
+        nvars = rng.randint(2, 12)
+        ineqs = [
+            ([rng.randint(-20, 20) for _ in range(nvars)], 0)
+            for _ in range(rng.randint(1, 5))
+        ]
+        infeasible += same_as_reference(ineqs, ([1] * nvars, 1), nvars) is None
+    assert 10 < infeasible < 290
+
+
+def test_equality_only_systems():
+    rng = random.Random(3)
+    for _ in range(100):
+        nvars = rng.randint(1, 5)
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(nvars)]
+        bound = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        same_as_reference([], (coeffs, bound), nvars)
+    assert lp_feasible([], ([2, 3], Fraction(1, 2))) == [Fraction(1, 4), 0]
+    assert lp_feasible([], ([-1, -1], 1)) is None
+
+
+def test_huge_coefficients_divide_exactly():
+    # Coefficients near 2**80 make the basis determinants ~2**160 and more:
+    # an inexact floor division in a pivot would change the point.
+    rng = random.Random(80)
+    big = 2**80
+    seen = 0
+    for _ in range(120):
+        nvars = rng.randint(2, 5)
+        ineqs = [
+            (
+                [big + rng.randint(-999, 999) if rng.random() < 0.5
+                 else -big + rng.randint(-999, 999) for _ in range(nvars)],
+                rng.choice([0, big, -big + 7, Fraction(big, 3)]),
+            )
+            for _ in range(rng.randint(1, 4))
+        ]
+        eq = ([rng.randint(1, 3) for _ in range(nvars)], rng.randint(1, 5))
+        x = same_as_reference(ineqs, eq, nvars)
+        if x is not None:
+            check_point(x, ineqs, eq)
+            seen += max(v.denominator for v in x) > 2**60
+    assert seen > 0
