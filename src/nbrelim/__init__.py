@@ -27,13 +27,11 @@ from .games import (
     Rational,
     Restriction,
     RestrictionClass,
-    classify,
     full_restriction,
     join,
     meet,
     parse_game,
     parse_rational,
-    payoff,
     render_game,
     render_rational,
     restrict,

@@ -12,7 +12,7 @@ import hashlib
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -265,22 +265,29 @@ class Restriction:
     """Per-player subsets of a parent game's strategy sets.
 
     Payoffs are inherited from the parent, never copied.  Empty components are
-    allowed; `classify` distinguishes the degenerate cases.
+    allowed; `classify` distinguishes the degenerate cases.  `bits` holds the
+    kept strategies as one integer, player after player: strategy s of player
+    i is bit `sum(sizes[:i]) + s`.
     """
 
     parent: FiniteGame
     kept: tuple[tuple[int, ...], ...]
+    bits: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.kept) != self.parent.players:
             raise InputError("restriction arity does not match the game")
         norm = []
+        bits = offset = 0
         for i, ks in enumerate(self.kept):
             uniq = tuple(sorted(set(ks)))
             if uniq and (uniq[0] < 0 or uniq[-1] >= self.parent.sizes[i]):
                 raise InputError(f"kept set for player {i + 1} out of range")
             norm.append(uniq)
+            bits |= sum(1 << s for s in uniq) << offset
+            offset += self.parent.sizes[i]
         object.__setattr__(self, "kept", tuple(norm))
+        object.__setattr__(self, "bits", bits)
 
     def classify(self) -> RestrictionClass:
         if all(not ks for ks in self.kept):
@@ -384,14 +391,6 @@ def join(a: Restriction, b: Restriction) -> Restriction:
         a.parent,
         tuple(tuple(sorted(set(x) | set(y))) for x, y in zip(a.kept, b.kept)),
     )
-
-
-def payoff(game: FiniteGame, profile: Sequence[int], player: int) -> Rational:
-    return game.payoff(profile, player)
-
-
-def classify(r: Restriction) -> RestrictionClass:
-    return r.classify()
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ exact proof; grid searches that find nothing surface `Inconclusive` instead.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Sequence, Union
@@ -38,17 +39,29 @@ DEFAULT_GRID_RESOLUTION = 8
 
 @dataclass(frozen=True)
 class ComparisonSet:
-    """The own strategies a candidate best response must weakly beat."""
+    """The own strategies a candidate best response must weakly beat.
+
+    `bits` holds the candidates as one integer: candidate c is bit c.
+    """
 
     player: int
     candidates: tuple[int, ...]
+    bits: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "candidates", tuple(sorted(set(self.candidates))))
+        candidates = tuple(sorted(set(self.candidates)))
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "bits", sum(1 << c for c in candidates))
 
 
 def full_comparison(game: FiniteGame, player: int) -> ComparisonSet:
-    return ComparisonSet(player, tuple(range(game.sizes[player])))
+    return _full_comparison(player, game.sizes[player])
+
+
+@functools.lru_cache(maxsize=64)
+def _full_comparison(player: int, size: int) -> ComparisonSet:
+    # Every tilde sweep asks for it; building it anew costs a sort and a mask.
+    return ComparisonSet(player, tuple(range(size)))
 
 
 @dataclass(frozen=True)
@@ -86,43 +99,6 @@ def render_certificate(cert: Certificate, game: FiniteGame, player: int) -> str:
     if isinstance(cert, Inconclusive):
         return f"INCONCLUSIVE(res={cert.resolution})"
     return "NBR(vacuous)"
-
-
-class OracleCache:
-    """Optional cross-call memo for one (game, belief kind) pair.
-
-    Witnesses are re-verified against the query before reuse, so a stale entry
-    can cost time but never soundness.  Never-best facts are reused only for
-    queries with a larger comparison set and a smaller belief support, which
-    the monotonicity of the definitions makes sound.  A cache is bound to one
-    belief kind: never-best facts do not transfer between kinds.
-    """
-
-    __slots__ = ("kind", "witnesses", "nbr_facts")
-
-    def __init__(self, kind: BeliefKind) -> None:
-        self.kind = kind
-        self.witnesses: dict[tuple[int, int], list] = {}
-        self.nbr_facts: dict[tuple[int, int], list] = {}
-
-    def remember_witness(self, player: int, strategy: int, payload) -> None:
-        entries = self.witnesses.setdefault((player, strategy), [])
-        if payload not in entries:
-            entries.insert(0, payload)
-            del entries[8:]
-
-    def remember_nbr(self, player: int, strategy: int, cmp_set, support_sets) -> None:
-        entries = self.nbr_facts.setdefault((player, strategy), [])
-        entries.insert(0, (cmp_set, support_sets))
-        del entries[8:]
-
-    def nbr_covered(self, player: int, strategy: int, cmp_set, support_sets) -> bool:
-        for known_cmp, known_supp in self.nbr_facts.get((player, strategy), ()):
-            if known_cmp <= cmp_set and all(
-                s <= k for s, k in zip(support_sets, known_supp)
-            ):
-                return True
-        return False
 
 
 def is_best_response(
@@ -183,36 +159,6 @@ def _distribution_int_form(
     bases = [game.profile_base(player, pr) for pr, _ in atoms]
     nums = [p.numerator * (den // p.denominator) for _, p in atoms]
     return bases, nums
-
-
-def _cached_witness(
-    game: FiniteGame,
-    player: int,
-    strategy: int,
-    kept_sets: Sequence[frozenset],
-    cmp: ComparisonSet,
-    cache: OracleCache | None,
-):
-    """Return a still-valid cached witness payload, or None."""
-    if cache is None:
-        return None
-    for payload in cache.witnesses.get((player, strategy), ()):
-        _, bases, nums, per_opp_support = payload
-        if not all(s <= k for s, k in zip(per_opp_support, kept_sets)):
-            continue
-        if _int_witness_check(game, player, strategy, bases, nums, cmp):
-            return payload
-    return None
-
-
-def _witness_payload(game: FiniteGame, player: int, mu: Belief):
-    bases, nums = _distribution_int_form(game, player, mu)
-    support = mu.support()
-    per_opp = tuple(
-        frozenset(profile[k] for profile in support)
-        for k in range(game.players - 1)
-    )
-    return (mu, bases, nums, per_opp)
 
 
 def _column_best(
@@ -396,6 +342,100 @@ def _grid_product_witness(
     return None
 
 
+class OracleCache:
+    """Memo of oracle answers for one game and one belief kind.
+
+    Soundness: both answers are monotone in the query.  A witness belief
+    answers any query whose belief set still contains it (its support is
+    kept) and whose comparison set it beats, in particular any comparison set
+    inside one it beat.  A never-best fact answers any query with a larger
+    comparison set and a smaller restriction.  A lookup tests exactly these
+    inclusions, so a hit is the query's own answer and no entry goes stale.
+
+    Sets are bit masks: restrictions and supports as `Restriction.bits`,
+    comparison sets as `ComparisonSet.bits`.  A witness entry is
+    `[certificate, support, beaten comparison set, tensor bases,
+    numerators]`; a comparison set outside the beaten one is re-checked in
+    integers and, if it passes, joins it.  A never-best entry is
+    `(comparison set, restriction with the player's own strategies added,
+    certificate)`.  Each (player, strategy) keeps its `DEPTH` newest entries
+    of each type, and the newest match answers.
+
+    Along one `iterate` run restrictions shrink and comparison sets never
+    grow (tilde: the full sets; arrow: the kept set; darrow: the kept set
+    minus the strategy), so a witness whose support survives answers with
+    mask tests alone: the residual supports of arc consistency (Lecoutre &
+    Hemery, IJCAI 2007).  The cache binds to the first game it serves;
+    another game or belief kind is an `InputError`.
+    """
+
+    __slots__ = ("kind", "game", "witnesses", "never_best")
+
+    DEPTH = 8
+
+    def __init__(self, kind: BeliefKind) -> None:
+        self.kind = kind
+        self.game: FiniteGame | None = None
+        self.witnesses: dict[tuple[int, int], list[list]] = {}
+        self.never_best: dict[tuple[int, int], list[tuple]] = {}
+
+    def bind(self, game: FiniteGame, kind: BeliefKind) -> None:
+        if kind is not self.kind:
+            raise InputError("oracle cache bound to a different belief kind")
+        if self.game is None:
+            self.game = game
+        elif self.game is not game and self.game != game:
+            raise InputError("oracle cache bound to a different game")
+
+    def lookup(
+        self, player: int, strategy: int, restriction_bits: int, cmp: ComparisonSet
+    ) -> Certificate | None:
+        """A remembered answer to the query, or None.  The query's opponent
+        components must all be non-empty (an empty one is `EmptyBeliefSet`)."""
+        key = (player, strategy)
+        for entry in self.witnesses.get(key, ()):
+            if entry[1] & ~restriction_bits:
+                continue
+            if not cmp.bits & ~entry[2]:
+                return entry[0]
+            if _int_witness_check(
+                self.game, player, strategy, entry[3], entry[4], cmp
+            ):
+                entry[2] |= cmp.bits
+                return entry[0]
+        for known_cmp, known_bits, cert in self.never_best.get(key, ()):
+            if not known_cmp & ~cmp.bits and not restriction_bits & ~known_bits:
+                return cert
+        return None
+
+    def remember(
+        self,
+        player: int,
+        strategy: int,
+        restriction_bits: int,
+        cmp: ComparisonSet,
+        cert: Certificate,
+    ) -> None:
+        game = self.game
+        offsets = list(itertools.accumulate(game.sizes, initial=0))
+        if isinstance(cert, BestResponse):
+            support = 0
+            opps = game.opponents(player)
+            for profile in cert.witness.support():
+                for j, t in zip(opps, profile):
+                    support |= 1 << (offsets[j] + t)
+            bases, nums = _distribution_int_form(game, player, cert.witness)
+            entries = self.witnesses.setdefault((player, strategy), [])
+            entries.insert(0, [cert, support, cmp.bits, bases, nums])
+        elif isinstance(cert, NeverBest):
+            own = ((1 << game.sizes[player]) - 1) << offsets[player]
+            entries = self.never_best.setdefault((player, strategy), [])
+            entries.insert(0, (cmp.bits, restriction_bits | own, cert))
+        else:
+            return
+        del entries[self.DEPTH :]
+
+
 def find_witness(
     game: FiniteGame,
     restriction: Restriction,
@@ -421,9 +461,18 @@ def find_witness(
         raise InputError(f"strategy index {strategy} out of range")
     if cmp.player != player:
         raise InputError("comparison set belongs to a different player")
-    return _find_witness_fast(
-        game, restriction.kept, player, strategy, kind, cmp, resolution, cache
-    )
+    kept = restriction.kept
+    if cache is not None:
+        cache.bind(game, kind)
+        if all(kept[j] for j in game.opponents(player)):
+            cert = cache.lookup(player, strategy, restriction.bits, cmp)
+            if cert is None:
+                cert = _find_witness_fast(
+                    game, kept, player, strategy, kind, cmp, resolution
+                )
+                cache.remember(player, strategy, restriction.bits, cmp, cert)
+            return cert
+    return _find_witness_fast(game, kept, player, strategy, kind, cmp, resolution)
 
 
 def _find_witness_fast(
@@ -434,27 +483,12 @@ def _find_witness_fast(
     kind: BeliefKind,
     cmp: ComparisonSet,
     resolution: int,
-    cache: OracleCache | None,
     colmax: Sequence[int] | None = None,
 ) -> Certificate:
-    opps = game.opponents(player)
-    if any(not kept[j] for j in opps):
+    """The decision itself, computed afresh (`find_witness` without checks or
+    memo).  `colmax` optionally supplies `_column_best` for the kept bases."""
+    if any(not kept[j] for j in game.opponents(player)):
         return EmptyBeliefSet()
-
-    if cache is not None and cache.kind is not kind:
-        raise InputError("oracle cache bound to a different belief kind")
-    kept_sets = tuple(frozenset(kept[j]) for j in opps)
-    payload = _cached_witness(game, player, strategy, kept_sets, cmp, cache)
-    if payload is not None:
-        return BestResponse(payload[0])
-    cmp_set = frozenset(cmp.candidates)
-    exact = kind is not BeliefKind.INDEPENDENT_MIXED or game.players == 2
-    if (
-        cache is not None
-        and exact
-        and cache.nbr_covered(player, strategy, cmp_set, kept_sets)
-    ):
-        return NeverBest("lp" if kind is not BeliefKind.PURE else "exhaustive")
 
     if kind is BeliefKind.PURE:
         cert = _pure_certificate(game, player, strategy, kept, cmp, colmax)
@@ -488,12 +522,4 @@ def _find_witness_fast(
                     if witness is not None
                     else Inconclusive(resolution)
                 )
-
-    if cache is not None:
-        if isinstance(cert, BestResponse):
-            cache.remember_witness(
-                player, strategy, _witness_payload(game, player, cert.witness)
-            )
-        elif isinstance(cert, NeverBest) and exact:
-            cache.remember_nbr(player, strategy, cmp_set, kept_sets)
     return cert

@@ -14,14 +14,10 @@ never-best set at once (tilde and arrow only; no fast variant of darrow
 exists), and `iterate` drives maximal sequences under several elimination
 policies.  Traces record every removal with its certificate.
 
-Residual supports: along a chain of shrinking restrictions a witness stays a
-witness while its support survives, since the comparison set never grows
-(tilde: the full sets; arrow: the kept set; darrow: the kept set minus the
-strategy).  So a sweep re-queries a strategy only when its witness lost a
-support strategy, when it has none, or when its last answer was inconclusive.
-Never-best facts persist only under tilde, whose comparison set is fixed while
-beliefs shrink.  This memory is a `ResidualSupports` owned by one `iterate`
-call, never the shared `OracleCache`: orders sharing a cache walk other chains.
+The one memo is the `OracleCache` a caller passes (`iterate` makes one when
+none is given); its docstring states why a remembered answer is sound, and
+why along one run a sweep re-queries only the strategies whose witness lost
+a support strategy.
 """
 
 from __future__ import annotations
@@ -31,13 +27,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence, Union
 
-from .beliefs import Belief, BeliefKind
+from .beliefs import BeliefKind
 from .games import FiniteGame, InputError, Restriction, full_restriction
 from .oracle import (
     DEFAULT_GRID_RESOLUTION,
     BestResponse,
     Certificate,
     ComparisonSet,
+    EmptyBeliefSet,
     Inconclusive,
     OracleCache,
     _column_best,
@@ -214,46 +211,6 @@ def validate_step(
     return Step(source, target, removed, kind, belief_kind, tuple(certs))
 
 
-class ResidualSupports:
-    """Sweep memory for one chain of shrinking restrictions of one game.
-
-    A set of strategies is held as the bits of one integer, player after
-    player.  `witnesses` maps (player, strategy) to the bits of its last
-    witness's support and the witness itself; `never_best` maps it to its
-    last never-best certificate, kept under tilde only.  A sweep over a
-    restriction that is not inside the previous one forgets everything.
-    """
-
-    __slots__ = ("game", "offsets", "alive", "witnesses", "never_best")
-
-    def __init__(self, game: FiniteGame) -> None:
-        self.game = game
-        self.offsets = [sum(game.sizes[:i]) for i in range(game.players)]
-        self.alive = -1  # every bit set: the first restriction is inside it
-        self.witnesses: dict[tuple[int, int], tuple[int, Belief]] = {}
-        self.never_best: dict[tuple[int, int], Certificate] = {}
-
-    def _bits(self, pairs) -> int:
-        """The bits of a set of (player, strategy) pairs."""
-        return sum(1 << (self.offsets[j] + t) for j, t in set(pairs))
-
-    def advance(self, restriction: Restriction) -> int:
-        """Move the chain to `restriction`; the bits of its removed strategies."""
-        if restriction.parent != self.game:
-            raise InputError("restriction does not belong to the game")
-        alive = self._bits((j, s) for j, ks in enumerate(restriction.kept) for s in ks)
-        if alive & ~self.alive:
-            self.witnesses.clear()
-            self.never_best.clear()
-        self.alive = alive
-        return ~alive
-
-    def remember_witness(self, player: int, strategy: int, witness: Belief) -> None:
-        opps = self.game.opponents(player)
-        pairs = (pair for profile in witness.support() for pair in zip(opps, profile))
-        self.witnesses[(player, strategy)] = (self._bits(pairs), witness)
-
-
 def candidate_certificates(
     game: FiniteGame,
     restriction: Restriction,
@@ -261,58 +218,53 @@ def candidate_certificates(
     kind: ReductionKind,
     resolution: int = DEFAULT_GRID_RESOLUTION,
     cache: OracleCache | None = None,
-    residues: ResidualSupports | None = None,
 ) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, int], Certificate], bool]:
     """Per-player certified never-best strategies, their certificates, and
     whether any answer was inconclusive.
 
     Inconclusive strategies are never included, so the sets are a sound
     under-approximation; strategies facing an empty opponent component are
-    vacuously never-best.  With `residues` the chain so far spares re-queries
-    (see the module docstring); the result is the same as without.
+    vacuously never-best.  `cache` answers what it can and remembers the
+    rest; the result is the same as without it.
     """
     if restriction.parent != game:
         raise InputError("restriction does not belong to the game")
+    if cache is not None:
+        cache.bind(game, belief_kind)
     kept = restriction.kept
-    if residues is not None:
-        dead = residues.advance(restriction)
+    bits = restriction.bits
     removable: list[tuple[int, ...]] = []
     certs: dict[tuple[int, int], Certificate] = {}
     saw_inconclusive = False
     for player in range(game.players):
+        if not all(kept[j] for j in game.opponents(player)):
+            removable.append(kept[player])
+            certs.update(((player, s), EmptyBeliefSet()) for s in kept[player])
+            continue
         cmp = colmax = None
+        if kind is not ReductionKind.DARROW:
+            cmp = comparison_for(kind, game, restriction, restriction, player)
         gone = []
         for s in kept[player]:
-            key = (player, s)
-            if residues is not None:
-                held = residues.witnesses.get(key)
-                if held is not None and not held[0] & dead:
-                    continue
-                cert = residues.never_best.get(key)
-                if cert is not None:
-                    gone.append(s)
-                    certs[key] = cert
-                    continue
             if kind is ReductionKind.DARROW:
                 cmp = ComparisonSet(player, tuple(t for t in kept[player] if t != s))
-            elif cmp is None:
-                cmp = comparison_for(kind, game, restriction, restriction, player)
-                if all(kept[j] for j in game.opponents(player)):
+            cert = cache.lookup(player, s, bits, cmp) if cache is not None else None
+            if cert is None:
+                if colmax is None and kind is not ReductionKind.DARROW:
                     bases = game.opponent_bases(player, kept)
                     colmax = _column_best(game, player, bases, cmp)
-            cert = _find_witness_fast(
-                game, kept, player, s, belief_kind, cmp, resolution, cache, colmax
-            )
+                cert = _find_witness_fast(
+                    game, kept, player, s, belief_kind, cmp, resolution, colmax
+                )
+                if cache is not None:
+                    cache.remember(player, s, bits, cmp, cert)
             if isinstance(cert, BestResponse):
-                if residues is not None:
-                    residues.remember_witness(player, s, cert.witness)
-            elif isinstance(cert, Inconclusive):
+                continue
+            if isinstance(cert, Inconclusive):
                 saw_inconclusive = True
             else:
                 gone.append(s)
-                certs[key] = cert
-                if residues is not None and kind is ReductionKind.TILDE:
-                    residues.never_best[key] = cert
+                certs[(player, s)] = cert
         removable.append(tuple(gone))
     return tuple(removable), certs, saw_inconclusive
 
@@ -436,10 +388,9 @@ def iterate(
             tuple(notes),
         )
 
-    residues = ResidualSupports(game)
     while True:
         sets, certs, saw_inconclusive = candidate_certificates(
-            game, current, belief_kind, kind, resolution, cache, residues
+            game, current, belief_kind, kind, resolution, cache
         )
         flat = [(i, s) for i, gone in enumerate(sets) for s in gone]
         if not flat:

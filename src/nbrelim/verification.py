@@ -85,6 +85,28 @@ class TheoremReport:
         return line
 
 
+def _report(
+    theorem_id: str,
+    instance: str,
+    seed: int,
+    ok: bool | None,
+    passed: str = "",
+    failed: str = "",
+    counterexample: tuple[str, ...] = (),
+) -> TheoremReport:
+    """A pass or fail report by `ok`; the counterexample ships with a fail
+    only.  `ok=None` reports unknown: inconclusive oracle answers leave a
+    trace non-maximal, so the theorem cannot be checked."""
+    if ok is None:
+        return TheoremReport(
+            theorem_id, instance, seed, "unknown",
+            "inconclusive certificates block a maximality proof",
+        )
+    if ok:
+        return TheoremReport(theorem_id, instance, seed, "pass", passed)
+    return TheoremReport(theorem_id, instance, seed, "fail", failed, counterexample)
+
+
 def child_seed(seed: int, k: int) -> int:
     return seed * 1_000_003 + k
 
@@ -224,36 +246,22 @@ def check_order_independence(
     traces = random_order_traces(
         game, ReductionKind.TILDE, belief_kind, num_orders, seed, resolution, cache
     )
-    reports: list[TheoremReport] = []
     exact = belief_kind is not BeliefKind.INDEPENDENT_MIXED or game.players == 2
     if not exact and (not fast.maximal or any(not t.maximal for t in traces)):
-        reports.append(
-            TheoremReport(
-                "order_independence", instance, seed, "unknown",
-                "inconclusive certificates block a maximality proof",
-            )
-        )
-        return reports
+        return [_report("order_independence", instance, seed, None)]
 
     mismatch = next(
         (t for t in traces if t.outcome.kept != fast.outcome.kept), None
     )
-    if mismatch is not None:
-        reports.append(
-            TheoremReport(
-                "order_independence", instance, seed, "fail",
-                "a random order reached a different outcome",
-                (fast.render(), mismatch.render()),
-            )
+    reports = [
+        _report(
+            "order_independence", instance, seed, mismatch is None,
+            f"{len(traces)} random orders match the fast outcome "
+            f"{fast.outcome.render()}",
+            "a random order reached a different outcome",
+            (fast.render(), mismatch.render()) if mismatch is not None else (),
         )
-    else:
-        reports.append(
-            TheoremReport(
-                "order_independence", instance, seed, "pass",
-                f"{len(traces)} random orders match the fast outcome "
-                f"{fast.outcome.render()}",
-            )
-        )
+    ]
 
     closed = is_closed(game, fast.outcome, belief_kind, resolution, cache)
     largest_ok: bool | None = closed
@@ -302,22 +310,14 @@ def check_order_independence(
                 "closedness of the outcome is undecided",
             )
         )
-    elif largest_ok:
-        reports.append(
-            TheoremReport(
-                "largest_closed", instance, seed, "pass",
-                "outcome is closed and no larger closed restriction was found",
-            )
-        )
     else:
-        detail = (
-            "outcome is not closed"
-            if bad is None
-            else f"closed restriction {bad.render()} escapes the outcome"
-        )
         reports.append(
-            TheoremReport(
-                "largest_closed", instance, seed, "fail", detail,
+            _report(
+                "largest_closed", instance, seed, largest_ok,
+                "outcome is closed and no larger closed restriction was found",
+                "outcome is not closed"
+                if bad is None
+                else f"closed restriction {bad.render()} escapes the outcome",
                 (fast.outcome.render(),) if bad is None else (bad.render(),),
             )
         )
@@ -329,16 +329,12 @@ def check_order_independence(
 def _nondegenerate_report(
     instance: str, seed: int, traces: Sequence[Trace]
 ) -> TheoremReport:
-    for t in traces:
-        if not t.outcome.is_nondegenerate():
-            return TheoremReport(
-                "nondegenerate_outcome", instance, seed, "fail",
-                "an outcome lost a player's whole strategy set",
-                (t.render(),),
-            )
-    return TheoremReport(
-        "nondegenerate_outcome", instance, seed, "pass",
+    bad = next((t for t in traces if not t.outcome.is_nondegenerate()), None)
+    return _report(
+        "nondegenerate_outcome", instance, seed, bad is None,
         "all outcomes keep every player non-empty",
+        "an outcome lost a player's whole strategy set",
+        (bad.render(),) if bad is not None else (),
     )
 
 
@@ -362,10 +358,7 @@ def check_fast_dominance(
     )
     if any(not t.maximal for t in [fast] + traces):
         return [
-            TheoremReport(
-                theorem_id, instance, seed, "unknown",
-                "inconclusive certificates block a maximality proof",
-            )
+            _report(theorem_id, instance, seed, None)
             for theorem_id in ("fast_dominance_i", "fast_dominance_ii")
         ]
     containment_ok = True
@@ -380,12 +373,10 @@ def check_fast_dominance(
         if not containment_ok:
             break
     reports = [
-        TheoremReport(
-            "fast_dominance_i", instance, seed,
-            "pass" if containment_ok else "fail",
-            "fast trace contained stepwise in every sampled order"
-            if containment_ok
-            else "containment broke",
+        _report(
+            "fast_dominance_i", instance, seed, containment_ok,
+            "fast trace contained stepwise in every sampled order",
+            "containment broke",
             counter,
         )
     ]
@@ -397,12 +388,10 @@ def check_fast_dominance(
             counter = (fast.render(), t.render())
             break
     reports.append(
-        TheoremReport(
-            "fast_dominance_ii", instance, seed,
-            "pass" if length_ok else "fail",
-            "fast step count is minimal among sampled orders"
-            if length_ok
-            else "a shorter order reached the fast outcome",
+        _report(
+            "fast_dominance_ii", instance, seed, length_ok,
+            "fast step count is minimal among sampled orders",
+            "a shorter order reached the fast outcome",
             counter,
         )
     )
@@ -453,12 +442,10 @@ def check_equivalence(
             )
             break
     reports = [
-        TheoremReport(
-            "equivalence_i", instance, seed,
-            "pass" if step_ok else "fail",
-            "every sampled legal arrow step is a legal darrow step"
-            if step_ok
-            else "an arrow step failed to validate as darrow",
+        _report(
+            "equivalence_i", instance, seed, step_ok,
+            "every sampled legal arrow step is a legal darrow step",
+            "an arrow step failed to validate as darrow",
             counter,
         )
     ]
@@ -483,29 +470,17 @@ def check_equivalence(
         )
     outcome = fast_tilde.outcome
     if any(not t.maximal for t in traces):
-        reports.append(
-            TheoremReport(
-                "equivalence_ii", instance, seed, "unknown",
-                "inconclusive certificates block a maximality proof",
-            )
-        )
+        reports.append(_report("equivalence_ii", instance, seed, None))
         return reports
     mismatch = next((t for t in traces if t.outcome.kept != outcome.kept), None)
-    if mismatch is None:
-        reports.append(
-            TheoremReport(
-                "equivalence_ii", instance, seed, "pass",
-                f"all relations reach {outcome.render()}",
-            )
+    reports.append(
+        _report(
+            "equivalence_ii", instance, seed, mismatch is None,
+            f"all relations reach {outcome.render()}",
+            "a relation reached a different outcome",
+            (fast_tilde.render(), mismatch.render()) if mismatch is not None else (),
         )
-    else:
-        reports.append(
-            TheoremReport(
-                "equivalence_ii", instance, seed, "fail",
-                "a relation reached a different outcome",
-                (fast_tilde.render(), mismatch.render()),
-            )
-        )
+    )
     reports.append(_nondegenerate_report(instance, seed, traces))
     return reports
 
@@ -551,21 +526,17 @@ def check_nash_preservation(
             counter = (t.render(), f"new equilibria {sorted(nash_after - nash_before)}")
             break
     return [
-        TheoremReport(
-            "nash_preservation_i", instance, seed,
-            "pass" if forward_ok else "fail",
-            "every equilibrium of the game survives into every outcome"
-            if forward_ok
-            else "an equilibrium was eliminated",
-            counter if not forward_ok else (),
+        _report(
+            "nash_preservation_i", instance, seed, forward_ok,
+            "every equilibrium of the game survives into every outcome",
+            "an equilibrium was eliminated",
+            counter,
         ),
-        TheoremReport(
-            "nash_preservation_ii", instance, seed,
-            "pass" if backward_ok else "fail",
-            "outcomes introduce no new equilibria"
-            if backward_ok
-            else "an outcome gained an equilibrium",
-            counter if not backward_ok else (),
+        _report(
+            "nash_preservation_ii", instance, seed, backward_ok,
+            "outcomes introduce no new equilibria",
+            "an outcome gained an equilibrium",
+            counter,
         ),
     ]
 
@@ -629,12 +600,10 @@ def check_oracle_agreement(
         if not ok:
             break
     return [
-        TheoremReport(
-            "oracle_agreement", instance, seed,
-            "pass" if ok else "fail",
-            f"LP verdicts consistent with denominator-{max_denominator} grid"
-            if ok
-            else "LP and grid enumeration disagree",
+        _report(
+            "oracle_agreement", instance, seed, ok,
+            f"LP verdicts consistent with denominator-{max_denominator} grid",
+            "LP and grid enumeration disagree",
             counter,
         )
     ]
@@ -680,12 +649,10 @@ def check_kind_monotonicity(
         if not ok:
             break
     return [
-        TheoremReport(
-            "kind_monotonicity", instance, seed,
-            "pass" if ok else "fail",
-            "never-best verdicts are monotone across belief kinds"
-            if ok
-            else "the belief-kind chain broke",
+        _report(
+            "kind_monotonicity", instance, seed, ok,
+            "never-best verdicts are monotone across belief kinds",
+            "the belief-kind chain broke",
             counter,
         )
     ]

@@ -11,13 +11,11 @@ from nbrelim.games import (
     InputError,
     Restriction,
     RestrictionClass,
-    classify,
     full_restriction,
     join,
     meet,
     parse_game,
     parse_rational,
-    payoff,
     render_game,
     render_rational,
     restrict,
@@ -50,26 +48,26 @@ class TestRational:
 class TestFiniteGame:
     def test_payoff_examples(self, g3x2):
         # top row pays 2 against either column
-        assert payoff(g3x2, (0, 0), 0) == 2
-        assert payoff(g3x2, (0, 0), 1) == 0
+        assert g3x2.payoff((0, 0), 0) == 2
+        assert g3x2.payoff((0, 0), 1) == 0
 
     def test_constant_zero_game(self):
         g = FiniteGame.from_function([["a", "b"], ["x"]], lambda p: (0, 0))
-        assert all(payoff(g, pr, i) == 0 for pr in [(0, 0), (1, 0)] for i in (0, 1))
+        assert all(g.payoff(pr, i) == 0 for pr in [(0, 0), (1, 0)] for i in (0, 1))
 
     def test_bertrand_payoff(self):
         g = bertrand_grid(100)
         # price 49 against 50 sells 49*(100-49): evaluated from the formula
-        assert payoff(g, (48, 49), 0) == Fraction(49 * (100 - 49))
-        assert payoff(g, (48, 49), 0) == 2499
+        assert g.payoff((48, 49), 0) == Fraction(49 * (100 - 49))
+        assert g.payoff((48, 49), 0) == 2499
 
     def test_out_of_range_errors(self, g3x2):
         with pytest.raises(InputError):
-            payoff(g3x2, (3, 0), 0)
+            g3x2.payoff((3, 0), 0)
         with pytest.raises(InputError):
-            payoff(g3x2, (0, 0), 2)
+            g3x2.payoff((0, 0), 2)
         with pytest.raises(InputError):
-            payoff(g3x2, (0,), 0)
+            g3x2.payoff((0,), 0)
 
     def test_tensor_must_be_total(self):
         with pytest.raises(InputError):
@@ -93,14 +91,16 @@ class TestRestriction:
     def test_restrict_examples(self, g3x2):
         sub = restrict_by_labels(g3x2, [["M", "B"], ["L", "R"]])
         assert sub.kept == ((1, 2), (0, 1))
+        # bits: player 1's strategies first (M=1, B=2), then player 2's (L=3, R=4)
+        assert sub.bits == 0b11110
         assert full_restriction(g3x2).kept == ((0, 1, 2), (0, 1))
         empty = restrict(g3x2, [(), ()])
         assert empty.classify() is RestrictionClass.EMPTY
 
     def test_classify(self, g3x2):
-        assert classify(full_restriction(g3x2)) is RestrictionClass.NONDEGENERATE
-        assert classify(restrict(g3x2, [(), (0,)])) is RestrictionClass.DEGENERATE
-        assert classify(restrict(g3x2, [(), ()])) is RestrictionClass.EMPTY
+        assert full_restriction(g3x2).classify() is RestrictionClass.NONDEGENERATE
+        assert restrict(g3x2, [(), (0,)]).classify() is RestrictionClass.DEGENERATE
+        assert restrict(g3x2, [(), ()]).classify() is RestrictionClass.EMPTY
 
     def test_out_of_range(self, g3x2):
         with pytest.raises(InputError):

@@ -28,7 +28,7 @@ from nbrelim.oracle import (
     render_certificate,
 )
 
-from nbrelim.reductions import ReductionKind, legal_removal_candidates
+from nbrelim.reductions import ReductionKind, iterate, legal_removal_candidates
 
 from oracles import (
     correlated_row_generation,
@@ -409,6 +409,49 @@ class TestSoundnessAndDeterminism:
                 game, full_restriction(game), 0, 0, BeliefKind.CORRELATED,
                 full_comparison(game, 0), cache=cache,
             )
+
+    def test_cache_bound_to_one_game(self, g):
+        # Same shape as g, but B strictly beats T and M: a fresh run keeps
+        # {B}x{L,R}.  g's never-best fact for B must not answer for it.
+        other = FiniteGame.from_function(g.labels, lambda p: (Fraction(p[0] == 2), 0))
+        fresh = iterate(other, ReductionKind.TILDE, BeliefKind.PURE)
+        assert fresh.outcome.render() == "{B}x{L,R}"
+        cache = OracleCache(BeliefKind.PURE)
+        first = iterate(g, ReductionKind.TILDE, BeliefKind.PURE, cache=cache)
+        with pytest.raises(InputError):
+            iterate(other, ReductionKind.TILDE, BeliefKind.PURE, cache=cache)
+        with pytest.raises(InputError):
+            find_witness(
+                other, full_restriction(other), 0, 2, BeliefKind.PURE,
+                full_comparison(other, 0), cache=cache,
+            )
+        # An equal game is the same game.
+        again = iterate(gap_3x2(), ReductionKind.TILDE, BeliefKind.PURE, cache=cache)
+        assert again.render() == first.render()
+
+    def test_cache_recheck_widens_only_by_the_set_checked(self, g):
+        # B's witness L beats {B}, then passes the re-check against {M,B};
+        # T still beats it there, so the full set must miss and say never-best.
+        cache = OracleCache(BeliefKind.PURE)
+        full = full_restriction(g)
+        for candidates, expected in (
+            ((2,), BestResponse), ((1, 2), BestResponse), ((0, 1, 2), NeverBest)
+        ):
+            cmp = ComparisonSet(0, candidates)
+            cert = find_witness(g, full, 0, 2, BeliefKind.PURE, cmp, cache=cache)
+            assert isinstance(cert, expected)
+
+    def test_cache_hit_keeps_never_best_evidence(self, g):
+        full = full_restriction(g)
+        cmp = full_comparison(g, 0)
+        fresh = find_witness(g, full, 0, 1, BeliefKind.CORRELATED, cmp)
+        assert fresh == NeverBest("dominated", ((0, Fraction(1)),))
+        cache = OracleCache(BeliefKind.CORRELATED)
+        sub = restrict(g, [(1, 2), (1,)])
+        for restriction in (full, full, sub):
+            assert find_witness(
+                g, restriction, 0, 1, BeliefKind.CORRELATED, cmp, cache=cache
+            ) == fresh
 
 
 class TestRendering:

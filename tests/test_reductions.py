@@ -16,7 +16,10 @@ from nbrelim.games import (
 from nbrelim.oracle import (
     BestResponse,
     ComparisonSet,
+    EmptyBeliefSet,
+    NeverBest,
     OracleCache,
+    find_witness,
     full_comparison,
     is_best_response,
     render_certificate,
@@ -26,7 +29,6 @@ from nbrelim.reductions import (
     Policy,
     ReductionKind,
     Rejection,
-    ResidualSupports,
     Step,
     UnsupportedOperationError,
     candidate_certificates,
@@ -404,7 +406,7 @@ class TestTraceRendering:
 
 
 class TestResidualSupports:
-    """A sweep that carries its chain's memory answers as a fresh one does."""
+    """One shared cache answers every sweep as a stateless sweep does."""
 
     @staticmethod
     def corpus():
@@ -426,32 +428,41 @@ class TestResidualSupports:
         return ComparisonSet(player, tuple(t for t in kept if t != s))
 
     def test_incremental_sweep_matches_a_fresh_one(self):
-        skipped_total = 0
+        served = 0
         for n, game in enumerate(self.corpus()):
-            for kind in ReductionKind:
-                for bk in BeliefKind:
-                    # None: drop any kept strategy, legal or not; the memory
+            for bk in BeliefKind:
+                # One cache for every chain and relation on this game: later
+                # chains start off the earlier ones, so entries answer
+                # queries they were not made for.
+                cache = OracleCache(bk)
+                for kind in ReductionKind:
+                    # None: drop any kept strategy, legal or not; the cache
                     # holds along every shrinking chain, not only legal ones.
                     for policy in (Policy.RANDOM_PARTIAL, Policy.SINGLE_RANDOM, None):
-                        skipped_total += self.walk(game, kind, bk, policy, seed=n)
-        assert skipped_total > 0
+                        served += self.walk(game, kind, bk, policy, n, cache)
+        assert served > 0
 
-    def walk(self, game, kind, bk, policy, seed):
+    def walk(self, game, kind, bk, policy, seed, cache):
         rng = random.Random(seed)
-        residues = ResidualSupports(game)
-        cache = OracleCache(bk)
         current = full_restriction(game)
-        skipped = 0
+        served = 0
         while True:
-            # The strategies whose last witness survives are not re-queried.
-            held = {
-                key: mu
-                for key, (_, mu) in residues.witnesses.items()
-                if key[1] in current.kept[key[0]]
-                and narrowed_membership(bk, mu, current, key[0])
-            }
+            # What the cache would serve for each kept strategy is an answer.
+            for player, ks in enumerate(current.kept):
+                if not all(current.kept[j] for j in game.opponents(player)):
+                    continue
+                for s in ks:
+                    cmp = self.comparison(kind, game, current, player, s)
+                    cert = cache.lookup(player, s, current.bits, cmp)
+                    if isinstance(cert, BestResponse):
+                        assert narrowed_membership(bk, cert.witness, current, player)
+                        assert is_best_response(game, player, s, cert.witness, cmp)
+                    elif cert is not None:
+                        fresh = find_witness(game, current, player, s, bk, cmp, 2)
+                        assert isinstance(fresh, type(cert))
+                    served += cert is not None
             sets, certs, flag = candidate_certificates(
-                game, current, bk, kind, 2, cache, residues
+                game, current, bk, kind, 2, cache
             )
             fresh_sets, fresh_certs, fresh_flag = candidate_certificates(
                 game, current, bk, kind, 2, None
@@ -463,10 +474,6 @@ class TestResidualSupports:
                 key: render_certificate(c, game, key[0])
                 for key, c in fresh_certs.items()
             }
-            for (player, s), mu in held.items():
-                cmp = self.comparison(kind, game, current, player, s)
-                assert is_best_response(game, player, s, mu, cmp)
-            skipped += len(held)
             flat = [(i, s) for i, gone in enumerate(sets) for s in gone]
             if policy is None:
                 flat = [
@@ -474,7 +481,7 @@ class TestResidualSupports:
                     for s in ks
                 ]
             if not flat:
-                return skipped
+                return served
             if policy is not Policy.RANDOM_PARTIAL:
                 chosen = [flat[rng.randrange(len(flat))]]
             else:
@@ -486,10 +493,28 @@ class TestResidualSupports:
 
     def test_a_restriction_off_the_chain_forgets(self, g):
         # M and B are best responses within {M,B}, but not once T is back.
-        residues = ResidualSupports(g)
+        cache = OracleCache(BeliefKind.PURE)
         sub = restrict(g, [(1, 2), (0, 1)])
         for source, expected in ((sub, ((), ())), (full_restriction(g), ((1, 2), ()))):
             sets, _, _ = candidate_certificates(
-                g, source, BeliefKind.PURE, ReductionKind.ARROW, residues=residues
+                g, source, BeliefKind.PURE, ReductionKind.ARROW, cache=cache
             )
             assert sets == expected
+
+    def test_never_best_fact_never_answers_an_empty_belief_set(self, g):
+        # M is never-best on the full game; with no column left the answer
+        # is vacuous, even though the restriction lies inside the known one.
+        cache = OracleCache(BeliefKind.CORRELATED)
+        full = full_restriction(g)
+        cmp = full_comparison(g, 0)
+        fact = find_witness(g, full, 0, 1, BeliefKind.CORRELATED, cmp, cache=cache)
+        assert isinstance(fact, NeverBest)
+        hollow = restrict(g, [(0, 1, 2), ()])
+        assert isinstance(
+            find_witness(g, hollow, 0, 1, BeliefKind.CORRELATED, cmp, cache=cache),
+            EmptyBeliefSet,
+        )
+        _, certs, _ = candidate_certificates(
+            g, hollow, BeliefKind.CORRELATED, ReductionKind.TILDE, cache=cache
+        )
+        assert all(isinstance(certs[(0, s)], EmptyBeliefSet) for s in range(3))
