@@ -24,7 +24,7 @@ from .catalog import catalog_entry, catalog_names, random_game
 from .games import (
     FiniteGame, FormatError, InputError, Restriction, parse_game, restrict_by_labels,
 )
-from .oracle import BestResponse, DEFAULT_GRID_RESOLUTION
+from .oracle import BestResponse, DEFAULT_GRID_RESOLUTION, render_certificate
 from .reductions import (
     Policy,
     ReductionKind,
@@ -217,8 +217,6 @@ def cmd_check_step(args: argparse.Namespace) -> int:
         f"legal: removed={_label_sets(game, result.removed)} "
         f"kind={result.kind.symbol} beliefs={result.belief_kind.value}"
     )
-    from .oracle import render_certificate
-
     for (player, strategy), cert in result.certificates:
         label = game.label_of(player, strategy)
         print(f"cert p{player + 1} {label} {render_certificate(cert, game, player)}")

@@ -308,7 +308,7 @@ class Restriction:
     def contains(self, other: "Restriction") -> bool:
         """Componentwise superset test (the lattice order)."""
         _check_same_parent(self, other)
-        return all(set(o) <= set(s) for s, o in zip(self.kept, other.kept))
+        return not other.bits & ~self.bits
 
     def __le__(self, other: "Restriction") -> bool:
         return other.contains(self)

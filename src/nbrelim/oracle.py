@@ -2,10 +2,12 @@
 
 One oracle serves all three reduction relations: the comparison set picks the
 reference point (full strategy set, current kept set, or proposed kept set),
-and the belief kind picks the search space.  Pure beliefs are decided by
-exhaustive scan, correlated beliefs by exact rational LP feasibility with
-constraint-row generation, independent mixed beliefs by delegation (two
-players) or a verified simplex-grid search (three or more).
+and the belief kind picks the search space.  One pure scan comes first for
+every kind (a pure witness is a witness for all three); past it, correlated
+beliefs are decided by exact rational LP feasibility with constraint-row
+generation, and independent mixed beliefs by delegation (two players) or by
+a correlated never-best proof, else a verified simplex-grid search (three or
+more).
 
 Every `BestResponse` certificate carries a witness belief that re-verifies by
 direct expected-payoff comparison.  `NeverBest` is only ever returned with an
@@ -30,6 +32,7 @@ from .beliefs import (
     as_product,
     expected_payoff,
     point_distribution,
+    render_belief,
 )
 from .games import FiniteGame, InputError, Restriction
 from .simplex import lp_feasible
@@ -50,6 +53,8 @@ class ComparisonSet:
 
     def __post_init__(self) -> None:
         candidates = tuple(sorted(set(self.candidates)))
+        if candidates and candidates[0] < 0:
+            raise InputError(f"comparison candidate {candidates[0]} out of range")
         object.__setattr__(self, "candidates", candidates)
         object.__setattr__(self, "bits", sum(1 << c for c in candidates))
 
@@ -89,8 +94,6 @@ Certificate = Union[BestResponse, NeverBest, Inconclusive, EmptyBeliefSet]
 
 
 def render_certificate(cert: Certificate, game: FiniteGame, player: int) -> str:
-    from .beliefs import render_belief
-
     if isinstance(cert, BestResponse):
         return f"BR(witness={render_belief(game, player, cert.witness)})"
     if isinstance(cert, NeverBest):
@@ -175,34 +178,6 @@ def _column_best(
     return [max(ip[b + o] for o in offs) for b in bases]
 
 
-def _pure_certificate(
-    game: FiniteGame,
-    player: int,
-    strategy: int,
-    kept: Sequence[Sequence[int]],
-    cmp: ComparisonSet,
-    colmax: Sequence[int] | None = None,
-) -> Certificate:
-    """Exhaustive scan over the pure beliefs drawn from `kept`."""
-    bases = game.opponent_bases(player, kept)
-    if not bases or any(
-        not kept[j] for j in range(game.players) if j != player
-    ):
-        return EmptyBeliefSet()
-    ip = game._ipay[player]
-    stride = game.strides[player]
-    own_off = strategy * stride
-    if not cmp.candidates:
-        profile = next(iter(game.opponent_profiles(player, kept)))
-        return BestResponse(PurePoint(profile))
-    best = colmax if colmax is not None else _column_best(game, player, bases, cmp)
-    for pos, b in enumerate(bases):
-        if ip[b + own_off] >= best[pos]:
-            profile = _nth_opponent_profile(game, player, kept, pos)
-            return BestResponse(PurePoint(profile))
-    return NeverBest("exhaustive")
-
-
 def _nth_opponent_profile(
     game: FiniteGame, player: int, kept: Sequence[Sequence[int]], pos: int
 ) -> tuple[int, ...]:
@@ -214,40 +189,40 @@ def _nth_opponent_profile(
     return tuple(reversed(profile))
 
 
+def _pure_witness(
+    game: FiniteGame, player: int, kept: Sequence[Sequence[int]], pos: int,
+    kind: BeliefKind,
+) -> BestResponse:
+    """The pure belief at scan position `pos`, in the belief form of `kind`."""
+    profile = _nth_opponent_profile(game, player, kept, pos)
+    if kind is BeliefKind.PURE:
+        return BestResponse(PurePoint(profile))
+    if kind is BeliefKind.CORRELATED:
+        return BestResponse(point_distribution(profile))
+    return BestResponse(as_product(PurePoint(profile)))
+
+
 def _correlated_certificate(
     game: FiniteGame,
     player: int,
     strategy: int,
     kept: Sequence[Sequence[int]],
     cmp: ComparisonSet,
-    colmax: Sequence[int] | None = None,
+    bases: Sequence[int],
+    own: Sequence[int],
 ) -> Certificate:
-    """Exact decision over all correlated beliefs supported on `kept`.
+    """Exact decision over all correlated beliefs supported on `kept`, once
+    no pure belief is a witness (`own` holds the strategy's payoff per base).
 
-    Strategy: cheap pure-witness and pure-domination scans first, then LP
-    feasibility over the belief simplex, generating comparison-constraint rows
-    lazily (the binding competitors are found by scanning violations at the
-    current vertex, over its support only).  A sub-LP infeasibility already
-    proves infeasibility of the full system.
+    Strategy: a pure-domination scan first, then LP feasibility over the
+    belief simplex, generating comparison-constraint rows lazily (the binding
+    competitors are found by scanning violations at the current vertex, over
+    its support only).  A sub-LP infeasibility already proves infeasibility
+    of the full system.
     """
-    opps = game.opponents(player)
-    if any(not kept[j] for j in opps):
-        return EmptyBeliefSet()
-    bases = game.opponent_bases(player, kept)
     ip = game._ipay[player]
     stride = game.strides[player]
     own_off = strategy * stride
-    own = [ip[b + own_off] for b in bases]
-
-    if not cmp.candidates:
-        profile = next(iter(game.opponent_profiles(player, kept)))
-        return BestResponse(point_distribution(profile))
-
-    best = colmax if colmax is not None else _column_best(game, player, bases, cmp)
-    for pos in range(len(bases)):
-        if own[pos] >= best[pos]:
-            profile = _nth_opponent_profile(game, player, kept, pos)
-            return BestResponse(point_distribution(profile))
 
     # Pure strict domination on the whole support settles the question early.
     for other in cmp.candidates:
@@ -461,18 +436,20 @@ def find_witness(
         raise InputError(f"strategy index {strategy} out of range")
     if cmp.player != player:
         raise InputError("comparison set belongs to a different player")
+    if cmp.candidates and cmp.candidates[-1] >= game.sizes[player]:
+        raise InputError(f"comparison candidate {cmp.candidates[-1]} out of range")
     kept = restriction.kept
     if cache is not None:
         cache.bind(game, kind)
-        if all(kept[j] for j in game.opponents(player)):
-            cert = cache.lookup(player, strategy, restriction.bits, cmp)
-            if cert is None:
-                cert = _find_witness_fast(
-                    game, kept, player, strategy, kind, cmp, resolution
-                )
-                cache.remember(player, strategy, restriction.bits, cmp, cert)
-            return cert
-    return _find_witness_fast(game, kept, player, strategy, kind, cmp, resolution)
+    if not all(kept[j] for j in game.opponents(player)):
+        return EmptyBeliefSet()
+    if cache is None:
+        return _find_witness_fast(game, kept, player, strategy, kind, cmp, resolution)
+    cert = cache.lookup(player, strategy, restriction.bits, cmp)
+    if cert is None:
+        cert = _find_witness_fast(game, kept, player, strategy, kind, cmp, resolution)
+        cache.remember(player, strategy, restriction.bits, cmp, cert)
+    return cert
 
 
 def _find_witness_fast(
@@ -485,41 +462,36 @@ def _find_witness_fast(
     resolution: int,
     colmax: Sequence[int] | None = None,
 ) -> Certificate:
-    """The decision itself, computed afresh (`find_witness` without checks or
-    memo).  `colmax` optionally supplies `_column_best` for the kept bases."""
-    if any(not kept[j] for j in game.opponents(player)):
-        return EmptyBeliefSet()
+    """The decision itself, computed afresh: `find_witness` without checks,
+    memo or the empty-belief rule, so every opponent must keep a strategy.
+    `colmax` optionally supplies `_column_best` for the kept bases.
 
+    One ladder serves the nested belief sets (pure inside independent mixed
+    inside correlated).  A pure witness answers every kind, so the pure scan
+    runs first and its hit comes back in the kind's form.  Past it, pure
+    beliefs are exhausted; the others take the correlated decision
+    (domination, then the LP).  With one opponent, mixed and correlated
+    beliefs are the same set; with more, a correlated never-best proof
+    covers the mixed beliefs and anything else falls to the grid search.
+    """
+    bases = game.opponent_bases(player, kept)
+    ip = game._ipay[player]
+    own_off = strategy * game.strides[player]
+    if not cmp.candidates:
+        return _pure_witness(game, player, kept, 0, kind)
+    best = colmax if colmax is not None else _column_best(game, player, bases, cmp)
+    for pos, b in enumerate(bases):
+        if ip[b + own_off] >= best[pos]:
+            return _pure_witness(game, player, kept, pos, kind)
     if kind is BeliefKind.PURE:
-        cert = _pure_certificate(game, player, strategy, kept, cmp, colmax)
-    elif kind is BeliefKind.CORRELATED:
-        cert = _correlated_certificate(game, player, strategy, kept, cmp, colmax)
-    elif game.players == 2:
-        # One opponent: products of mixed strategies and correlated
-        # distributions are the same belief set.
-        cert = _correlated_certificate(game, player, strategy, kept, cmp, colmax)
-        if isinstance(cert, BestResponse):
-            atoms = tuple((profile[0], p) for profile, p in cert.witness.mass)
-            cert = BestResponse(ProductBelief((atoms,)))
-    else:
-        cert = _pure_certificate(game, player, strategy, kept, cmp, colmax)
-        if isinstance(cert, BestResponse):
-            cert = BestResponse(as_product(cert.witness))
-        elif isinstance(cert, NeverBest):
-            # Independent mixed beliefs sit inside the correlated set, so a
-            # correlated never-best proof covers them exactly.
-            corr = _correlated_certificate(
-                game, player, strategy, kept, cmp, colmax
-            )
-            if isinstance(corr, NeverBest):
-                cert = corr
-            else:
-                witness = _grid_product_witness(
-                    game, player, strategy, kept, cmp, resolution
-                )
-                cert = (
-                    BestResponse(witness)
-                    if witness is not None
-                    else Inconclusive(resolution)
-                )
-    return cert
+        return NeverBest("exhaustive")
+
+    own = [ip[b + own_off] for b in bases]
+    cert = _correlated_certificate(game, player, strategy, kept, cmp, bases, own)
+    if kind is BeliefKind.CORRELATED or isinstance(cert, NeverBest):
+        return cert
+    if game.players == 2:
+        atoms = tuple((profile[0], p) for profile, p in cert.witness.mass)
+        return BestResponse(ProductBelief((atoms,)))
+    witness = _grid_product_witness(game, player, strategy, kept, cmp, resolution)
+    return BestResponse(witness) if witness is not None else Inconclusive(resolution)

@@ -27,8 +27,6 @@ from .games import (
 from .oracle import (
     DEFAULT_GRID_RESOLUTION,
     BestResponse,
-    EmptyBeliefSet,
-    Inconclusive,
     NeverBest,
     OracleCache,
     find_witness,
@@ -41,6 +39,7 @@ from .reductions import (
     ReductionKind,
     Rejection,
     Trace,
+    candidate_certificates,
     iterate,
     legal_removal_candidates,
     validate_step,
@@ -118,25 +117,16 @@ def is_closed(
     resolution: int = DEFAULT_GRID_RESOLUTION,
     cache: OracleCache | None = None,
 ) -> bool | None:
-    """Is every kept strategy a best response in the full game to some
-    narrowed belief?  Empty games are closed; None means undecided
-    (inconclusive oracle answers on an otherwise closed restriction)."""
-    if restriction.parent != game:
-        raise InputError("restriction does not belong to the game")
-    if restriction.is_empty():
-        return True
-    unknown = False
-    for player in range(game.players):
-        cmp = full_comparison(game, player)
-        for s in restriction.kept[player]:
-            cert = find_witness(
-                game, restriction, player, s, belief_kind, cmp, resolution, cache
-            )
-            if isinstance(cert, (NeverBest, EmptyBeliefSet)):
-                return False
-            if isinstance(cert, Inconclusive):
-                unknown = True
-    return None if unknown else True
+    """Is `restriction` a fixed point of the tilde relation, i.e. is every
+    kept strategy a best response in the full game to some narrowed belief?
+    None means undecided (inconclusive oracle answers on an otherwise closed
+    restriction)."""
+    removable, _, inconclusive = candidate_certificates(
+        game, restriction, belief_kind, ReductionKind.TILDE, resolution, cache
+    )
+    if any(removable):
+        return False
+    return None if inconclusive else True
 
 
 def pure_nash(target: FiniteGame | Restriction) -> tuple[JointProfile, ...]:

@@ -31,6 +31,7 @@ from nbrelim.oracle import (
 from nbrelim.reductions import ReductionKind, iterate, legal_removal_candidates
 
 from oracles import (
+    best_response_set,
     correlated_row_generation,
     is_pure_best_to_some,
     lp_feasible_reference,
@@ -183,6 +184,83 @@ class TestFindWitness:
             g, full_restriction(g), 0, 1, BeliefKind.PURE, ComparisonSet(0, ())
         )
         assert isinstance(cert, BestResponse)
+
+    def test_out_of_range_comparison_set_rejected(self, g):
+        # Candidate 4 of a 4-strategy player used to read a neighbouring row.
+        game = random_game(2, (3, 4), 5, 2)
+        for kind in BeliefKind:
+            with pytest.raises(InputError):
+                find_witness(
+                    game, full_restriction(game), 1, 0, kind, ComparisonSet(1, (4,))
+                )
+        with pytest.raises(InputError):
+            find_witness(
+                g, full_restriction(g), 0, 0, BeliefKind.PURE, ComparisonSet(0, (3,))
+            )
+        with pytest.raises(InputError):
+            ComparisonSet(1, (-1,))
+
+
+class TestDecisionLadder:
+    """A pure witness answers every belief kind: the lexicographically first
+    kept opponent profile against which the strategy is a best response,
+    in the kind's belief form.  Without one, pure beliefs are exhausted."""
+
+    @staticmethod
+    def pure_form(kind, profile):
+        if kind is BeliefKind.PURE:
+            return PurePoint(profile)
+        if kind is BeliefKind.CORRELATED:
+            return DistributionBelief(((profile, Fraction(1)),))
+        return ProductBelief(tuple(((t, Fraction(1)),) for t in profile))
+
+    def test_first_pure_witness_in_the_kinds_form(self):
+        from nbrelim.verification import random_restriction
+
+        rng = random.Random(41)
+        hits, misses = set(), set()
+        for trial in range(24):
+            players = 2 + trial % 2
+            sizes = [rng.randint(1, 5 - players) for _ in range(players)]
+            # payoffs in [-2, 2] make ties, and so several pure witnesses, common
+            game = random_game(players, sizes, 2, seed=700 + trial)
+            for restriction, player, kind in itertools.product(
+                (full_restriction(game), random_restriction(game, rng)),
+                range(players),
+                BeliefKind,
+            ):
+                kept = restriction.kept
+                axes = [kept[j] for j in range(players) if j != player]
+                for candidates in (range(sizes[player]), kept[player], ()):
+                    cmp = ComparisonSet(player, tuple(candidates))
+                    for s in kept[player]:
+                        cert = find_witness(
+                            game, restriction, player, s, kind, cmp, resolution=2
+                        )
+                        first = next(
+                            (
+                                opp
+                                for opp in itertools.product(*axes)
+                                if s in best_response_set(
+                                    game, player, opp, {s, *candidates}
+                                )
+                            ),
+                            None,
+                        )
+                        if first is not None:
+                            hits.add((players, kind))
+                            assert cert == BestResponse(self.pure_form(kind, first))
+                            continue
+                        misses.add((players, kind))
+                        if kind is BeliefKind.PURE:
+                            assert cert == NeverBest("exhaustive")
+                        elif isinstance(cert, BestResponse):
+                            assert len(cert.witness.support()) > 1
+                            assert is_best_response(game, player, s, cert.witness, cmp)
+                        else:
+                            assert isinstance(cert, (NeverBest, Inconclusive))
+        every = {(n, kind) for n in (2, 3) for kind in BeliefKind}
+        assert hits == every and misses == every
 
 
 class TestCorrelatedRowGeneration:

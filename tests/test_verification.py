@@ -26,9 +26,10 @@ from nbrelim.verification import (
     check_order_independence,
     is_closed,
     pure_nash,
+    random_restriction,
 )
 
-from oracles import brute_pure_nash
+from oracles import brute_pure_nash, is_pure_best_to_some
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,30 @@ class TestIsClosed:
             game, full_restriction(game), BeliefKind.INDEPENDENT_MIXED, resolution=2
         )
         assert verdict is None
+
+    def test_restriction_of_another_game_rejected(self, g):
+        other = random_game(2, (3, 2), 5, 1)
+        for kept in ([(), ()], [(0,), (1,)]):
+            with pytest.raises(InputError):
+                is_closed(g, restrict(other, kept), BeliefKind.PURE)
+
+    def test_pure_closedness_matches_brute_force(self):
+        rng = random.Random(19)
+        seen = set()
+        for trial in range(40):
+            players = 2 + trial % 2
+            sizes = [rng.randint(1, 5 - players) for _ in range(players)]
+            game = random_game(players, sizes, 2, seed=300 + trial)
+            restriction = random_restriction(game, rng, nondegenerate=trial % 4 < 2)
+            kept = restriction.kept
+            expected = all(
+                is_pure_best_to_some(game, i, s, kept)
+                for i in range(players)
+                for s in kept[i]
+            )
+            assert is_closed(game, restriction, BeliefKind.PURE) is expected
+            seen.add((restriction.is_nondegenerate(), expected))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestPureNash:
