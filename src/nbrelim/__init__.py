@@ -14,9 +14,7 @@ from .beliefs import (
     DistributionBelief,
     ProductBelief,
     PurePoint,
-    enumerate_pure_beliefs,
     expected_payoff,
-    narrowed_membership,
     render_belief,
 )
 from .games import (

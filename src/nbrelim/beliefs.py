@@ -2,9 +2,9 @@
 
 Three belief kinds are supported for a player in a finite game: a pure joint
 opponent profile, an independent product of opponent mixed strategies, and a
-correlated distribution over joint opponent profiles.  Narrowing a belief set
-to a restriction is intensional: a membership predicate plus generators, never
-a materialized set.
+correlated distribution over joint opponent profiles.  A belief set narrowed
+to a restriction is never materialized: the oracle reads the kept opponent
+strategies directly.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 from .games import (
@@ -20,7 +21,6 @@ from .games import (
     InputError,
     JointProfile,
     Rational,
-    Restriction,
     render_rational,
 )
 
@@ -105,16 +105,6 @@ class DistributionBelief:
 Belief = Union[PurePoint, ProductBelief, DistributionBelief]
 
 
-def kind_of(mu: Belief) -> BeliefKind:
-    if isinstance(mu, PurePoint):
-        return BeliefKind.PURE
-    if isinstance(mu, ProductBelief):
-        return BeliefKind.INDEPENDENT_MIXED
-    if isinstance(mu, DistributionBelief):
-        return BeliefKind.CORRELATED
-    raise InputError(f"not a belief: {mu!r}")
-
-
 def point_distribution(profile: JointProfile) -> DistributionBelief:
     return DistributionBelief(((tuple(profile), Fraction(1)),))
 
@@ -126,15 +116,6 @@ def as_product(mu: Belief) -> ProductBelief:
     if isinstance(mu, PurePoint):
         return ProductBelief(tuple(((s, Fraction(1)),) for s in mu.profile))
     raise InputError("a correlated belief has no product form in general")
-
-
-def as_distribution(mu: Belief) -> DistributionBelief:
-    """Lift any belief to the equivalent correlated distribution."""
-    if isinstance(mu, DistributionBelief):
-        return mu
-    if isinstance(mu, PurePoint):
-        return point_distribution(mu.profile)
-    return DistributionBelief(tuple(sorted(as_product(mu).atoms())))
 
 
 def _check_shape(game: FiniteGame, player: int, mu: Belief) -> None:
@@ -161,64 +142,26 @@ def expected_payoff(
     """Exact expected payoff of `strategy` against belief `mu`.
 
     Pure points reduce to one tensor lookup; product beliefs expand the
-    product measure lazily.
+    product measure lazily.  The sum runs over the integer tensor with the
+    probabilities on a common denominator, and divides once at the end.
     """
     if not 0 <= player < game.players:
         raise InputError(f"player index {player} out of range")
     if not 0 <= strategy < game.sizes[player]:
         raise InputError(f"strategy index {strategy} out of range")
     _check_shape(game, player, mu)
-    stride = game.strides[player]
-    pay = game.payoffs
+    ip = game.ipay[player]
+    scale = game.scales[player]
+    off = strategy * game.strides[player]
     if isinstance(mu, PurePoint):
-        base = game.profile_base(player, mu.profile)
-        return pay[base + strategy * stride][player]
-    if isinstance(mu, ProductBelief):
-        atoms: Iterable[tuple[JointProfile, Fraction]] = mu.atoms()
-    else:
-        atoms = mu.mass
-    total = Fraction(0)
+        return Fraction(ip[game.profile_base(player, mu.profile) + off], scale)
+    atoms = list(mu.atoms()) if isinstance(mu, ProductBelief) else mu.mass
+    den = lcm(*(prob.denominator for _, prob in atoms))
+    total = 0
     for profile, prob in atoms:
-        base = game.profile_base(player, profile)
-        total += prob * pay[base + strategy * stride][player]
-    return total
-
-
-def narrowed_membership(
-    kind: BeliefKind, mu: Belief, restriction: Restriction, player: int
-) -> bool:
-    """Is `mu` a member of the player's belief set narrowed to the restriction?
-
-    Membership means every atom of positive probability stays inside the kept
-    opponent strategies.  A kind/shape mismatch is an error, never False.
-    """
-    if kind_of(mu) is not kind:
-        raise InputError(f"belief {mu!r} does not have kind {kind.value}")
-    game = restriction.parent
-    _check_shape(game, player, mu)
-    opps = game.opponents(player)
-    if isinstance(mu, ProductBelief):
-        return all(
-            all(s in restriction.kept[j] for s, _ in factor)
-            for j, factor in zip(opps, mu.factors)
-        )
-    kept_sets = [set(restriction.kept[j]) for j in opps]
-    return all(
-        all(s in kept for s, kept in zip(profile, kept_sets))
-        for profile in mu.support()
-    )
-
-
-def enumerate_pure_beliefs(restriction: Restriction, player: int) -> list[PurePoint]:
-    """All pure beliefs over the kept opponent strategies, lexicographic.
-
-    Empty exactly when some opponent component of the restriction is empty.
-    """
-    game = restriction.parent
-    axes = [restriction.kept[j] for j in game.opponents(player)]
-    if any(not axis for axis in axes):
-        return []
-    return [PurePoint(profile) for profile in itertools.product(*axes)]
+        weight = prob.numerator * (den // prob.denominator)
+        total += weight * ip[game.profile_base(player, profile) + off]
+    return Fraction(total, den * scale)
 
 
 def render_belief(game: FiniteGame, player: int, mu: Belief) -> str:

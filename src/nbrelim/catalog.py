@@ -52,7 +52,12 @@ def gap_3x2() -> FiniteGame:
         for r in range(3)
         for c in range(2)
     }
-    return FiniteGame(labels, {k: tuple(map(Fraction, v)) for k, v in table.items()})
+    return FiniteGame(labels, table)
+
+
+def _half(x: int) -> int | Fraction:
+    """x / 2, as an int when it is one."""
+    return x // 2 if x % 2 == 0 else Fraction(x, 2)
 
 
 def bertrand_grid(grid_max: int = 100) -> FiniteGame:
@@ -65,16 +70,16 @@ def bertrand_grid(grid_max: int = 100) -> FiniteGame:
         raise InputError("bertrand grid needs at least two prices")
     labels = [[str(v) for v in range(1, grid_max + 1)]] * 2
 
-    def pay(profile: JointProfile) -> tuple[Fraction, Fraction]:
+    def pay(profile: JointProfile) -> tuple[int | Fraction, int | Fraction]:
         prices = (profile[0] + 1, profile[1] + 1)
-        out = []
+        out: list[int | Fraction] = []
         for me, other in (prices, prices[::-1]):
             if me < other:
-                out.append(Fraction(me * (100 - me)))
+                out.append(me * (100 - me))
             elif me == other:
-                out.append(Fraction(me * (100 - me), 2))
+                out.append(_half(me * (100 - me)))
             else:
-                out.append(Fraction(0))
+                out.append(0)
         return (out[0], out[1])
 
     return FiniteGame.from_function(labels, pay)
@@ -90,16 +95,16 @@ def hotelling_grid(grid_max: int = 99) -> FiniteGame:
         raise InputError("hotelling grid size must be between 2 and 99")
     labels = [[str(v) for v in range(1, grid_max + 1)]] * 2
 
-    def pay(profile: JointProfile) -> tuple[Fraction, Fraction]:
+    def pay(profile: JointProfile) -> tuple[int | Fraction, int | Fraction]:
         spots = (profile[0] + 1, profile[1] + 1)
-        out = []
+        out: list[int | Fraction] = []
         for me, other in (spots, spots[::-1]):
-            if me < other:
-                out.append(Fraction(me) + Fraction(other - me, 2))
-            elif me > other:
-                out.append(Fraction(100 - me) + Fraction(me - other, 2))
+            if me == other:
+                out.append(50)
             else:
-                out.append(Fraction(50))
+                # own side plus half the gap, doubled to stay an integer
+                twice = me + other if me < other else 200 - me - other
+                out.append(_half(twice))
         return (out[0], out[1])
 
     return FiniteGame.from_function(labels, pay)
@@ -111,8 +116,8 @@ def naturals_truncated(n: int = 5) -> FiniteGame:
         raise InputError("need at least the numbers 0 and 1")
     labels = [[str(v) for v in range(n + 1)]] * 2
 
-    def pay(profile: JointProfile) -> tuple[Fraction, Fraction]:
-        return (Fraction(profile[0]), Fraction(profile[1]))
+    def pay(profile: JointProfile) -> tuple[int, int]:
+        return (profile[0], profile[1])
 
     return FiniteGame.from_function(labels, pay)
 
@@ -124,11 +129,9 @@ def chase_3p(n: int = 6) -> FiniteGame:
         raise InputError("chase game needs at least 0..2")
     labels = [[str(v) for v in range(n + 1)]] * 3
 
-    def pay(profile: JointProfile) -> tuple[Fraction, Fraction, Fraction]:
+    def pay(profile: JointProfile) -> tuple[int, int, int]:
         k, l, _ = profile
-        p1 = Fraction(k) if k == l + 1 else Fraction(0)
-        p2 = Fraction(k) if k == l else Fraction(0)
-        return (p1, p2, Fraction(0))
+        return (k if k == l + 1 else 0, k if k == l else 0, 0)
 
     return FiniteGame.from_function(labels, pay)
 
@@ -151,10 +154,8 @@ def random_game(
     rng = random.Random(seed)
     labels = [[f"s{k + 1}" for k in range(size)] for size in sizes]
 
-    def pay(profile: JointProfile) -> tuple[Fraction, ...]:
-        return tuple(
-            Fraction(rng.randint(-payoff_bound, payoff_bound)) for _ in range(players)
-        )
+    def pay(profile: JointProfile) -> tuple[int, ...]:
+        return tuple(rng.randint(-payoff_bound, payoff_bound) for _ in range(players))
 
     return FiniteGame.from_function(labels, pay)
 

@@ -82,7 +82,7 @@ def load_game(source: str) -> FiniteGame:
     if source.startswith("catalog:"):
         return catalog_entry(source.split(":", 1)[1]).game()
     try:
-        text = Path(source).read_text()
+        text = Path(source).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise FormatError(f"{source}: not a text file") from None
     return parse_game(text)

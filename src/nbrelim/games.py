@@ -1,9 +1,10 @@
 """Finite strategic games over exact rationals.
 
 Games, restrictions, the subset lattice on restrictions, and the plain-text
-game format.  All payoffs are `fractions.Fraction`; there is no floating point
-anywhere in the engine.  Every value is immutable after construction and can
-be shared freely between threads.
+game format.  Payoffs are stored once, as integers: player i's payoffs times
+the lcm of their denominators.  They come back as `fractions.Fraction` at
+the API; there is no floating point anywhere in the engine.  Every value is
+immutable after construction and can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -33,7 +34,22 @@ class FormatError(InputError):
     """Malformed game text."""
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# ASCII digits only: `\d` and `str.isdigit` also accept other scripts' digits.
+_COUNT_RE = re.compile(r"[0-9]+")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _numeral(token: str) -> int | Fraction:
+    """`a` as an int, `a/b` (b > 0) as a canonical Fraction."""
+    if not _RATIONAL_RE.fullmatch(token):
+        raise FormatError(f"not an integer or a/b rational: {token!r}")
+    num, _, den = token.partition("/")
+    try:
+        return Fraction(int(num), int(den)) if den else int(num)
+    except ValueError:  # past the interpreter's int-string digit limit
+        raise FormatError(f"numeral of {len(token)} characters is too long") from None
+    except ZeroDivisionError:
+        raise FormatError(f"zero denominator: {token!r}") from None
 
 
 def parse_rational(token: str) -> Rational:
@@ -41,17 +57,7 @@ def parse_rational(token: str) -> Rational:
 
     Decimal or float syntax is rejected: the text format is bit-exact.
     """
-    token = token.strip()
-    if not _RATIONAL_RE.match(token):
-        raise FormatError(f"not an integer or a/b rational: {token!r}")
-    num, _, den = token.partition("/")
-    try:
-        value = Fraction(int(num), int(den or "1"))
-    except ValueError:  # past the interpreter's int-string digit limit
-        raise FormatError(f"numeral of {len(token)} characters is too long") from None
-    except ZeroDivisionError:
-        raise FormatError(f"zero denominator: {token!r}") from None
-    return value
+    return Fraction(_numeral(token.strip()))
 
 
 def render_rational(q: Rational) -> str:
@@ -61,13 +67,26 @@ def render_rational(q: Rational) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _numerals(values: Sequence[int], scale: int) -> list[str]:
+    """Canonical text of each `value / scale`, as `render_rational` writes it."""
+    text = {}
+    for v in set(values):
+        g = math.gcd(v, scale)
+        text[v] = str(v // g) if g == scale else f"{v // g}/{scale // g}"
+    return [text[v] for v in values]
+
+
 class FiniteGame:
     """An n-player strategic game with labeled strategies and a dense payoff tensor.
 
     Profiles are tuples of strategy indices; the tensor is stored flat in
-    row-major (player-0-major) order.  Integer-scaled per-player payoff views
-    and per-column best-payoff tables are precomputed so that best-response
-    scans run on plain ints.
+    row-major (player-0-major) order, once, as integers: `ipay[i][k]` is
+    player i's payoff at flat index k times `scales[i]`, the lcm of that
+    player's payoff denominators.  `colmax[i][base]` is the best entry of
+    `ipay[i]` against the opponent profile at tensor offset `base`, over the
+    full strategy set.  Best-response comparisons are invariant under the
+    positive scaling, so scans run on plain ints; `payoff` forms the
+    `Fraction` on demand.
     """
 
     __slots__ = (
@@ -75,10 +94,9 @@ class FiniteGame:
         "labels",
         "sizes",
         "strides",
-        "payoffs",
-        "_ipay",
-        "_scales",
-        "_colmax",
+        "ipay",
+        "scales",
+        "colmax",
         "_digest",
         "_hash",
     )
@@ -101,52 +119,57 @@ class FiniteGame:
                     # whitespace breaks the text format; the other characters
                     # break payoff lines, comments, or restriction literals
                     raise InputError(f"bad strategy label {lab!r}")
-        self.players = len(labels)
+        self.players = n = len(labels)
         self.labels = tuple(tuple(labs) for labs in labels)
         self.sizes = tuple(len(labs) for labs in self.labels)
-        strides = [1] * self.players
-        for i in range(self.players - 2, -1, -1):
+        strides = [1] * n
+        for i in range(n - 2, -1, -1):
             strides[i] = strides[i + 1] * self.sizes[i + 1]
         self.strides = tuple(strides)
         total = strides[0] * self.sizes[0]
 
-        flat: list[tuple[Fraction, ...] | None] = [None] * total
-        for profile, row in table.items():
-            idx = self._flat_checked(profile)
-            if flat[idx] is not None:
-                raise InputError(f"duplicate payoff entry for profile {profile}")
-            if len(row) != self.players:
-                raise InputError(f"profile {profile}: expected {self.players} payoffs")
-            flat[idx] = tuple(Fraction(q) for q in row)
-        missing = flat.count(None)
-        if missing:
-            raise InputError(f"payoff tensor incomplete: {missing} profiles missing")
-        self.payoffs: tuple[tuple[Fraction, ...], ...] = tuple(flat)  # type: ignore[arg-type]
+        # A total table keyed by exactly the profiles is read in one pass;
+        # anything else is checked key by key for a precise error.
+        profiles = itertools.product(*map(range, self.sizes))
+        flat = [table.get(profile) for profile in profiles]
+        if len(table) != total or any(row is None for row in flat):
+            flat = [None] * total
+            for profile, row in table.items():
+                idx = self.flat_index(profile)
+                if flat[idx] is not None:
+                    raise InputError(f"duplicate payoff entry for profile {profile}")
+                flat[idx] = row
+            missing = flat.count(None)
+            if missing:
+                raise InputError(f"payoff tensor incomplete: {missing} profiles missing")
+        for k, row in enumerate(flat):
+            if len(row) != n:
+                profile = tuple(k // st % sz for st, sz in zip(strides, self.sizes))
+                raise InputError(f"profile {profile}: expected {n} payoffs")
 
-        # Integer views: player i's payoffs times the lcm of their denominators.
-        # Best-response comparisons are invariant under this positive scaling.
-        self._scales = []
-        self._ipay = []
-        for i in range(self.players):
-            scale = math.lcm(*(row[i].denominator for row in self.payoffs))
-            self._scales.append(scale)
-            self._ipay.append(
-                [row[i].numerator * (scale // row[i].denominator) for row in self.payoffs]
-            )
-        # _colmax[i][base] = best payoff player i can get against the opponent
-        # profile with tensor offset `base`, over the full strategy set.
-        self._colmax = []
-        for i in range(self.players):
-            ip = self._ipay[i]
-            stride = self.strides[i]
-            col: list[int | None] = [None] * total
+        ipay, scales, colmax, texts = [], [], [], []
+        for i in range(n):
+            col = [row[i] for row in flat]
+            scale = 1
+            if any(type(q) is not int for q in col):
+                col = [q if isinstance(q, (int, Fraction)) else Fraction(q) for q in col]
+                scale = math.lcm(*{q.denominator for q in col})
+                col = [q.numerator * (scale // q.denominator) for q in col]
+            span = self.sizes[i] * strides[i]
+            best: list[int | None] = [None] * total
             for base in self.opponent_bases(i):
-                col[base] = max(ip[base + s * stride] for s in range(self.sizes[i]))
-            self._colmax.append(col)
+                best[base] = max(col[base : base + span : strides[i]])
+            ipay.append(tuple(col))
+            scales.append(scale)
+            colmax.append(tuple(best))
+            texts.append(_numerals(col, scale))
+        self.ipay = tuple(ipay)
+        self.scales = tuple(scales)
+        self.colmax = tuple(colmax)
 
         blob = "\n".join(
             [";".join(",".join(labs) for labs in self.labels)]
-            + [",".join(render_rational(q) for q in row) for row in self.payoffs]
+            + list(map(",".join, zip(*texts)))
         )
         self._digest = hashlib.sha256(blob.encode()).hexdigest()
         self._hash = hash(self._digest)
@@ -165,7 +188,8 @@ class FiniteGame:
         }
         return cls(labels, table)
 
-    def _flat_checked(self, profile: Sequence[int]) -> int:
+    def flat_index(self, profile: Sequence[int]) -> int:
+        """Row-major tensor offset of a joint profile, range-checked."""
         if len(profile) != self.players:
             raise InputError(f"profile {tuple(profile)} has wrong arity")
         idx = 0
@@ -175,14 +199,11 @@ class FiniteGame:
             idx += s * self.strides[i]
         return idx
 
-    def flat_index(self, profile: Sequence[int]) -> int:
-        return self._flat_checked(profile)
-
     def payoff(self, profile: Sequence[int], player: int) -> Rational:
         """Exact payoff of `player` at `profile`."""
         if not 0 <= player < self.players:
             raise InputError(f"player index {player} out of range")
-        return self.payoffs[self._flat_checked(profile)][player]
+        return Fraction(self.ipay[player][self.flat_index(profile)], self.scales[player])
 
     def opponents(self, player: int) -> tuple[int, ...]:
         return tuple(j for j in range(self.players) if j != player)
@@ -325,15 +346,26 @@ class Restriction:
         return self.parent.payoff(profile, player)
 
     def remove(self, removal: Mapping[int, Iterable[int]]) -> "Restriction":
-        """New restriction with `removal[player]` dropped from each kept set."""
+        """New restriction with `removal[player]` dropped from each kept set.
+
+        The kept sets are already normalized, so filtering them and clearing
+        the removed bits is all the new restriction needs.
+        """
         kept = list(self.kept)
+        bits = self.bits
         for i, gone in removal.items():
             gone_set = set(gone)
-            bad = gone_set - set(kept[i])
+            bad = gone_set.difference(kept[i])
             if bad:
                 raise InputError(f"cannot remove absent strategies {sorted(bad)}")
             kept[i] = tuple(s for s in kept[i] if s not in gone_set)
-        return Restriction(self.parent, tuple(kept))
+            offset = sum(self.parent.sizes[:i])
+            bits &= ~sum(1 << (offset + s) for s in gone_set)
+        new = object.__new__(Restriction)
+        object.__setattr__(new, "parent", self.parent)
+        object.__setattr__(new, "kept", tuple(kept))
+        object.__setattr__(new, "bits", bits)
+        return new
 
     def removed_from(self, other: "Restriction") -> tuple[tuple[int, ...], ...]:
         """Per-player strategies present in `other` but not in self."""
@@ -403,8 +435,26 @@ def join(a: Restriction, b: Restriction) -> Restriction:
 # `#` starts a comment; every joint profile must appear exactly once.
 # ---------------------------------------------------------------------------
 
-_STRATEGIES_RE = re.compile(r"^strategies\s+(\d+)\s*:\s*(.*)$")
+_STRATEGIES_RE = re.compile(r"^strategies\s+([0-9]+)\s*:\s*(.*)$")
 _PAYOFF_RE = re.compile(r"^payoff\s+(.*?)\s*:\s*(.*)$")
+
+
+def _count(token: str, lineno: int) -> int:
+    """An ASCII decimal count; a numeral past the digit limit is an error."""
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError(
+            f"line {lineno}: numeral of {len(token)} characters is too long"
+        ) from None
+
+
+class _Numerals(dict):
+    """Memo of parsed numerals: token -> int or Fraction."""
+
+    def __missing__(self, token: str) -> int | Fraction:
+        value = self[token] = _numeral(token)
+        return value
 
 
 def parse_game(text: str) -> FiniteGame:
@@ -418,9 +468,9 @@ def parse_game(text: str) -> FiniteGame:
 
     lineno, head = lines[0]
     parts = head.split()
-    if len(parts) != 2 or parts[0] != "players" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "players" or not _COUNT_RE.fullmatch(parts[1]):
         raise FormatError(f"line {lineno}: expected 'players <n>'")
-    n = int(parts[1])
+    n = _count(parts[1], lineno)
     if n < 1:
         raise FormatError(f"line {lineno}: need at least one player")
     if len(lines) < 1 + n:
@@ -430,7 +480,7 @@ def parse_game(text: str) -> FiniteGame:
     for i in range(n):
         lineno, line = lines[1 + i]
         m = _STRATEGIES_RE.match(line)
-        if not m or int(m.group(1)) != i + 1:
+        if not m or _count(m.group(1), lineno) != i + 1:
             raise FormatError(f"line {lineno}: expected 'strategies {i + 1}: ...'")
         labs = tuple(m.group(2).split())
         if not labs:
@@ -439,7 +489,11 @@ def parse_game(text: str) -> FiniteGame:
             raise FormatError(f"line {lineno}: duplicate labels for player {i + 1}")
         labels.append(labs)
 
-    table: dict[JointProfile, tuple[Rational, ...]] = {}
+    # One label -> index dict per player; numerals repeat, so each distinct
+    # token is parsed once.
+    index = [{lab: k for k, lab in enumerate(labs)} for labs in labels]
+    numeral = _Numerals().__getitem__
+    table: dict[JointProfile, tuple[int | Fraction, ...]] = {}
     for lineno, line in lines[1 + n :]:
         m = _PAYOFF_RE.match(line)
         if not m:
@@ -450,16 +504,17 @@ def parse_game(text: str) -> FiniteGame:
             raise FormatError(f"line {lineno}: expected {n} strategy labels")
         if len(vals) != n:
             raise FormatError(f"line {lineno}: expected {n} payoffs")
-        profile = []
-        for i, lab in enumerate(labs):
-            if lab not in labels[i]:
-                raise FormatError(f"line {lineno}: unknown label {lab!r} for player {i + 1}")
-            profile.append(labels[i].index(lab))
-        key = tuple(profile)
+        try:
+            key = tuple(map(dict.__getitem__, index, labs))
+        except KeyError:
+            i = next(i for i, lab in enumerate(labs) if lab not in index[i])
+            raise FormatError(
+                f"line {lineno}: unknown label {labs[i]!r} for player {i + 1}"
+            ) from None
         if key in table:
             raise FormatError(f"line {lineno}: duplicate profile {' '.join(labs)}")
         try:
-            table[key] = tuple(parse_rational(v) for v in vals)
+            table[key] = tuple(map(numeral, vals))
         except FormatError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
 
@@ -478,9 +533,8 @@ def render_game(game: FiniteGame, header_comment: str | None = None) -> str:
     out.append(f"players {game.players}")
     for i, labs in enumerate(game.labels):
         out.append(f"strategies {i + 1}: " + " ".join(labs))
-    for profile in itertools.product(*(range(s) for s in game.sizes)):
-        labs = " ".join(game.label_of(i, s) for i, s in enumerate(profile))
-        row = game.payoffs[game.flat_index(profile)]
-        vals = " ".join(render_rational(q) for q in row)
-        out.append(f"payoff {labs} : {vals}")
+    texts = [_numerals(ip, scale) for ip, scale in zip(game.ipay, game.scales)]
+    # itertools.product over the labels walks the tensor in flat order
+    for labs, vals in zip(itertools.product(*game.labels), zip(*texts)):
+        out.append(f"payoff {' '.join(labs)} : {' '.join(vals)}")
     return "\n".join(out) + "\n"

@@ -129,13 +129,13 @@ def _int_witness_check(
     cmp: ComparisonSet,
 ) -> bool:
     """Integer-scaled version of is_best_response for a sparse distribution."""
-    ip = game._ipay[player]
+    ip = game.ipay[player]
     stride = game.strides[player]
     own = sum(n * ip[b + strategy * stride] for b, n in zip(bases, numerators))
     if len(cmp.candidates) == game.sizes[player]:
         # Against the full comparison set the column-best table gives an upper
         # bound on every competitor; exact for single-atom beliefs.
-        col = game._colmax[player]
+        col = game.colmax[player]
         bound = sum(n * col[b] for b, n in zip(bases, numerators))
         if own >= bound:
             return True
@@ -169,10 +169,10 @@ def _column_best(
 ) -> list[int]:
     """Best integer payoff over the comparison candidates, per opponent column."""
     stride = game.strides[player]
-    ip = game._ipay[player]
+    ip = game.ipay[player]
     full = len(cmp.candidates) == game.sizes[player]
     if full:
-        col = game._colmax[player]
+        col = game.colmax[player]
         return [col[b] for b in bases]
     offs = [c * stride for c in cmp.candidates]
     return [max(ip[b + o] for o in offs) for b in bases]
@@ -220,7 +220,7 @@ def _correlated_certificate(
     its support only).  A sub-LP infeasibility already proves infeasibility
     of the full system.
     """
-    ip = game._ipay[player]
+    ip = game.ipay[player]
     stride = game.strides[player]
     own_off = strategy * stride
 
@@ -475,7 +475,7 @@ def _find_witness_fast(
     covers the mixed beliefs and anything else falls to the grid search.
     """
     bases = game.opponent_bases(player, kept)
-    ip = game._ipay[player]
+    ip = game.ipay[player]
     own_off = strategy * game.strides[player]
     if not cmp.candidates:
         return _pure_witness(game, player, kept, 0, kind)

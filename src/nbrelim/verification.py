@@ -141,7 +141,7 @@ def pure_nash(target: FiniteGame | Restriction) -> tuple[JointProfile, ...]:
     kept = restriction.kept
     colmax = []
     for i in range(game.players):
-        ip = game._ipay[i]
+        ip = game.ipay[i]
         stride = game.strides[i]
         table: dict[int, int] = {}
         for base in game.opponent_bases(i, kept):
@@ -152,7 +152,7 @@ def pure_nash(target: FiniteGame | Restriction) -> tuple[JointProfile, ...]:
     for profile in itertools.product(*kept):
         flat = sum(s * strides[i] for i, s in enumerate(profile))
         if all(
-            game._ipay[i][flat] == colmax[i][flat - profile[i] * strides[i]]
+            game.ipay[i][flat] == colmax[i][flat - profile[i] * strides[i]]
             for i in range(game.players)
         ):
             out.append(profile)

@@ -5,15 +5,28 @@ plain loops: best-response tables, fast-elimination replays, pure equilibrium
 scans, an exact vertex-enumeration feasibility oracle for cross-checking
 the simplex, and a plain-`Fraction` phase-1 simplex with a dense lazy-row
 loop that the engine's integer pivots and support-only scan must follow
-step for step.  Nothing imports the oracle or reduction machinery.
+step for step.  It also holds the belief-set definitions the tests check
+against (kinds, narrowed membership, pure enumeration) and a plain-`Fraction`
+reading, digest and rendering of game text for the integer game layer.
+Nothing imports the oracle or reduction machinery.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import re
 from fractions import Fraction
 
-from nbrelim.games import FiniteGame
+from nbrelim.beliefs import (
+    BeliefKind,
+    DistributionBelief,
+    ProductBelief,
+    PurePoint,
+    as_product,
+    point_distribution,
+)
+from nbrelim.games import FiniteGame, InputError
 
 
 def best_response_set(game, player, opp_profile, candidates=None):
@@ -291,3 +304,105 @@ def correlated_row_generation(game, player, strategy, kept, candidates, lp):
         point = lp(ineqs, ([1] * len(profiles), 1), num_vars=len(profiles))
         if point is None:
             return "nbr", None, len(ineqs)
+
+
+# --- belief-set definitions ------------------------------------------------
+
+
+def kind_of(mu):
+    if isinstance(mu, PurePoint):
+        return BeliefKind.PURE
+    if isinstance(mu, ProductBelief):
+        return BeliefKind.INDEPENDENT_MIXED
+    if isinstance(mu, DistributionBelief):
+        return BeliefKind.CORRELATED
+    raise InputError(f"not a belief: {mu!r}")
+
+
+def as_distribution(mu):
+    """Lift any belief to the equivalent correlated distribution."""
+    if isinstance(mu, DistributionBelief):
+        return mu
+    if isinstance(mu, PurePoint):
+        return point_distribution(mu.profile)
+    return DistributionBelief(tuple(sorted(as_product(mu).atoms())))
+
+
+def narrowed_membership(kind, mu, restriction, player):
+    """Is `mu` a member of the player's belief set narrowed to the restriction?
+
+    Membership means every atom of positive probability stays inside the kept
+    opponent strategies.  A kind or shape mismatch is an error, never False.
+    """
+    if kind_of(mu) is not kind:
+        raise InputError(f"belief {mu!r} does not have kind {kind.value}")
+    game = restriction.parent
+    opps = [j for j in range(game.players) if j != player]
+    if isinstance(mu, ProductBelief) and len(mu.factors) != len(opps):
+        raise InputError("belief has wrong number of opponent factors")
+    inside = True
+    for profile in mu.support():
+        if len(profile) != len(opps):
+            raise InputError("belief profile has wrong arity")
+        for j, s in zip(opps, profile):
+            if not 0 <= s < game.sizes[j]:
+                raise InputError(f"belief strategy {s} out of range for player {j + 1}")
+            inside = inside and s in restriction.kept[j]
+    return inside
+
+
+def enumerate_pure_beliefs(restriction, player):
+    """All pure beliefs over the kept opponent strategies, lexicographic.
+
+    Empty exactly when some opponent component of the restriction is empty.
+    """
+    game = restriction.parent
+    axes = [restriction.kept[j] for j in range(game.players) if j != player]
+    return [PurePoint(profile) for profile in itertools.product(*axes)]
+
+
+# --- game text in plain Fraction --------------------------------------------
+
+
+def parse_game_reference(text):
+    """Well-formed game text read line by line into Fractions.
+
+    Returns (labels, {profile: payoffs}); labels are found by list search and
+    every numeral becomes a `Fraction`, with no memo or integer form.
+    """
+    lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
+    lines = [line for line in lines if line]
+    n = int(re.fullmatch(r"players ([0-9]+)", lines[0]).group(1))
+    labels = [lines[1 + i].partition(":")[2].split() for i in range(n)]
+    table = {}
+    for line in lines[1 + n :]:
+        head, _, tail = line.partition(":")
+        names = head.split()[1:]
+        profile = tuple(labels[i].index(lab) for i, lab in enumerate(names))
+        table[profile] = tuple(Fraction(tok) for tok in tail.split())
+    return labels, table
+
+
+def _rational_text(q):
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def digest_reference(labels, table):
+    """sha256 prefix of the labels and the canonical rationals, row by row."""
+    rows = [table[p] for p in itertools.product(*(range(len(labs)) for labs in labels))]
+    blob = "\n".join(
+        [";".join(",".join(labs) for labs in labels)]
+        + [",".join(_rational_text(q) for q in row) for row in rows]
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def render_game_reference(labels, table):
+    """The canonical text form, one payoff line per profile in flat order."""
+    out = [f"players {len(labels)}"]
+    out += [f"strategies {i + 1}: " + " ".join(labs) for i, labs in enumerate(labels)]
+    for profile in itertools.product(*(range(len(labs)) for labs in labels)):
+        names = " ".join(labels[i][s] for i, s in enumerate(profile))
+        vals = " ".join(_rational_text(q) for q in table[profile])
+        out.append(f"payoff {names} : {vals}")
+    return "\n".join(out) + "\n"

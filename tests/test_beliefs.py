@@ -1,5 +1,6 @@
 """belief layer: expected payoff, narrowing membership, pure enumeration."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,15 +11,20 @@ from nbrelim.beliefs import (
     DistributionBelief,
     ProductBelief,
     PurePoint,
-    as_distribution,
     as_product,
-    enumerate_pure_beliefs,
     expected_payoff,
-    narrowed_membership,
     render_belief,
 )
 from nbrelim.catalog import chase_3p, gap_3x2
-from nbrelim.games import InputError, full_restriction, restrict, restrict_by_labels
+from nbrelim.games import (
+    FiniteGame,
+    InputError,
+    full_restriction,
+    restrict,
+    restrict_by_labels,
+)
+
+from oracles import as_distribution, enumerate_pure_beliefs, narrowed_membership
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +56,26 @@ class TestExpectedPayoff:
         )
         # player 1 plays 2: pays 2 when player 2 picked 1, else 0
         assert expected_payoff(g3, 0, 2, mu) == Fraction(1)
+
+    def test_fractional_payoffs_divide_by_the_scale(self):
+        # payoffs with mixed denominators are stored scaled to integers; the
+        # expected payoff must equal the plain Fraction sum over the atoms
+        rng = random.Random(3)
+        game = FiniteGame.from_function(
+            [["a", "b"], ["c", "d", "e"], ["f", "g"]],
+            lambda p: tuple(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5])) for _ in p),
+        )
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        beliefs = [
+            PurePoint((2, 1)),
+            ProductBelief((((0, third), (1, 1 - third)), ((0, half), (1, half)))),
+            DistributionBelief((((0, 0), third), ((2, 1), 1 - third))),
+        ]
+        for mu in beliefs:
+            atoms = as_distribution(mu).mass
+            for s in range(2):
+                want = sum(p * game.payoff((s,) + pr, 0) for pr, p in atoms)
+                assert expected_payoff(game, 0, s, mu) == want
 
     def test_support_outside_game_is_error(self, g):
         with pytest.raises(InputError):

@@ -1,5 +1,6 @@
 """Catalog games: closed-form payoffs, deviation notes, round-trips."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -163,8 +164,9 @@ class TestRandomGame:
 
     def test_bounds_respected(self):
         g = random_game(3, [2, 2, 2], 3, seed=9)
-        for row in g.payoffs:
-            for q in row:
+        for profile in itertools.product(range(2), repeat=3):
+            for i in range(3):
+                q = g.payoff(profile, i)
                 assert -3 <= q <= 3 and q.denominator == 1
 
     def test_bad_arguments(self):

@@ -58,7 +58,7 @@ class TestSolve:
         from nbrelim.games import render_game
 
         path = tmp_path / "n5.game"
-        path.write_text(render_game(naturals_truncated(5)))
+        path.write_text(render_game(naturals_truncated(5)), encoding="utf-8")
         code, out, _ = run(capsys, "solve", "--game", str(path))
         assert code == 0
         assert "outcome kept={p1:[5],p2:[5]}" in out
@@ -80,10 +80,21 @@ class TestSolve:
 
     def test_numeral_past_the_digit_limit_is_an_input_error(self, capsys, tmp_path):
         path = tmp_path / "huge.game"
-        path.write_text("players 1\nstrategies 1: a\npayoff a : " + "7" * 4400 + "\n")
+        path.write_text(
+            "players 1\nstrategies 1: a\npayoff a : " + "7" * 4400 + "\n", encoding="utf-8"
+        )
         code, out, err = run(capsys, "solve", "--game", str(path))
         assert code == 2
         assert err.startswith("error: line 3: numeral of 4400 characters")
+        assert len(err.splitlines()) == 1
+
+    def test_non_ascii_digits_are_an_input_error(self, capsys, tmp_path):
+        # '²' passes str.isdigit() and int() refuses it; ASCII digits only
+        path = tmp_path / "super.game"
+        path.write_text("players ²\nstrategies 1: a\npayoff a : 1\n", encoding="utf-8")
+        code, out, err = run(capsys, "solve", "--game", str(path))
+        assert code == 2
+        assert err.startswith("error: line 1: expected 'players <n>'")
         assert len(err.splitlines()) == 1
 
     def test_seeded_solve_deterministic(self, capsys):
@@ -276,7 +287,7 @@ def fuzz_sources(tmp_path_factory):
     }
     sources = ["catalog:gap3x2", "catalog:nope", str(root / "missing.game"), str(root)]
     for name, text in files.items():
-        (root / name).write_text(text)
+        (root / name).write_text(text, encoding="utf-8")
         sources.append(str(root / name))
     (root / "binary.game").write_bytes(b"\xff\xfeplayers 2\n")
     sources.append(str(root / "binary.game"))

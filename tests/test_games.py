@@ -1,5 +1,7 @@
 """game layer: rationals, games, restrictions, lattice algebra, text format."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,9 @@ from nbrelim.games import (
     restrict,
     restrict_by_labels,
 )
-from nbrelim.catalog import bertrand_grid, gap_3x2
+from nbrelim.catalog import bertrand_grid, gap_3x2, random_game
+
+from oracles import digest_reference, parse_game_reference, render_game_reference
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +100,29 @@ class TestRestriction:
         assert full_restriction(g3x2).kept == ((0, 1, 2), (0, 1))
         empty = restrict(g3x2, [(), ()])
         assert empty.classify() is RestrictionClass.EMPTY
+        with pytest.raises(InputError):
+            sub.remove({0: [0]})
+        # remove filters the kept sets and clears bits without a rebuild: on
+        # seeded chains it must give exactly the restriction built afresh
+        for seed in range(6):
+            rng = random.Random(seed)
+            shape = [rng.randint(1, 5) for _ in range(rng.randint(1, 3))]
+            game = random_game(len(shape), shape, 3, seed=seed)
+            current = full_restriction(game)
+            while any(current.kept):
+                removal = {}
+                for i in rng.sample(range(game.players), rng.randint(1, game.players)):
+                    gone = rng.randint(0, len(current.kept[i]))
+                    removal[i] = rng.sample(current.kept[i], gone)
+                nxt = current.remove(removal)
+                kept = tuple(
+                    tuple(s for s in ks if s not in removal.get(i, ()))
+                    for i, ks in enumerate(current.kept)
+                )
+                fresh = Restriction(game, kept)
+                assert nxt == fresh and nxt.kept == fresh.kept and nxt.bits == fresh.bits
+                assert current.contains(nxt)
+                current = nxt
 
     def test_classify(self, g3x2):
         assert full_restriction(g3x2).classify() is RestrictionClass.NONDEGENERATE
@@ -209,11 +236,53 @@ class TestTextFormat:
             lambda t: t.replace("strategies 2: L R", "strategies 2: L L"),
             lambda t: t.replace("payoff T L : 2 0", "payoff T X : 2 0"),
             lambda t: t.replace("payoff T L : 2 0", "payoff T L : 2"),
+            # digits outside ASCII: a superscript count, Arabic-Indic numerals
+            lambda t: t.replace("players 2", "players \u00b2"),
+            lambda t: t.replace("payoff M R : 1 0", "payoff M R : \u0661/\u0662 0"),
+            lambda t: t.replace("strategies 2: L R", "strategies \u0662: L R"),
+            # counts past the interpreter's int-string digit limit
+            lambda t: t.replace("players 2", "players " + "9" * 4400),
+            lambda t: t.replace("strategies 2: L R", "strategies " + "2" * 4400 + ": L R"),
         ],
     )
     def test_malformed_rejected(self, mutation):
         with pytest.raises(FormatError):
             parse_game(mutation(GOOD_TEXT))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_parse_agrees_with_the_fraction_reference(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+        labels = [[f"{chr(97 + i)}{k}" for k in range(size)] for i, size in enumerate(sizes)]
+        lines = []
+        for profile in itertools.product(*map(range, sizes)):
+            vals = []
+            for _ in sizes:
+                num = data.draw(st.integers(-12, 12))
+                den = data.draw(st.sampled_from([1, 1, 2, 3, 4, 6, 7]))
+                grow = data.draw(st.sampled_from([1, 1, 2, 3]))  # unreduced, as 4/6
+                text = str(num * grow)
+                if num >= 0 and data.draw(st.booleans()):
+                    text = "+" + text
+                if den * grow != 1:
+                    text += f"/{den * grow}"
+                vals.append(text)
+            names = " ".join(labels[i][s] for i, s in enumerate(profile))
+            lines.append(f"payoff {names} : {' '.join(vals)}")
+        lines = data.draw(st.permutations(lines))
+        text = "\n".join(
+            [f"players {len(sizes)}"]
+            + [f"strategies {i + 1}: " + " ".join(labs) for i, labs in enumerate(labels)]
+            + lines
+        )
+        game = parse_game(text)
+        ref_labels, table = parse_game_reference(text)
+        for profile, row in table.items():
+            assert tuple(game.payoff(profile, i) for i in range(len(sizes))) == row
+        assert game.digest() == digest_reference(ref_labels, table)
+        assert render_game(game) == render_game_reference(ref_labels, table)
+        assert parse_game(render_game(game)) == game
+        assert FiniteGame(ref_labels, table) == game
 
     def test_numeral_past_the_digit_limit_names_its_line(self):
         text = GOOD_TEXT.replace("payoff M R : 1 0", "payoff M R : " + "9" * 4400 + " 0")

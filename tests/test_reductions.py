@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from nbrelim.beliefs import BeliefKind, narrowed_membership
+from nbrelim.beliefs import BeliefKind, PurePoint
 from nbrelim.catalog import gap_3x2, hotelling_grid, naturals_truncated, random_game
 from nbrelim.games import (
     FiniteGame,
@@ -38,7 +38,7 @@ from nbrelim.reductions import (
     validate_step,
 )
 
-from oracles import replay_fast_pure
+from oracles import enumerate_pure_beliefs, narrowed_membership, replay_fast_pure
 
 
 @pytest.fixture(scope="module")
@@ -276,8 +276,6 @@ class TestEdgeShapes:
             trace = iterate(game, ReductionKind.TILDE, bk)
             assert trace.outcome.kept == ((0, 2),)
             assert trace.maximal
-        from nbrelim.beliefs import PurePoint, enumerate_pure_beliefs
-
         assert enumerate_pure_beliefs(full_restriction(game), 0) == [PurePoint(())]
 
     def test_free_price_makes_the_grid_a_fixed_point(self):
