@@ -118,22 +118,19 @@ def as_product(mu: Belief) -> ProductBelief:
     raise InputError("a correlated belief has no product form in general")
 
 
-def _check_shape(game: FiniteGame, player: int, mu: Belief) -> None:
-    opps = game.opponents(player)
-    if isinstance(mu, ProductBelief):
-        if len(mu.factors) != len(opps):
-            raise InputError("belief has wrong number of opponent factors")
-        for j, factor in zip(opps, mu.factors):
-            for s, _ in factor:
-                if not 0 <= s < game.sizes[j]:
-                    raise InputError(f"belief strategy {s} out of range for player {j + 1}")
-        return
-    for profile in mu.support():
-        if len(profile) != len(opps):
-            raise InputError("belief profile has wrong arity")
-        for j, s in zip(opps, profile):
-            if not 0 <= s < game.sizes[j]:
-                raise InputError(f"belief strategy {s} out of range for player {j + 1}")
+def integer_form(
+    game: FiniteGame, player: int, mu: Belief
+) -> tuple[list[int], list[int], int]:
+    """`mu` on the integer tensor: the tensor bases of its atoms, their
+    probabilities as numerators over the common denominator, and that
+    denominator.  `profile_base` range- and arity-checks every atom."""
+    if isinstance(mu, PurePoint):
+        return [game.profile_base(player, mu.profile)], [1], 1
+    atoms = list(mu.atoms()) if isinstance(mu, ProductBelief) else mu.mass
+    den = lcm(*(prob.denominator for _, prob in atoms))
+    bases = [game.profile_base(player, profile) for profile, _ in atoms]
+    numerators = [prob.numerator * (den // prob.denominator) for _, prob in atoms]
+    return bases, numerators, den
 
 
 def expected_payoff(
@@ -149,19 +146,11 @@ def expected_payoff(
         raise InputError(f"player index {player} out of range")
     if not 0 <= strategy < game.sizes[player]:
         raise InputError(f"strategy index {strategy} out of range")
-    _check_shape(game, player, mu)
+    bases, numerators, den = integer_form(game, player, mu)
     ip = game.ipay[player]
-    scale = game.scales[player]
     off = strategy * game.strides[player]
-    if isinstance(mu, PurePoint):
-        return Fraction(ip[game.profile_base(player, mu.profile) + off], scale)
-    atoms = list(mu.atoms()) if isinstance(mu, ProductBelief) else mu.mass
-    den = lcm(*(prob.denominator for _, prob in atoms))
-    total = 0
-    for profile, prob in atoms:
-        weight = prob.numerator * (den // prob.denominator)
-        total += weight * ip[game.profile_base(player, profile) + off]
-    return Fraction(total, den * scale)
+    total = sum(n * ip[b + off] for b, n in zip(bases, numerators))
+    return Fraction(total, den * game.scales[player])
 
 
 def render_belief(game: FiniteGame, player: int, mu: Belief) -> str:

@@ -43,11 +43,7 @@ EXIT_UNKNOWN = 4
 
 _BELIEFS = {k.value: k for k in BeliefKind}
 _RELATIONS = {k.value: k for k in ReductionKind}
-_POLICIES = {
-    "fast": Policy.FAST,
-    "random": Policy.RANDOM_PARTIAL,
-    "single": Policy.SINGLE_RANDOM,
-}
+_POLICIES = {p.value: p for p in Policy if p is not Policy.USER_SCRIPT}
 
 # Smallest accepted value of each numeric flag (where the subcommand has it).
 _MINIMUMS = {"resolution": 1, "random": 0, "max_size": 1, "payoff_bound": 0, "orders": 1}
@@ -62,7 +58,8 @@ _CAMPAIGNS = {
         resolution=args.resolution,
     ),
     "equivalence": lambda game, args: verification.check_equivalence(
-        game, _BELIEFS[args.beliefs], seed=args.seed, resolution=args.resolution,
+        game, _BELIEFS[args.beliefs], seed=args.seed, num_orders=args.orders,
+        resolution=args.resolution,
     ),
     "nash": lambda game, args: verification.check_nash_preservation(
         game, _RELATIONS[args.relation], seed=args.seed, num_orders=args.orders,
@@ -132,7 +129,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_step.add_argument("--to", dest="target_literal", required=True, metavar="KEPT")
     _add_common(p_step)
 
-    p_verify = sub.add_parser("verify", help="run a checker campaign")
+    p_verify = sub.add_parser(
+        "verify", help="run a checker campaign",
+        description="Run a checker campaign. Every campaign reads --seed and "
+        "--resolution. order-independence, fast-dominance and equivalence read "
+        "--beliefs and --orders; nash reads --relation and --orders and always "
+        "uses pure beliefs; oracle-agreement and kind-monotonicity read none of "
+        "--beliefs, --relation and --orders.",
+    )
     p_verify.add_argument("campaign", choices=sorted(_CAMPAIGNS))
     p_verify.add_argument("--game", action="append", default=[],
                           help="may be repeated; catalog:<name> or a file path")

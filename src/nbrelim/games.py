@@ -317,14 +317,8 @@ class Restriction:
             return RestrictionClass.DEGENERATE
         return RestrictionClass.NONDEGENERATE
 
-    def is_empty(self) -> bool:
-        return self.classify() is RestrictionClass.EMPTY
-
     def is_nondegenerate(self) -> bool:
         return self.classify() is RestrictionClass.NONDEGENERATE
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(ks) for ks in self.kept)
 
     def contains(self, other: "Restriction") -> bool:
         """Componentwise superset test (the lattice order)."""

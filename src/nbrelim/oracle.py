@@ -31,6 +31,7 @@ from .beliefs import (
     PurePoint,
     as_product,
     expected_payoff,
+    integer_form,
     point_distribution,
     render_belief,
 )
@@ -146,22 +147,6 @@ def _int_witness_check(
         if sum(n * ip[b + off] for b, n in zip(bases, numerators)) > own:
             return False
     return True
-
-
-def _distribution_int_form(
-    game: FiniteGame, player: int, mu: Belief
-) -> tuple[list[int], list[int]]:
-    """(tensor bases, common-denominator numerators) for any belief."""
-    if isinstance(mu, PurePoint):
-        return [game.profile_base(player, mu.profile)], [1]
-    if isinstance(mu, ProductBelief):
-        atoms = list(mu.atoms())
-    else:
-        atoms = list(mu.mass)
-    den = lcm(*(p.denominator for _, p in atoms))
-    bases = [game.profile_base(player, pr) for pr, _ in atoms]
-    nums = [p.numerator * (den // p.denominator) for _, p in atoms]
-    return bases, nums
 
 
 def _column_best(
@@ -311,7 +296,7 @@ def _grid_product_witness(
         )
     for combo in itertools.product(*grids):
         mu = ProductBelief(tuple(combo))
-        bases, nums = _distribution_int_form(game, player, mu)
+        bases, nums, _ = integer_form(game, player, mu)
         if _int_witness_check(game, player, strategy, bases, nums, cmp):
             return mu
     return None
@@ -399,7 +384,7 @@ class OracleCache:
             for profile in cert.witness.support():
                 for j, t in zip(opps, profile):
                     support |= 1 << (offsets[j] + t)
-            bases, nums = _distribution_int_form(game, player, cert.witness)
+            bases, nums, _ = integer_form(game, player, cert.witness)
             entries = self.witnesses.setdefault((player, strategy), [])
             entries.insert(0, [cert, support, cmp.bits, bases, nums])
         elif isinstance(cert, NeverBest):

@@ -1,9 +1,17 @@
 """Executable checkers for the engine's structural guarantees.
 
-Each checker exercises one guarantee on a concrete game instance: order
-independence of maximal tilde reductions, the dominance and step-count
-properties of the fast variant, the coincidence of the three relations on
-finite games, closure of outcomes, and preservation of pure equilibria.
+Six campaigns check the guarantees on a concrete game instance:
+- `check_order_independence`: maximal tilde reductions reach one
+  non-degenerate outcome in every order, the largest closed restriction;
+- `check_fast_dominance`: the fast trace stays inside every order, step by
+  step, and is never longer;
+- `check_equivalence`: the arrow and darrow relations coincide step by step,
+  and all three relations reach one outcome;
+- `check_nash_preservation`: maximal reductions keep the pure equilibria;
+- `check_oracle_agreement`: the correlated LP agrees with grid enumeration;
+- `check_kind_monotonicity`: never-best verdicts are monotone across the
+  belief kinds.
+
 Checkers report pass/fail/unknown; a fail ships a re-checkable counterexample,
 and unknown is reported whenever an inconclusive oracle answer would otherwise
 have to be taken on faith.
@@ -14,7 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .beliefs import BeliefKind, DistributionBelief
 from .games import (
@@ -23,6 +31,7 @@ from .games import (
     JointProfile,
     Restriction,
     full_restriction,
+    join,
 )
 from .oracle import (
     DEFAULT_GRID_RESOLUTION,
@@ -43,18 +52,6 @@ from .reductions import (
     iterate,
     legal_removal_candidates,
     validate_step,
-)
-
-THEOREM_IDS = (
-    "order_independence",
-    "fast_dominance_i",
-    "fast_dominance_ii",
-    "equivalence_i",
-    "equivalence_ii",
-    "nash_preservation_i",
-    "nash_preservation_ii",
-    "largest_closed",
-    "nondegenerate_outcome",
 )
 
 
@@ -91,16 +88,14 @@ def _report(
     ok: bool | None,
     passed: str = "",
     failed: str = "",
-    counterexample: tuple[str, ...] = (),
+    counterexample: tuple[str, ...] | None = (),
+    unknown: str = "inconclusive certificates block a maximality proof",
 ) -> TheoremReport:
     """A pass or fail report by `ok`; the counterexample ships with a fail
-    only.  `ok=None` reports unknown: inconclusive oracle answers leave a
-    trace non-maximal, so the theorem cannot be checked."""
+    only.  `ok=None` reports unknown with the `unknown` text: by default,
+    inconclusive oracle answers left a trace non-maximal."""
     if ok is None:
-        return TheoremReport(
-            theorem_id, instance, seed, "unknown",
-            "inconclusive certificates block a maximality proof",
-        )
+        return TheoremReport(theorem_id, instance, seed, "unknown", unknown)
     if ok:
         return TheoremReport(theorem_id, instance, seed, "pass", passed)
     return TheoremReport(theorem_id, instance, seed, "fail", failed, counterexample)
@@ -164,10 +159,7 @@ def random_restriction(
 ) -> Restriction:
     kept = []
     for size in game.sizes:
-        if nondegenerate:
-            count = rng.randint(1, size)
-        else:
-            count = rng.randint(0, size)
+        count = rng.randint(1 if nondegenerate else 0, size)
         kept.append(tuple(sorted(rng.sample(range(size), count))))
     return Restriction(game, tuple(kept))
 
@@ -182,21 +174,14 @@ def random_order_traces(
     cache: OracleCache | None = None,
 ) -> list[Trace]:
     """Maximal traces under alternating random-partial / single-random policies."""
-    traces = []
-    for k in range(num_orders):
-        policy = Policy.RANDOM_PARTIAL if k % 2 == 0 else Policy.SINGLE_RANDOM
-        traces.append(
-            iterate(
-                game,
-                kind,
-                belief_kind,
-                policy,
-                seed=child_seed(seed, k),
-                resolution=resolution,
-                cache=cache,
-            )
+    return [
+        iterate(
+            game, kind, belief_kind,
+            Policy.RANDOM_PARTIAL if k % 2 == 0 else Policy.SINGLE_RANDOM,
+            seed=child_seed(seed, k), resolution=resolution, cache=cache,
         )
-    return traces
+        for k in range(num_orders)
+    ]
 
 
 def _instance_name(game: FiniteGame) -> str:
@@ -204,15 +189,46 @@ def _instance_name(game: FiniteGame) -> str:
     return f"{shape}:{game.digest()}"
 
 
-def _all_restrictions(game: FiniteGame) -> Iterable[Restriction]:
-    per_player = []
-    for size in game.sizes:
-        subsets = []
-        for mask in range(1 << size):
-            subsets.append(tuple(s for s in range(size) if mask >> s & 1))
-        per_player.append(subsets)
-    for combo in itertools.product(*per_player):
-        yield Restriction(game, tuple(combo))
+def _larger_candidates(
+    game: FiniteGame, outcome: Restriction, seed: int
+) -> Iterator[Restriction]:
+    """Restrictions that could refute `outcome` being the largest closed one.
+
+    Games with at most 12 strategies in all yield their whole lattice;
+    larger ones yield 20 sampled supersets of `outcome`, then the singletons
+    of the pure equilibria (each one closed)."""
+    if sum(game.sizes) <= 12:
+        subsets = [
+            [tuple(s for s in range(size) if mask >> s & 1) for mask in range(1 << size)]
+            for size in game.sizes
+        ]
+        for kept in itertools.product(*subsets):
+            yield Restriction(game, kept)
+        return
+    rng = random.Random(child_seed(seed, 999))
+    for _ in range(20):
+        yield join(outcome, random_restriction(game, rng, nondegenerate=False))
+    for profile in pure_nash(game):
+        yield Restriction(game, tuple((s,) for s in profile))
+
+
+def _fast_and_orders(
+    game: FiniteGame,
+    kind: ReductionKind,
+    belief_kind: BeliefKind,
+    num_orders: int,
+    seed: int,
+    resolution: int,
+    cache: OracleCache,
+) -> list[Trace]:
+    """The fast trace (none under darrow, which has no fast variant), then
+    `num_orders` random-order traces, all sharing `cache`."""
+    fast = [] if kind is ReductionKind.DARROW else [
+        iterate(game, kind, belief_kind, Policy.FAST, resolution=resolution, cache=cache)
+    ]
+    return fast + random_order_traces(
+        game, kind, belief_kind, num_orders, seed, resolution, cache
+    )
 
 
 def check_order_independence(
@@ -221,110 +237,71 @@ def check_order_independence(
     num_orders: int = 20,
     seed: int = 0,
     resolution: int = DEFAULT_GRID_RESOLUTION,
-    lattice_limit: int = 12,
-    superset_samples: int = 20,
 ) -> list[TheoremReport]:
     """All maximal tilde reductions reach one outcome: the largest closed
     restriction.  Exact for pure and correlated beliefs and two-player mixed;
     otherwise reported unknown rather than sampled into a verdict."""
     instance = _instance_name(game)
     cache = OracleCache(belief_kind)
-    fast = iterate(
-        game, ReductionKind.TILDE, belief_kind, Policy.FAST,
-        resolution=resolution, cache=cache,
-    )
-    traces = random_order_traces(
+    traces = _fast_and_orders(
         game, ReductionKind.TILDE, belief_kind, num_orders, seed, resolution, cache
     )
+    fast, *orders = traces
     exact = belief_kind is not BeliefKind.INDEPENDENT_MIXED or game.players == 2
-    if not exact and (not fast.maximal or any(not t.maximal for t in traces)):
+    if not exact and not all(t.maximal for t in traces):
         return [_report("order_independence", instance, seed, None)]
 
-    mismatch = next(
-        (t for t in traces if t.outcome.kept != fast.outcome.kept), None
+    outcome = fast.outcome
+    counter = next(
+        ((fast.render(), t.render()) for t in orders if t.outcome.kept != outcome.kept),
+        None,
     )
     reports = [
         _report(
-            "order_independence", instance, seed, mismatch is None,
-            f"{len(traces)} random orders match the fast outcome "
-            f"{fast.outcome.render()}",
+            "order_independence", instance, seed, counter is None,
+            f"{len(orders)} random orders match the fast outcome {outcome.render()}",
             "a random order reached a different outcome",
-            (fast.render(), mismatch.render()) if mismatch is not None else (),
+            counter,
         )
     ]
 
-    closed = is_closed(game, fast.outcome, belief_kind, resolution, cache)
-    largest_ok: bool | None = closed
-    bad: Restriction | None = None
+    closed = is_closed(game, outcome, belief_kind, resolution, cache)
+    bad = None
     if closed:
-        total = sum(game.sizes)
-        if total <= lattice_limit:
-            for candidate in _all_restrictions(game):
-                if fast.outcome.contains(candidate):
-                    continue
-                if is_closed(game, candidate, belief_kind, resolution, cache):
-                    largest_ok = False
-                    bad = candidate
-                    break
-        else:
-            rng = random.Random(child_seed(seed, 999))
-            full = full_restriction(game)
-            for _ in range(superset_samples):
-                extra = random_restriction(game, rng, nondegenerate=False)
-                candidate = Restriction(
-                    game,
-                    tuple(
-                        tuple(sorted(set(a) | set(b)))
-                        for a, b in zip(fast.outcome.kept, extra.kept)
-                    ),
-                )
-                if candidate.kept == fast.outcome.kept or not full.contains(candidate):
-                    continue
-                if is_closed(game, candidate, belief_kind, resolution, cache):
-                    largest_ok = False
-                    bad = candidate
-                    break
-            if largest_ok:
-                for profile in pure_nash(game):
-                    singleton = Restriction(
-                        game, tuple((s,) for s in profile)
-                    )
-                    if not fast.outcome.contains(singleton):
-                        largest_ok = False
-                        bad = singleton
-                        break
-    if largest_ok is None:
-        reports.append(
-            TheoremReport(
-                "largest_closed", instance, seed, "unknown",
-                "closedness of the outcome is undecided",
-            )
+        bad = next(
+            (
+                c for c in _larger_candidates(game, outcome, seed)
+                if not outcome.contains(c)
+                and is_closed(game, c, belief_kind, resolution, cache)
+            ),
+            None,
         )
-    else:
-        reports.append(
-            _report(
-                "largest_closed", instance, seed, largest_ok,
-                "outcome is closed and no larger closed restriction was found",
-                "outcome is not closed"
-                if bad is None
-                else f"closed restriction {bad.render()} escapes the outcome",
-                (fast.outcome.render(),) if bad is None else (bad.render(),),
-            )
+    reports.append(
+        _report(
+            "largest_closed", instance, seed, closed and bad is None,
+            "outcome is closed and no larger closed restriction was found",
+            "outcome is not closed"
+            if bad is None
+            else f"closed restriction {bad.render()} escapes the outcome",
+            ((bad or outcome).render(),),
+            unknown="closedness of the outcome is undecided",
         )
-
-    reports.append(_nondegenerate_report(instance, seed, [fast] + traces))
+    )
+    reports.append(_nondegenerate_report(instance, seed, traces))
     return reports
 
 
 def _nondegenerate_report(
     instance: str, seed: int, traces: Sequence[Trace]
 ) -> TheoremReport:
-    bad = next((t for t in traces if not t.outcome.is_nondegenerate()), None)
+    counter = next(
+        ((t.render(),) for t in traces if not t.outcome.is_nondegenerate()), None
+    )
     return _report(
-        "nondegenerate_outcome", instance, seed, bad is None,
+        "nondegenerate_outcome", instance, seed, counter is None,
         "all outcomes keep every player non-empty",
         "an outcome lost a player's whole strategy set",
-        (bad.render(),) if bad is not None else (),
+        counter,
     )
 
 
@@ -338,73 +315,60 @@ def check_fast_dominance(
     """The fast trace is contained in every trace index-by-index and is never
     longer than a trace reaching the same outcome."""
     instance = _instance_name(game)
-    cache = OracleCache(belief_kind)
-    fast = iterate(
-        game, ReductionKind.TILDE, belief_kind, Policy.FAST,
-        resolution=resolution, cache=cache,
+    traces = _fast_and_orders(
+        game, ReductionKind.TILDE, belief_kind, num_orders, seed, resolution,
+        OracleCache(belief_kind),
     )
-    traces = random_order_traces(
-        game, ReductionKind.TILDE, belief_kind, num_orders, seed, resolution, cache
-    )
-    if any(not t.maximal for t in [fast] + traces):
+    fast, *orders = traces
+    if not all(t.maximal for t in traces):
         return [
             _report(theorem_id, instance, seed, None)
             for theorem_id in ("fast_dominance_i", "fast_dominance_ii")
         ]
-    containment_ok = True
-    counter: tuple[str, ...] = ()
-    for t in traces:
-        horizon = max(len(fast.steps), len(t.steps))
-        for alpha in range(horizon + 1):
-            if not t.restriction_at(alpha).contains(fast.restriction_at(alpha)):
-                containment_ok = False
-                counter = (f"index {alpha}", fast.render(), t.render())
-                break
-        if not containment_ok:
-            break
-    reports = [
+    broken = next(
+        (
+            (f"index {alpha}", fast.render(), t.render())
+            for t in orders
+            for alpha in range(max(len(fast.steps), len(t.steps)) + 1)
+            if not t.restriction_at(alpha).contains(fast.restriction_at(alpha))
+        ),
+        None,
+    )
+    shorter = next(
+        (
+            (fast.render(), t.render())
+            for t in orders
+            if t.outcome.kept == fast.outcome.kept and len(fast.steps) > len(t.steps)
+        ),
+        None,
+    )
+    return [
         _report(
-            "fast_dominance_i", instance, seed, containment_ok,
+            "fast_dominance_i", instance, seed, broken is None,
             "fast trace contained stepwise in every sampled order",
             "containment broke",
-            counter,
-        )
-    ]
-    length_ok = True
-    counter = ()
-    for t in traces:
-        if t.outcome.kept == fast.outcome.kept and len(fast.steps) > len(t.steps):
-            length_ok = False
-            counter = (fast.render(), t.render())
-            break
-    reports.append(
+            broken,
+        ),
         _report(
-            "fast_dominance_ii", instance, seed, length_ok,
+            "fast_dominance_ii", instance, seed, shorter is None,
             "fast step count is minimal among sampled orders",
             "a shorter order reached the fast outcome",
-            counter,
-        )
-    )
-    return reports
+            shorter,
+        ),
+    ]
 
 
-def check_equivalence(
+def _step_rejections(
     game: FiniteGame,
     belief_kind: BeliefKind,
-    seed: int = 0,
-    num_step_samples: int = 10,
-    num_orders: int = 3,
-    resolution: int = DEFAULT_GRID_RESOLUTION,
-) -> list[TheoremReport]:
-    """On finite games the arrow and darrow relations coincide step-by-step,
-    and all three relations' maximal sequences share one non-degenerate
-    outcome."""
-    instance = _instance_name(game)
-    cache = OracleCache(belief_kind)
+    seed: int,
+    resolution: int,
+    cache: OracleCache,
+) -> Iterator[tuple[str, ...]]:
+    """Ten sampled legal arrow steps, each validated as arrow and as darrow;
+    yields a counterexample for each step either rejects."""
     rng = random.Random(seed)
-    step_ok = True
-    counter: tuple[str, ...] = ()
-    for _ in range(num_step_samples):
+    for _ in range(10):
         source = random_restriction(game, rng, nondegenerate=True)
         candidates = legal_removal_candidates(
             game, source, ReductionKind.ARROW, belief_kind, resolution, cache
@@ -413,66 +377,72 @@ def check_equivalence(
         if not flat:
             continue
         chosen = [pair for pair in flat if rng.getrandbits(1)] or [flat[0]]
-        removal: dict[int, list[int]] = {}
-        for i, s in chosen:
-            removal.setdefault(i, []).append(s)
-        target = source.remove(removal)
-        arrow = validate_step(
-            game, source, target, ReductionKind.ARROW, belief_kind, resolution, cache
+        target = source.remove(
+            {i: [s for j, s in chosen if j == i] for i in range(game.players)}
         )
-        darrow = validate_step(
-            game, source, target, ReductionKind.DARROW, belief_kind, resolution, cache
-        )
-        if isinstance(arrow, Rejection) or isinstance(darrow, Rejection):
-            step_ok = False
-            bad = arrow if isinstance(arrow, Rejection) else darrow
-            counter = (
+        results = [
+            validate_step(game, source, target, kind, belief_kind, resolution, cache)
+            for kind in (ReductionKind.ARROW, ReductionKind.DARROW)
+        ]
+        bad = next((r for r in results if isinstance(r, Rejection)), None)
+        if bad is not None:
+            yield (
                 f"source {source.render()} target {target.render()}",
                 f"player {bad.player + 1} strategy {bad.strategy} ({bad.reason})",
             )
-            break
+
+
+def check_equivalence(
+    game: FiniteGame,
+    belief_kind: BeliefKind,
+    seed: int = 0,
+    num_orders: int = 3,
+    resolution: int = DEFAULT_GRID_RESOLUTION,
+) -> list[TheoremReport]:
+    """On finite games the arrow and darrow relations coincide step-by-step,
+    and all three relations' maximal sequences share one non-degenerate
+    outcome."""
+    instance = _instance_name(game)
+    cache = OracleCache(belief_kind)
+    counter = next(_step_rejections(game, belief_kind, seed, resolution, cache), None)
     reports = [
         _report(
-            "equivalence_i", instance, seed, step_ok,
+            "equivalence_i", instance, seed, counter is None,
             "every sampled legal arrow step is a legal darrow step",
             "an arrow step failed to validate as darrow",
             counter,
         )
     ]
 
-    fast_tilde = iterate(
-        game, ReductionKind.TILDE, belief_kind, Policy.FAST,
-        resolution=resolution, cache=cache,
-    )
-    fast_arrow = iterate(
-        game, ReductionKind.ARROW, belief_kind, Policy.FAST,
-        resolution=resolution, cache=cache,
-    )
-    traces = [fast_tilde, fast_arrow]
-    for k, kind in enumerate(
-        (ReductionKind.TILDE, ReductionKind.ARROW, ReductionKind.DARROW)
-    ):
-        traces.extend(
-            random_order_traces(
-                game, kind, belief_kind, num_orders,
-                child_seed(seed, k + 1), resolution, cache,
-            )
+    traces = [
+        iterate(game, kind, belief_kind, Policy.FAST, resolution=resolution, cache=cache)
+        for kind in (ReductionKind.TILDE, ReductionKind.ARROW)
+    ]
+    for k, kind in enumerate(ReductionKind):
+        traces += random_order_traces(
+            game, kind, belief_kind, num_orders, child_seed(seed, k + 1), resolution,
+            cache,
         )
-    outcome = fast_tilde.outcome
-    if any(not t.maximal for t in traces):
-        reports.append(_report("equivalence_ii", instance, seed, None))
-        return reports
-    mismatch = next((t for t in traces if t.outcome.kept != outcome.kept), None)
-    reports.append(
+    if not all(t.maximal for t in traces):
+        return reports + [_report("equivalence_ii", instance, seed, None)]
+    fast_tilde = traces[0]
+    counter = next(
+        (
+            (fast_tilde.render(), t.render())
+            for t in traces
+            if t.outcome.kept != fast_tilde.outcome.kept
+        ),
+        None,
+    )
+    return reports + [
         _report(
-            "equivalence_ii", instance, seed, mismatch is None,
-            f"all relations reach {outcome.render()}",
+            "equivalence_ii", instance, seed, counter is None,
+            f"all relations reach {fast_tilde.outcome.render()}",
             "a relation reached a different outcome",
-            (fast_tilde.render(), mismatch.render()) if mismatch is not None else (),
-        )
-    )
-    reports.append(_nondegenerate_report(instance, seed, traces))
-    return reports
+            counter,
+        ),
+        _nondegenerate_report(instance, seed, traces),
+    ]
 
 
 def check_nash_preservation(
@@ -483,50 +453,46 @@ def check_nash_preservation(
     resolution: int = DEFAULT_GRID_RESOLUTION,
 ) -> list[TheoremReport]:
     """With pure beliefs, maximal reductions preserve the pure equilibrium set
-    exactly (both directions hold on finite games)."""
+    exactly (both directions hold on finite games); each direction is checked
+    on every trace."""
     instance = _instance_name(game)
-    belief_kind = BeliefKind.PURE
-    cache = OracleCache(belief_kind)
-    nash_before = set(pure_nash(game))
-    traces: list[Trace] = []
-    if kind is not ReductionKind.DARROW:
-        traces.append(
-            iterate(game, kind, belief_kind, Policy.FAST, resolution=resolution,
-                    cache=cache)
-        )
-    traces.extend(
-        random_order_traces(
-            game, kind, belief_kind, num_orders, seed, resolution, cache
-        )
+    traces = _fast_and_orders(
+        game, kind, BeliefKind.PURE, num_orders, seed, resolution,
+        OracleCache(BeliefKind.PURE),
     )
-    forward_ok = True
-    backward_ok = True
-    counter: tuple[str, ...] = ()
-    for t in traces:
-        if t.outcome.is_nondegenerate():
-            nash_after = set(pure_nash(t.outcome))
-        else:
-            nash_after = set()
-        if not nash_before <= nash_after:
-            forward_ok = False
-            counter = (t.render(), f"lost equilibria {sorted(nash_before - nash_after)}")
-            break
-        if not nash_after <= nash_before:
-            backward_ok = False
-            counter = (t.render(), f"new equilibria {sorted(nash_after - nash_before)}")
-            break
+    before = set(pure_nash(game))
+    after = [
+        (t, set(pure_nash(t.outcome)) if t.outcome.is_nondegenerate() else set())
+        for t in traces
+    ]
+    lost = next(
+        (
+            (t.render(), f"lost equilibria {sorted(before - nash)}")
+            for t, nash in after
+            if not before <= nash
+        ),
+        None,
+    )
+    gained = next(
+        (
+            (t.render(), f"new equilibria {sorted(nash - before)}")
+            for t, nash in after
+            if not nash <= before
+        ),
+        None,
+    )
     return [
         _report(
-            "nash_preservation_i", instance, seed, forward_ok,
+            "nash_preservation_i", instance, seed, lost is None,
             "every equilibrium of the game survives into every outcome",
             "an equilibrium was eliminated",
-            counter,
+            lost,
         ),
         _report(
-            "nash_preservation_ii", instance, seed, backward_ok,
+            "nash_preservation_ii", instance, seed, gained is None,
             "outcomes introduce no new equilibria",
             "an outcome gained an equilibrium",
-            counter,
+            gained,
         ),
     ]
 
@@ -549,49 +515,40 @@ def check_oracle_agreement(
 ) -> list[TheoremReport]:
     """Cross-check the correlated LP verdicts against grid enumeration.
 
-    Every grid witness must be confirmed as a best response, and whenever the
-    LP says never-best no grid point may be a witness.
+    Every witness the oracle returns must be confirmed as a best response,
+    and whenever the LP says never-best no grid point may be a witness.
     """
-    instance = _instance_name(game)
     cache = OracleCache(BeliefKind.CORRELATED)
     full = full_restriction(game)
-    ok = True
-    counter: tuple[str, ...] = ()
-    for player in range(game.players):
-        cmp = full_comparison(game, player)
-        profiles = list(game.opponent_profiles(player))
-        for s in range(game.sizes[player]):
-            cert = find_witness(
-                game, full, player, s, BeliefKind.CORRELATED, cmp, resolution, cache
-            )
-            grid_witness = next(
-                (
-                    mu
-                    for mu in grid_distributions(profiles, max_denominator)
-                    if is_best_response(game, player, s, mu, cmp)
-                ),
-                None,
-            )
-            if isinstance(cert, NeverBest) and grid_witness is not None:
-                ok = False
-                counter = (
-                    f"player {player + 1} strategy {s}: LP says never-best "
-                    f"but a grid witness exists",
+
+    def disagreements() -> Iterator[tuple[str, ...]]:
+        for player in range(game.players):
+            cmp = full_comparison(game, player)
+            profiles = list(game.opponent_profiles(player))
+            for s in range(game.sizes[player]):
+                cert = find_witness(
+                    game, full, player, s, BeliefKind.CORRELATED, cmp, resolution, cache
                 )
-            elif isinstance(cert, BestResponse):
-                if not is_best_response(game, player, s, cert.witness, cmp):
-                    ok = False
-                    counter = (
+                if isinstance(cert, NeverBest) and any(
+                    is_best_response(game, player, s, mu, cmp)
+                    for mu in grid_distributions(profiles, max_denominator)
+                ):
+                    yield (
+                        f"player {player + 1} strategy {s}: LP says never-best "
+                        f"but a grid witness exists",
+                    )
+                elif isinstance(cert, BestResponse) and not is_best_response(
+                    game, player, s, cert.witness, cmp
+                ):
+                    yield (
                         f"player {player + 1} strategy {s}: returned witness "
                         f"fails re-verification",
                     )
-            if not ok:
-                break
-        if not ok:
-            break
+
+    counter = next(disagreements(), None)
     return [
         _report(
-            "oracle_agreement", instance, seed, ok,
+            "oracle_agreement", _instance_name(game), seed, counter is None,
             f"LP verdicts consistent with denominator-{max_denominator} grid",
             "LP and grid enumeration disagree",
             counter,
@@ -607,40 +564,33 @@ def check_kind_monotonicity(
     """Never-best under correlated beliefs implies never-best under independent
     mixed beliefs implies never-best under pure beliefs; with two players the
     correlated and mixed verdicts coincide."""
-    instance = _instance_name(game)
     full = full_restriction(game)
     caches = {k: OracleCache(k) for k in BeliefKind}
-    ok = True
-    counter: tuple[str, ...] = ()
-    for player in range(game.players):
-        cmp = full_comparison(game, player)
-        for s in range(game.sizes[player]):
-            certs = {
-                k: find_witness(game, full, player, s, k, cmp, resolution, caches[k])
-                for k in BeliefKind
-            }
-            nbr = {k: isinstance(c, NeverBest) for k, c in certs.items()}
-            br = {k: isinstance(c, BestResponse) for k, c in certs.items()}
-            chain_ok = (
-                (not nbr[BeliefKind.CORRELATED] or not br[BeliefKind.INDEPENDENT_MIXED])
-                and (not nbr[BeliefKind.INDEPENDENT_MIXED] or not br[BeliefKind.PURE])
-            )
-            if game.players == 2:
-                chain_ok = chain_ok and (
-                    nbr[BeliefKind.CORRELATED] == nbr[BeliefKind.INDEPENDENT_MIXED]
-                )
-            if not chain_ok:
-                ok = False
-                counter = (
-                    f"player {player + 1} strategy {s}: "
-                    + ", ".join(f"{k.value}={type(c).__name__}" for k, c in certs.items()),
-                )
-                break
-        if not ok:
-            break
+
+    def breaks() -> Iterator[tuple[str, ...]]:
+        for player in range(game.players):
+            cmp = full_comparison(game, player)
+            for s in range(game.sizes[player]):
+                certs = {
+                    k: find_witness(game, full, player, s, k, cmp, resolution, caches[k])
+                    for k in BeliefKind
+                }
+                pure, mixed, corr = certs.values()
+                if (
+                    isinstance(corr, NeverBest) and isinstance(mixed, BestResponse)
+                    or isinstance(mixed, NeverBest) and isinstance(pure, BestResponse)
+                    or game.players == 2
+                    and isinstance(corr, NeverBest) != isinstance(mixed, NeverBest)
+                ):
+                    yield (
+                        f"player {player + 1} strategy {s}: "
+                        + ", ".join(f"{k.value}={type(c).__name__}" for k, c in certs.items()),
+                    )
+
+    counter = next(breaks(), None)
     return [
         _report(
-            "kind_monotonicity", instance, seed, ok,
+            "kind_monotonicity", _instance_name(game), seed, counter is None,
             "never-best verdicts are monotone across belief kinds",
             "the belief-kind chain broke",
             counter,

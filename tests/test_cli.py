@@ -3,13 +3,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nbrelim import verification
 from nbrelim.catalog import gap_3x2
-from nbrelim.cli import main
+from nbrelim.cli import _POLICIES, main
 from nbrelim.games import parse_game
 
 
@@ -174,6 +179,21 @@ class TestVerify:
         )
         assert code == 0
 
+    def test_orders_reach_equivalence(self, capsys, monkeypatch):
+        seen = []
+
+        def spy(game, belief_kind, **kwargs):
+            seen.append(kwargs["num_orders"])
+            return []
+
+        monkeypatch.setattr(verification, "check_equivalence", spy)
+        code, _, _ = run(
+            capsys, "verify", "equivalence", "--game", "catalog:gap3x2",
+            "--orders", "2",
+        )
+        assert code == 0
+        assert seen == [2]
+
     def test_records_format(self, capsys):
         code, out, _ = run(
             capsys, "verify", "kind-monotonicity", "--game", "catalog:gap3x2",
@@ -198,6 +218,34 @@ class TestVerify:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+
+class TestConsoleScript:
+    """The module entry point, as the installed `nbrelim` script runs it."""
+
+    def _run(self, *argv):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        return subprocess.run(
+            [sys.executable, "-m", "nbrelim.cli", *argv],
+            env=env, capture_output=True, text=True, encoding="utf-8",
+        )
+
+    def test_catalog_list(self):
+        result = self._run("catalog", "list")
+        assert result.returncode == 0
+        assert result.stdout.startswith("bertrand100: ")
+
+    def test_unsupported_exit_code(self):
+        result = self._run(
+            "solve", "--game", "catalog:gap3x2", "--relation", "darrow",
+            "--policy", "fast",
+        )
+        assert result.returncode == 3
+        assert result.stderr.startswith("unsupported: ")
+
+    def test_policy_choices(self):
+        assert list(_POLICIES) == ["fast", "random", "single"]
 
 
 class TestNumericFlags:

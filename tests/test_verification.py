@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from nbrelim.beliefs import BeliefKind
+from nbrelim import verification
+from nbrelim.beliefs import BeliefKind, point_distribution
 from nbrelim.catalog import (
     bertrand_grid,
     chase_3p,
@@ -14,8 +15,11 @@ from nbrelim.catalog import (
     naturals_truncated,
     random_game,
 )
-from nbrelim.games import FiniteGame, InputError, full_restriction, restrict, restrict_by_labels
-from nbrelim.reductions import ReductionKind
+from nbrelim.games import (
+    FiniteGame, InputError, full_restriction, join, restrict, restrict_by_labels,
+)
+from nbrelim.oracle import BestResponse, NeverBest
+from nbrelim.reductions import Policy, ReductionKind, Rejection, Trace
 from nbrelim.verification import (
     TheoremReport,
     check_equivalence,
@@ -298,3 +302,410 @@ class TestReportShape:
     def test_render_line(self):
         report = TheoremReport("largest_closed", "2x2:def", 0, "fail", "boom")
         assert report.render() == "largest_closed 2x2:def seed=0: fail (boom)"
+
+
+def _instance(game):
+    return "x".join(map(str, game.sizes)) + ":" + game.digest()
+
+
+def _fake_iterate(monkeypatch, pick):
+    """Stand in for `verification.iterate`.  `pick(kind, policy)` gives the
+    kept sets and maximality of a stepless trace, or None for a real run.
+    Returns the traces handed out, in call order."""
+    real = verification.iterate
+    handed = []
+
+    def fake(game, kind, belief_kind, policy, seed=0, resolution=8, cache=None):
+        choice = pick(kind, policy)
+        if choice is None:
+            trace = real(
+                game, kind, belief_kind, policy, seed=seed,
+                resolution=resolution, cache=cache,
+            )
+        else:
+            kept, maximal = choice
+            trace = Trace(
+                game, kind, belief_kind, policy, seed, (), restrict(game, kept), maximal
+            )
+        handed.append(trace)
+        return trace
+
+    monkeypatch.setattr(verification, "iterate", fake)
+    return handed
+
+
+def _coordination(n):
+    return FiniteGame.from_function(
+        [[f"a{s}" for s in range(n)], [f"b{s}" for s in range(n)]],
+        lambda p: (1, 1) if p[0] == p[1] else (0, 0),
+    )
+
+
+_ONLY_EQUILIBRIUM_00 = {  # a 2x2 game whose one pure equilibrium is (0, 0)
+    (0, 0): (2, 2), (0, 1): (0, 0),
+    (1, 0): (0, 0), (1, 1): (1, -1),
+}
+
+
+class TestFailPaths:
+    """Every fail and unknown report, forced by stubbing the engine calls."""
+
+    def test_order_independence_mismatch(self, g, monkeypatch):
+        handed = _fake_iterate(
+            monkeypatch,
+            lambda kind, policy: None if policy is Policy.FAST else ([(0,), (0,)], True),
+        )
+        reports = check_order_independence(g, BeliefKind.PURE, num_orders=2)
+        inst = _instance(g)
+        assert reports == [
+            TheoremReport(
+                "order_independence", inst, 0, "fail",
+                "a random order reached a different outcome",
+                (handed[0].render(), handed[1].render()),
+            ),
+            TheoremReport(
+                "largest_closed", inst, 0, "pass",
+                "outcome is closed and no larger closed restriction was found",
+            ),
+            TheoremReport(
+                "nondegenerate_outcome", inst, 0, "pass",
+                "all outcomes keep every player non-empty",
+            ),
+        ]
+
+    def test_order_independence_unknown_for_non_maximal_mixed_3p(self, monkeypatch):
+        game = random_game(3, [2, 2, 2], 3, seed=1)
+        handed = _fake_iterate(monkeypatch, lambda kind, policy: ([(0, 1)] * 3, False))
+        reports = check_order_independence(
+            game, BeliefKind.INDEPENDENT_MIXED, num_orders=2, seed=4
+        )
+        assert reports == [
+            TheoremReport(
+                "order_independence", _instance(game), 4, "unknown",
+                "inconclusive certificates block a maximality proof",
+            )
+        ]
+        assert [t.policy for t in handed] == [
+            Policy.FAST, Policy.RANDOM_PARTIAL, Policy.SINGLE_RANDOM,
+        ]
+
+    @pytest.mark.parametrize(
+        "closed, verdict, details",
+        [
+            (None, "unknown", "closedness of the outcome is undecided"),
+            (False, "fail", "outcome is not closed"),
+        ],
+    )
+    def test_largest_closed_outcome_not_closed(self, g, monkeypatch, closed, verdict, details):
+        monkeypatch.setattr(verification, "is_closed", lambda *args: closed)
+        reports = check_order_independence(g, BeliefKind.PURE, num_orders=2)
+        counterexample = ("{T}x{L,R}",) if verdict == "fail" else ()
+        assert reports[1] == TheoremReport(
+            "largest_closed", _instance(g), 0, verdict, details, counterexample
+        )
+        assert [r.verdict for r in reports] == ["pass", verdict, "pass"]
+
+    def test_largest_closed_lattice_escape(self, g, monkeypatch):
+        _fake_iterate(monkeypatch, lambda kind, policy: ([(0,), (0,)], True))
+        reports = check_order_independence(g, BeliefKind.PURE, num_orders=2)
+        assert reports[1] == TheoremReport(
+            "largest_closed", _instance(g), 0, "fail",
+            "closed restriction {T}x{R} escapes the outcome", ("{T}x{R}",),
+        )
+
+    def _sampled_supersets(self, game, outcome, seed):
+        rng = random.Random(verification.child_seed(seed, 999))
+        samples = [
+            join(outcome, random_restriction(game, rng, nondegenerate=False))
+            for _ in range(20)
+        ]
+        return [c for c in samples if c != outcome]
+
+    def test_largest_closed_sampled_supersets_then_equilibria(self, monkeypatch):
+        # 14 strategies: past the lattice, the sampled supersets of the
+        # forced outcome {a0}x{b0} are all unclosed, so the first equilibrium
+        # singleton outside the outcome is the counterexample
+        game = _coordination(7)
+        _fake_iterate(monkeypatch, lambda kind, policy: ([(0,), (0,)], True))
+        real = verification.is_closed
+        asked = []
+
+        def spy(game, restriction, *args):
+            asked.append(restriction)
+            return real(game, restriction, *args)
+
+        monkeypatch.setattr(verification, "is_closed", spy)
+        reports = check_order_independence(game, BeliefKind.PURE, num_orders=2, seed=3)
+        assert reports[1] == TheoremReport(
+            "largest_closed", _instance(game), 3, "fail",
+            "closed restriction {a1}x{b1} escapes the outcome", ("{a1}x{b1}",),
+        )
+        outcome = restrict(game, [(0,), (0,)])
+        expected = [outcome] + self._sampled_supersets(game, outcome, 3)
+        assert len(expected) > 10
+        assert asked[: len(expected)] == expected
+        assert all(len(r.kept[0]) == len(r.kept[1]) == 1 for r in asked[len(expected):])
+
+    def test_largest_closed_first_closed_sample(self, monkeypatch):
+        game = _coordination(7)
+        _fake_iterate(monkeypatch, lambda kind, policy: ([(0,), (0,)], True))
+        monkeypatch.setattr(verification, "is_closed", lambda *args: True)
+        reports = check_order_independence(game, BeliefKind.PURE, num_orders=2, seed=3)
+        first = self._sampled_supersets(game, restrict(game, [(0,), (0,)]), 3)[0]
+        assert reports[1] == TheoremReport(
+            "largest_closed", _instance(game), 3, "fail",
+            f"closed restriction {first.render()} escapes the outcome",
+            (first.render(),),
+        )
+
+    def test_degenerate_outcome(self, g, monkeypatch):
+        handed = _fake_iterate(
+            monkeypatch,
+            lambda kind, policy: None if policy is not Policy.SINGLE_RANDOM else ([(0,), ()], True),
+        )
+        reports = check_order_independence(g, BeliefKind.PURE, num_orders=2)
+        assert reports[0].verdict == "fail"
+        assert reports[2] == TheoremReport(
+            "nondegenerate_outcome", _instance(g), 0, "fail",
+            "an outcome lost a player's whole strategy set", (handed[2].render(),),
+        )
+
+    def test_fast_dominance_unknown(self, g, monkeypatch):
+        _fake_iterate(
+            monkeypatch,
+            lambda kind, policy: None if policy is Policy.FAST else ([(0,), (0, 1)], False),
+        )
+        inst = _instance(g)
+        assert check_fast_dominance(g, BeliefKind.PURE, num_orders=2) == [
+            TheoremReport(
+                theorem, inst, 0, "unknown",
+                "inconclusive certificates block a maximality proof",
+            )
+            for theorem in ("fast_dominance_i", "fast_dominance_ii")
+        ]
+
+    def test_fast_dominance_containment_breaks(self, g, monkeypatch):
+        handed = _fake_iterate(
+            monkeypatch,
+            lambda kind, policy: None if policy is Policy.FAST else ([(0,), (0,)], True),
+        )
+        reports = check_fast_dominance(g, BeliefKind.PURE, num_orders=2)
+        inst = _instance(g)
+        assert reports == [
+            TheoremReport(
+                "fast_dominance_i", inst, 0, "fail", "containment broke",
+                ("index 1", handed[0].render(), handed[1].render()),
+            ),
+            TheoremReport(
+                "fast_dominance_ii", inst, 0, "pass",
+                "fast step count is minimal among sampled orders",
+            ),
+        ]
+
+    def test_fast_dominance_shorter_order(self, g, monkeypatch):
+        handed = _fake_iterate(
+            monkeypatch,
+            lambda kind, policy: None if policy is Policy.FAST else ([(0,), (0, 1)], True),
+        )
+        reports = check_fast_dominance(g, BeliefKind.PURE, num_orders=2)
+        inst = _instance(g)
+        assert reports == [
+            TheoremReport(
+                "fast_dominance_i", inst, 0, "pass",
+                "fast trace contained stepwise in every sampled order",
+            ),
+            TheoremReport(
+                "fast_dominance_ii", inst, 0, "fail",
+                "a shorter order reached the fast outcome",
+                (handed[0].render(), handed[1].render()),
+            ),
+        ]
+
+    @pytest.mark.parametrize("rejected", [ReductionKind.ARROW, ReductionKind.DARROW])
+    def test_equivalence_step_rejected(self, g, monkeypatch, rejected):
+        asked = []
+        rejection = Rejection(1, 0, NeverBest("exhaustive"), "witness")
+
+        def fake(game, source, target, kind, *args):
+            asked.append((source, target, kind))
+            return rejection if kind is rejected else None
+
+        monkeypatch.setattr(verification, "validate_step", fake)
+        reports = check_equivalence(g, BeliefKind.PURE, seed=2)
+        source, target, _ = asked[0]
+        assert [kind for _, _, kind in asked] == [ReductionKind.ARROW, ReductionKind.DARROW]
+        assert reports[0] == TheoremReport(
+            "equivalence_i", _instance(g), 2, "fail",
+            "an arrow step failed to validate as darrow",
+            (
+                f"source {source.render()} target {target.render()}",
+                "player 2 strategy 0 (witness)",
+            ),
+        )
+        assert [r.verdict for r in reports] == ["fail", "pass", "pass"]
+
+    def test_equivalence_unknown(self, g, monkeypatch):
+        _fake_iterate(
+            monkeypatch,
+            lambda kind, policy: None if kind is ReductionKind.TILDE else ([(0,), (0, 1)], False),
+        )
+        reports = check_equivalence(g, BeliefKind.PURE, num_orders=1)
+        assert reports[1:] == [
+            TheoremReport(
+                "equivalence_ii", _instance(g), 0, "unknown",
+                "inconclusive certificates block a maximality proof",
+            )
+        ]
+        assert reports[0].verdict == "pass"
+
+    def test_equivalence_mismatch_and_degenerate(self, g, monkeypatch):
+        handed = _fake_iterate(
+            monkeypatch,
+            lambda kind, policy: (
+                None if policy is Policy.FAST and kind is ReductionKind.TILDE
+                else ([(0,), ()], True)
+            ),
+        )
+        reports = check_equivalence(g, BeliefKind.PURE, num_orders=1)
+        inst = _instance(g)
+        assert [t.kind for t in handed] == [
+            ReductionKind.TILDE, ReductionKind.ARROW,
+            ReductionKind.TILDE, ReductionKind.ARROW, ReductionKind.DARROW,
+        ]
+        assert reports[1:] == [
+            TheoremReport(
+                "equivalence_ii", inst, 0, "fail",
+                "a relation reached a different outcome",
+                (handed[0].render(), handed[1].render()),
+            ),
+            TheoremReport(
+                "nondegenerate_outcome", inst, 0, "fail",
+                "an outcome lost a player's whole strategy set", (handed[1].render(),),
+            ),
+        ]
+
+    def test_nash_equilibrium_lost(self, monkeypatch):
+        game = FiniteGame([["U", "D"], ["l", "r"]], _ONLY_EQUILIBRIUM_00)
+        assert pure_nash(game) == ((0, 0),)
+        handed = _fake_iterate(monkeypatch, lambda kind, policy: ([(0,), ()], True))
+        reports = check_nash_preservation(game, ReductionKind.ARROW, num_orders=2)
+        inst = _instance(game)
+        assert [t.policy for t in handed] == [
+            Policy.FAST, Policy.RANDOM_PARTIAL, Policy.SINGLE_RANDOM,
+        ]
+        assert reports == [
+            TheoremReport(
+                "nash_preservation_i", inst, 0, "fail", "an equilibrium was eliminated",
+                (handed[0].render(), "lost equilibria [(0, 0)]"),
+            ),
+            TheoremReport(
+                "nash_preservation_ii", inst, 0, "pass",
+                "outcomes introduce no new equilibria",
+            ),
+        ]
+
+    def test_nash_equilibrium_gained(self, monkeypatch):
+        # (0, 0) is the only equilibrium; inside {U,M}x{l,c} so is (1, 1),
+        # where player 1 would rather play D
+        table = {
+            (0, 0): (2, 2), (0, 1): (0, 0), (0, 2): (0, 0),
+            (1, 0): (0, 0), (1, 1): (1, 1), (1, 2): (0, 0),
+            (2, 0): (0, 1), (2, 1): (3, 0), (2, 2): (0, 0),
+        }
+        game = FiniteGame([["U", "M", "D"], ["l", "c", "r"]], table)
+        assert pure_nash(game) == ((0, 0),)
+        handed = _fake_iterate(monkeypatch, lambda kind, policy: ([(0, 1), (0, 1)], True))
+        reports = check_nash_preservation(game, ReductionKind.DARROW, num_orders=2)
+        inst = _instance(game)
+        assert all(t.policy is not Policy.FAST for t in handed)
+        assert reports == [
+            TheoremReport(
+                "nash_preservation_i", inst, 0, "pass",
+                "every equilibrium of the game survives into every outcome",
+            ),
+            TheoremReport(
+                "nash_preservation_ii", inst, 0, "fail",
+                "an outcome gained an equilibrium",
+                (handed[0].render(), "new equilibria [(1, 1)]"),
+            ),
+        ]
+
+    @pytest.mark.parametrize(
+        "cert, line",
+        [
+            (NeverBest("lp"), "LP says never-best but a grid witness exists"),
+            (
+                BestResponse(point_distribution((1,))),
+                "returned witness fails re-verification",
+            ),
+        ],
+    )
+    def test_oracle_disagreement(self, monkeypatch, cert, line):
+        game = FiniteGame([["U", "D"], ["l", "r"]], _ONLY_EQUILIBRIUM_00)
+        asked = []
+
+        def fake(game, restriction, player, strategy, *args):
+            asked.append((player, strategy))
+            return cert
+
+        monkeypatch.setattr(verification, "find_witness", fake)
+        reports = check_oracle_agreement(game, seed=5)
+        assert asked == [(0, 0)]
+        assert reports == [
+            TheoremReport(
+                "oracle_agreement", _instance(game), 5, "fail",
+                "LP and grid enumeration disagree", (f"player 1 strategy 0: {line}",),
+            )
+        ]
+
+    @pytest.mark.parametrize(
+        "verdicts",
+        [
+            {"pure": True, "mixed": True, "correlated": False},
+            {"pure": True, "mixed": False, "correlated": True},
+            {"pure": False, "mixed": False, "correlated": True},
+        ],
+    )
+    def test_kind_chain_breaks(self, monkeypatch, verdicts):
+        game = FiniteGame([["U", "D"], ["l", "r"]], _ONLY_EQUILIBRIUM_00)
+        asked = []
+
+        def fake(game, restriction, player, strategy, kind, *args):
+            asked.append((player, strategy, kind))
+            if verdicts[kind.value]:
+                return BestResponse(point_distribution((0,)))
+            return NeverBest("lp")
+
+        monkeypatch.setattr(verification, "find_witness", fake)
+        reports = check_kind_monotonicity(game, seed=6)
+        assert asked == [(0, 0, kind) for kind in BeliefKind]
+        names = {True: "BestResponse", False: "NeverBest"}
+        assert reports == [
+            TheoremReport(
+                "kind_monotonicity", _instance(game), 6, "fail",
+                "the belief-kind chain broke",
+                (
+                    "player 1 strategy 0: "
+                    + ", ".join(f"{k}={names[v]}" for k, v in verdicts.items()),
+                ),
+            )
+        ]
+
+    def test_nash_each_direction_checks_every_trace(self, monkeypatch):
+        # every outcome drops (0, 0) and gains (1, 1): both directions fail,
+        # each with its own counterexample
+        game = FiniteGame([["U", "D"], ["l", "r"]], _ONLY_EQUILIBRIUM_00)
+        handed = _fake_iterate(monkeypatch, lambda kind, policy: ([(1,), (1,)], True))
+        reports = check_nash_preservation(game, ReductionKind.TILDE, num_orders=2)
+        inst = _instance(game)
+        assert reports == [
+            TheoremReport(
+                "nash_preservation_i", inst, 0, "fail", "an equilibrium was eliminated",
+                (handed[0].render(), "lost equilibria [(0, 0)]"),
+            ),
+            TheoremReport(
+                "nash_preservation_ii", inst, 0, "fail",
+                "an outcome gained an equilibrium",
+                (handed[0].render(), "new equilibria [(1, 1)]"),
+            ),
+        ]
