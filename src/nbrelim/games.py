@@ -82,11 +82,11 @@ class FiniteGame:
     Profiles are tuples of strategy indices; the tensor is stored flat in
     row-major (player-0-major) order, once, as integers: `ipay[i][k]` is
     player i's payoff at flat index k times `scales[i]`, the lcm of that
-    player's payoff denominators.  `colmax[i][base]` is the best entry of
-    `ipay[i]` against the opponent profile at tensor offset `base`, over the
-    full strategy set.  Best-response comparisons are invariant under the
-    positive scaling, so scans run on plain ints; `payoff` forms the
-    `Fraction` on demand.
+    player's payoff denominators.  `colmax[i]` maps the tensor offset of
+    each opponent profile to the best entry of `ipay[i]` against it.
+    Best-response comparisons are invariant under the positive scaling, so
+    scans run on plain ints; `payoff` forms the `Fraction` on demand.
+    `offsets[i]` is player i's first bit in `Restriction.bits`.
     """
 
     __slots__ = (
@@ -97,6 +97,8 @@ class FiniteGame:
         "ipay",
         "scales",
         "colmax",
+        "offsets",
+        "_opponents",
         "_digest",
         "_hash",
     )
@@ -126,6 +128,8 @@ class FiniteGame:
         for i in range(n - 2, -1, -1):
             strides[i] = strides[i + 1] * self.sizes[i + 1]
         self.strides = tuple(strides)
+        self.offsets = tuple(itertools.accumulate(self.sizes[:-1], initial=0))
+        self._opponents = tuple(tuple(j for j in range(n) if j != i) for i in range(n))
         total = strides[0] * self.sizes[0]
 
         # A total table keyed by exactly the profiles is read in one pass;
@@ -155,13 +159,11 @@ class FiniteGame:
                 col = [q if isinstance(q, (int, Fraction)) else Fraction(q) for q in col]
                 scale = math.lcm(*{q.denominator for q in col})
                 col = [q.numerator * (scale // q.denominator) for q in col]
-            span = self.sizes[i] * strides[i]
-            best: list[int | None] = [None] * total
-            for base in self.opponent_bases(i):
-                best[base] = max(col[base : base + span : strides[i]])
+            span, step = self.sizes[i] * strides[i], strides[i]
+            bases = self.opponent_bases(i)
+            colmax.append({b: max(col[b : b + span : step]) for b in bases})
             ipay.append(tuple(col))
             scales.append(scale)
-            colmax.append(tuple(best))
             texts.append(_numerals(col, scale))
         self.ipay = tuple(ipay)
         self.scales = tuple(scales)
@@ -206,7 +208,7 @@ class FiniteGame:
         return Fraction(self.ipay[player][self.flat_index(profile)], self.scales[player])
 
     def opponents(self, player: int) -> tuple[int, ...]:
-        return tuple(j for j in range(self.players) if j != player)
+        return self._opponents[player]
 
     def opponent_bases(
         self, player: int, kept: Sequence[Sequence[int]] | None = None
@@ -288,7 +290,7 @@ class Restriction:
     Payoffs are inherited from the parent, never copied.  Empty components are
     allowed; `classify` distinguishes the degenerate cases.  `bits` holds the
     kept strategies as one integer, player after player: strategy s of player
-    i is bit `sum(sizes[:i]) + s`.
+    i is bit `parent.offsets[i] + s`.
     """
 
     parent: FiniteGame
@@ -299,14 +301,13 @@ class Restriction:
         if len(self.kept) != self.parent.players:
             raise InputError("restriction arity does not match the game")
         norm = []
-        bits = offset = 0
-        for i, ks in enumerate(self.kept):
+        bits = 0
+        for i, (ks, offset) in enumerate(zip(self.kept, self.parent.offsets)):
             uniq = tuple(sorted(set(ks)))
             if uniq and (uniq[0] < 0 or uniq[-1] >= self.parent.sizes[i]):
                 raise InputError(f"kept set for player {i + 1} out of range")
             norm.append(uniq)
             bits |= sum(1 << s for s in uniq) << offset
-            offset += self.parent.sizes[i]
         object.__setattr__(self, "kept", tuple(norm))
         object.__setattr__(self, "bits", bits)
 
@@ -353,8 +354,7 @@ class Restriction:
             if bad:
                 raise InputError(f"cannot remove absent strategies {sorted(bad)}")
             kept[i] = tuple(s for s in kept[i] if s not in gone_set)
-            offset = sum(self.parent.sizes[:i])
-            bits &= ~sum(1 << (offset + s) for s in gone_set)
+            bits &= ~(sum(1 << s for s in gone_set) << self.parent.offsets[i])
         new = object.__new__(Restriction)
         object.__setattr__(new, "parent", self.parent)
         object.__setattr__(new, "kept", tuple(kept))

@@ -323,13 +323,13 @@ class OracleCache:
 
     Along one `iterate` run restrictions shrink and comparison sets never
     grow (tilde: the full sets; arrow: the kept set; darrow: the kept set
-    minus the strategy), so a witness whose support survives answers with
-    mask tests alone: the residual supports of arc consistency (Lecoutre &
-    Hemery, IJCAI 2007).  The cache binds to the first game it serves;
-    another game or belief kind is an `InputError`.
+    minus the strategy), so an answer holds until a strategy it rests on is
+    removed: the residual supports of arc consistency (Lecoutre & Hemery,
+    IJCAI 2007) that `reductions.Frontier` watches; `support` is the last
+    witness's opponent mask.  A second game or belief kind is an `InputError`.
     """
 
-    __slots__ = ("kind", "game", "witnesses", "never_best")
+    __slots__ = ("kind", "game", "witnesses", "never_best", "support")
 
     DEPTH = 8
 
@@ -338,6 +338,7 @@ class OracleCache:
         self.game: FiniteGame | None = None
         self.witnesses: dict[tuple[int, int], list[list]] = {}
         self.never_best: dict[tuple[int, int], list[tuple]] = {}
+        self.support = 0
 
     def bind(self, game: FiniteGame, kind: BeliefKind) -> None:
         if kind is not self.kind:
@@ -356,13 +357,14 @@ class OracleCache:
         for entry in self.witnesses.get(key, ()):
             if entry[1] & ~restriction_bits:
                 continue
-            if not cmp.bits & ~entry[2]:
-                return entry[0]
-            if _int_witness_check(
-                self.game, player, strategy, entry[3], entry[4], cmp
-            ):
+            if cmp.bits & ~entry[2]:
+                if not _int_witness_check(
+                    self.game, player, strategy, entry[3], entry[4], cmp
+                ):
+                    continue
                 entry[2] |= cmp.bits
-                return entry[0]
+            self.support = entry[1]
+            return entry[0]
         for known_cmp, known_bits, cert in self.never_best.get(key, ()):
             if not known_cmp & ~cmp.bits and not restriction_bits & ~known_bits:
                 return cert
@@ -377,13 +379,14 @@ class OracleCache:
         cert: Certificate,
     ) -> None:
         game = self.game
-        offsets = list(itertools.accumulate(game.sizes, initial=0))
+        offsets = game.offsets
         if isinstance(cert, BestResponse):
             support = 0
             opps = game.opponents(player)
             for profile in cert.witness.support():
                 for j, t in zip(opps, profile):
                     support |= 1 << (offsets[j] + t)
+            self.support = support
             bases, nums, _ = integer_form(game, player, cert.witness)
             entries = self.witnesses.setdefault((player, strategy), [])
             entries.insert(0, [cert, support, cmp.bits, bases, nums])

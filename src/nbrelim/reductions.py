@@ -15,9 +15,10 @@ exists), and `iterate` drives maximal sequences under several elimination
 policies.  Traces record every removal with its certificate.
 
 The one memo is the `OracleCache` a caller passes (`iterate` makes one when
-none is given); its docstring states why a remembered answer is sound, and
-why along one run a sweep re-queries only the strategies whose witness lost
-a support strategy.
+none is given); its docstring states why a remembered answer is sound.  An
+`iterate` run keeps a `Frontier` of answers and what each watches, so a sweep
+re-decides only what a removal touched.  A one-off sweep has no next sweep to
+serve, so it decides every kept strategy and keeps no state.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .beliefs import BeliefKind
 from .games import FiniteGame, InputError, Restriction, full_restriction
@@ -36,6 +37,7 @@ from .oracle import (
     ComparisonSet,
     EmptyBeliefSet,
     Inconclusive,
+    NeverBest,
     OracleCache,
     _column_best,
     _find_witness_fast,
@@ -211,6 +213,60 @@ def validate_step(
     return Step(source, target, removed, kind, belief_kind, tuple(certs))
 
 
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+class Frontier:
+    """The standing answers of one `iterate` run.  An answer holds while
+    what it watches is kept: a witness its opponent support
+    (`OracleCache.support`); a tilde never-best fact nothing, its
+    comparison set being fixed and a smaller restriction keeping it a fact;
+    an arrow or darrow one its player's kept set, the comparison set it was
+    proved against.  A sweep re-decides what a removal touched, and every
+    `Inconclusive` answer."""
+
+    def __init__(self, game: FiniteGame, kind: ReductionKind) -> None:
+        self.kind, self.bits, self.inconclusive = kind, None, 0
+        self.watchers: dict[int, int] = {}  # bit -> mask of witnesses on it
+        self.never_best: list[dict[int, Certificate]] = [{} for _ in game.sizes]
+
+    def stale(self, restriction: Restriction) -> Sequence[Iterable[int]]:
+        """Per player, the kept strategies a sweep of `restriction` decides."""
+        previous, self.bits = self.bits, restriction.bits
+        if previous is None:
+            return restriction.kept
+        gone = previous & ~self.bits
+        dirty, self.inconclusive = self.inconclusive, 0
+        for bit in _bits(gone):
+            dirty |= self.watchers.pop(bit, 0)
+        dirty &= self.bits
+        game, todo = restriction.parent, []
+        for never_best, offset, size in zip(self.never_best, game.offsets, game.sizes):
+            full = (1 << size) - 1
+            if lost := gone >> offset & full:
+                for s in _bits(lost):
+                    never_best.pop(s, None)
+                if self.kind is not ReductionKind.TILDE:
+                    dirty |= sum(1 << s for s in never_best) << offset
+            todo.append(_bits(dirty >> offset & full))
+        return todo
+
+    def record(self, bit: int, cert: Certificate, support: int) -> None:
+        """`cert` is a witness, which watches `support`, or `Inconclusive`."""
+        if isinstance(cert, Inconclusive):
+            self.inconclusive |= 1 << bit
+            return
+        while support:  # `_bits` inlined: every witness answer passes here
+            low = support & -support
+            support ^= low
+            watched = low.bit_length() - 1
+            self.watchers[watched] = self.watchers.get(watched, 0) | 1 << bit
+
+
 def candidate_certificates(
     game: FiniteGame,
     restriction: Restriction,
@@ -218,6 +274,7 @@ def candidate_certificates(
     kind: ReductionKind,
     resolution: int = DEFAULT_GRID_RESOLUTION,
     cache: OracleCache | None = None,
+    frontier: Frontier | None = None,
 ) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, int], Certificate], bool]:
     """Per-player certified never-best strategies, their certificates, and
     whether any answer was inconclusive.
@@ -225,7 +282,9 @@ def candidate_certificates(
     Inconclusive strategies are never included, so the sets are a sound
     under-approximation; strategies facing an empty opponent component are
     vacuously never-best.  `cache` answers what it can and remembers the
-    rest; the result is the same as without it.
+    rest; the result is the same as without it.  `frontier` (with `cache`)
+    carries one run's answers from sweep to sweep; without it, every kept
+    strategy is decided and nothing is kept.
     """
     if restriction.parent != game:
         raise InputError("restriction does not belong to the game")
@@ -233,6 +292,7 @@ def candidate_certificates(
         cache.bind(game, belief_kind)
     kept = restriction.kept
     bits = restriction.bits
+    todo = kept if frontier is None else frontier.stale(restriction)
     removable: list[tuple[int, ...]] = []
     certs: dict[tuple[int, int], Certificate] = {}
     saw_inconclusive = False
@@ -242,12 +302,12 @@ def candidate_certificates(
             certs.update(((player, s), EmptyBeliefSet()) for s in kept[player])
             continue
         cmp = colmax = None
-        if kind is not ReductionKind.DARROW:
-            cmp = comparison_for(kind, game, restriction, restriction, player)
-        gone = []
-        for s in kept[player]:
+        gone = {} if frontier is None else frontier.never_best[player]
+        for s in todo[player]:
             if kind is ReductionKind.DARROW:
                 cmp = ComparisonSet(player, tuple(t for t in kept[player] if t != s))
+            elif cmp is None:
+                cmp = comparison_for(kind, game, restriction, restriction, player)
             cert = cache.lookup(player, s, bits, cmp) if cache is not None else None
             if cert is None:
                 if colmax is None and kind is not ReductionKind.DARROW:
@@ -258,14 +318,15 @@ def candidate_certificates(
                 )
                 if cache is not None:
                     cache.remember(player, s, bits, cmp, cert)
-            if isinstance(cert, BestResponse):
+            if isinstance(cert, NeverBest):
+                gone[s] = cert
                 continue
-            if isinstance(cert, Inconclusive):
-                saw_inconclusive = True
-            else:
-                gone.append(s)
-                certs[(player, s)] = cert
-        removable.append(tuple(gone))
+            saw_inconclusive |= isinstance(cert, Inconclusive)
+            if frontier is not None:
+                gone.pop(s, None)
+                frontier.record(game.offsets[player] + s, cert, cache.support)
+        removable.append(tuple(sorted(gone)))
+        certs.update({(player, s): cert for s, cert in gone.items()})
     return tuple(removable), certs, saw_inconclusive
 
 
@@ -357,48 +418,22 @@ def iterate(
     rng = random.Random(seed)
     current = full_restriction(game)
     steps: list[Step] = []
-    notes: list[str] = []
-    maximal = True
-
-    if policy is Policy.USER_SCRIPT:
-        for removal in script or ():
-            result = validate_step(
-                game,
-                current,
-                current.remove(removal),
-                kind,
-                belief_kind,
-                resolution,
-                cache,
-            )
-            if isinstance(result, Rejection):
-                raise IllegalStepError(result)
-            steps.append(result)
-            current = result.target
-        sets, _, saw_inconclusive = candidate_certificates(
-            game, current, belief_kind, kind, resolution, cache
+    for removal in script if policy is Policy.USER_SCRIPT else ():
+        result = validate_step(
+            game, current, current.remove(removal), kind, belief_kind, resolution, cache
         )
-        maximal = all(not s for s in sets)
-        if not maximal:
-            notes.append("script ended before a fixed point")
-        if saw_inconclusive:
-            notes.append("inconclusive strategies kept; sound, possibly non-maximal")
-        return Trace(
-            game, kind, belief_kind, policy, seed, tuple(steps), current, maximal,
-            tuple(notes),
-        )
+        if isinstance(result, Rejection):
+            raise IllegalStepError(result)
+        steps.append(result)
+        current = result.target
 
+    frontier = Frontier(game, kind)
     while True:
         sets, certs, saw_inconclusive = candidate_certificates(
-            game, current, belief_kind, kind, resolution, cache
+            game, current, belief_kind, kind, resolution, cache, frontier
         )
         flat = [(i, s) for i, gone in enumerate(sets) for s in gone]
-        if not flat:
-            if saw_inconclusive:
-                notes.append(
-                    "inconclusive strategies kept; sound, possibly non-maximal"
-                )
-                maximal = False
+        if not flat or policy is Policy.USER_SCRIPT:
             break
         if policy is Policy.FAST:
             chosen = flat
@@ -417,6 +452,10 @@ def iterate(
         steps.append(step)
         current = step.target
 
+    notes = ["script ended before a fixed point"] if flat else []
+    if saw_inconclusive:
+        notes.append("inconclusive strategies kept; sound, possibly non-maximal")
+    maximal = not flat and (policy is Policy.USER_SCRIPT or not saw_inconclusive)
     return Trace(
         game, kind, belief_kind, policy, seed, tuple(steps), current, maximal,
         tuple(notes),

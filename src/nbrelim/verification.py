@@ -192,24 +192,23 @@ def _instance_name(game: FiniteGame) -> str:
 def _larger_candidates(
     game: FiniteGame, outcome: Restriction, seed: int
 ) -> Iterator[Restriction]:
-    """Restrictions that could refute `outcome` being the largest closed one.
-
-    Games with at most 12 strategies in all yield their whole lattice;
-    larger ones yield 20 sampled supersets of `outcome`, then the singletons
-    of the pure equilibria (each one closed)."""
+    """Restrictions outside `outcome` that could refute it being the largest
+    closed one: the whole lattice of a game with at most 12 strategies in
+    all (tested on bit masks before it is built); else 20 sampled supersets
+    of `outcome`, then the singletons of the pure equilibria (each closed)."""
     if sum(game.sizes) <= 12:
         subsets = [
-            [tuple(s for s in range(size) if mask >> s & 1) for mask in range(1 << size)]
-            for size in game.sizes
+            [(tuple(s for s in range(size) if m >> s & 1), m << off) for m in range(1 << size)]
+            for size, off in zip(game.sizes, game.offsets)
         ]
-        for kept in itertools.product(*subsets):
-            yield Restriction(game, kept)
+        for combo in itertools.product(*subsets):
+            if sum(bits for _, bits in combo) & ~outcome.bits:
+                yield Restriction(game, tuple(kept for kept, _ in combo))
         return
     rng = random.Random(child_seed(seed, 999))
-    for _ in range(20):
-        yield join(outcome, random_restriction(game, rng, nondegenerate=False))
-    for profile in pure_nash(game):
-        yield Restriction(game, tuple((s,) for s in profile))
+    supersets = [join(outcome, random_restriction(game, rng, False)) for _ in range(20)]
+    singletons = [Restriction(game, tuple((s,) for s in p)) for p in pure_nash(game)]
+    yield from (c for c in supersets + singletons if not outcome.contains(c))
 
 
 def _fast_and_orders(
@@ -271,8 +270,7 @@ def check_order_independence(
         bad = next(
             (
                 c for c in _larger_candidates(game, outcome, seed)
-                if not outcome.contains(c)
-                and is_closed(game, c, belief_kind, resolution, cache)
+                if is_closed(game, c, belief_kind, resolution, cache)
             ),
             None,
         )

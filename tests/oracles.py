@@ -8,13 +8,16 @@ loop that the engine's integer pivots and support-only scan must follow
 step for step.  It also holds the belief-set definitions the tests check
 against (kinds, narrowed membership, pure enumeration) and a plain-`Fraction`
 reading, digest and rendering of game text for the integer game layer.
-Nothing imports the oracle or reduction machinery.
+Nothing imports the oracle or reduction machinery, except
+`iterate_reference`: the iteration loop with one stateless sweep per round,
+which the engine's watch-list frontier must match byte for byte.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 import re
 from fractions import Fraction
 
@@ -26,7 +29,7 @@ from nbrelim.beliefs import (
     as_product,
     point_distribution,
 )
-from nbrelim.games import FiniteGame, InputError
+from nbrelim.games import FiniteGame, InputError, full_restriction
 
 
 def best_response_set(game, player, opp_profile, candidates=None):
@@ -406,3 +409,49 @@ def render_game_reference(labels, table):
         vals = " ".join(_rational_text(q) for q in table[profile])
         out.append(f"payoff {names} : {vals}")
     return "\n".join(out) + "\n"
+
+
+def iterate_reference(game, kind, belief_kind, policy, seed, cache, resolution=2):
+    """`reductions.iterate` with a stateless `candidate_certificates` sweep of
+    every kept strategy each round, sharing `cache`: the loop before the
+    frontier, drawing the same random choices from the same sorted sets."""
+    from nbrelim.reductions import (
+        Policy,
+        ReductionKind,
+        Trace,
+        _certified_step,
+        _joint_darrow_step,
+        candidate_certificates,
+    )
+
+    rng = random.Random(seed)
+    current = full_restriction(game)
+    steps, notes, maximal = [], [], True
+    while True:
+        sets, certs, inconclusive = candidate_certificates(
+            game, current, belief_kind, kind, resolution, cache
+        )
+        flat = [(i, s) for i, gone in enumerate(sets) for s in gone]
+        if not flat:
+            if inconclusive:
+                notes.append("inconclusive strategies kept; sound, possibly non-maximal")
+                maximal = False
+            break
+        if policy is Policy.FAST:
+            chosen = flat
+        elif policy is Policy.SINGLE_RANDOM:
+            chosen = [flat[rng.randrange(len(flat))]]
+        else:
+            chosen = []
+            while not chosen:
+                chosen = [pair for pair in flat if rng.getrandbits(1)]
+        if kind is ReductionKind.DARROW:
+            step = _joint_darrow_step(game, current, chosen, belief_kind, resolution, cache)
+        else:
+            step = _certified_step(current, chosen, kind, belief_kind, certs)
+        steps.append(step)
+        current = step.target
+    return Trace(
+        game, kind, belief_kind, policy, seed, tuple(steps), current, maximal,
+        tuple(notes),
+    )

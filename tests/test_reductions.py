@@ -1,11 +1,18 @@
 """Reduction steps, fast variants, iteration policies, trace invariants."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from nbrelim.beliefs import BeliefKind, PurePoint
-from nbrelim.catalog import gap_3x2, hotelling_grid, naturals_truncated, random_game
+from nbrelim.catalog import (
+    bertrand_grid,
+    gap_3x2,
+    hotelling_grid,
+    naturals_truncated,
+    random_game,
+)
 from nbrelim.games import (
     FiniteGame,
     InputError,
@@ -25,6 +32,7 @@ from nbrelim.oracle import (
     render_certificate,
 )
 from nbrelim.reductions import (
+    Frontier,
     IllegalStepError,
     Policy,
     ReductionKind,
@@ -38,7 +46,12 @@ from nbrelim.reductions import (
     validate_step,
 )
 
-from oracles import enumerate_pure_beliefs, narrowed_membership, replay_fast_pure
+from oracles import (
+    enumerate_pure_beliefs,
+    iterate_reference,
+    narrowed_membership,
+    replay_fast_pure,
+)
 
 
 @pytest.fixture(scope="module")
@@ -516,3 +529,80 @@ class TestResidualSupports:
             g, hollow, BeliefKind.CORRELATED, ReductionKind.TILDE, cache=cache
         )
         assert all(isinstance(certs[(0, s)], EmptyBeliefSet) for s in range(3))
+
+
+class TestFrontier:
+    """A run re-decides only the answers a removal touched, and ends where a
+    run with one stateless sweep per round ends, cache and all."""
+
+    @staticmethod
+    def pinched_window_with_a_dominated_strategy():
+        # X is best only against the 1/3-2/3 mix of H and T, so at grid
+        # resolution 2 its mixed answer stays inconclusive while W goes.
+        def pay(profile):
+            s1, s2, _ = profile
+            return ((Fraction(2, 3), 2 * (s2 == 0), s2, -1)[s1], 0, 0)
+
+        return FiniteGame.from_function([["X", "Y", "Z", "W"], ["H", "T"], ["m"]], pay)
+
+    def test_iterate_matches_the_stateless_reference(self):
+        games = TestResidualSupports.corpus() + [
+            self.pinched_window_with_a_dominated_strategy()
+        ]
+        runs = 0
+        for n, game in enumerate(games):
+            for bk in BeliefKind:
+                # One cache per side for every run on this game, so later
+                # runs start from entries the earlier ones left.
+                cache, reference_cache = OracleCache(bk), OracleCache(bk)
+                for kind in ReductionKind:
+                    for policy in (Policy.FAST, Policy.RANDOM_PARTIAL, Policy.SINGLE_RANDOM):
+                        if policy is Policy.FAST and kind is ReductionKind.DARROW:
+                            continue
+                        for seed in (n, n + 100):
+                            trace = iterate(
+                                game, kind, bk, policy, seed, resolution=2, cache=cache
+                            )
+                            reference = iterate_reference(
+                                game, kind, bk, policy, seed, reference_cache
+                            )
+                            assert trace.render() == reference.render()
+                            runs += 1
+                assert cache.witnesses == reference_cache.witnesses
+                assert cache.never_best == reference_cache.never_best
+        assert runs == len(games) * 3 * 8 * 2
+
+    @pytest.mark.parametrize("kind", list(ReductionKind))
+    def test_an_own_removal_redecides_arrow_and_darrow_facts(self, g, kind):
+        # M and B are never-best beside T under every relation; once T is
+        # gone (not a legal step) they are best responses within {M,B}
+        # under arrow and darrow, so the sweep must not list them.
+        cache = OracleCache(BeliefKind.PURE)
+        frontier = Frontier(g, kind)
+        sub = restrict(g, [(1, 2), (0, 1)])
+        expected = ((1, 2), ()) if kind is ReductionKind.TILDE else ((), ())
+        for source, sets in ((full_restriction(g), ((1, 2), ())), (sub, expected)):
+            got, _, _ = candidate_certificates(
+                g, source, BeliefKind.PURE, kind, cache=cache, frontier=frontier
+            )
+            assert got == sets
+
+    def test_lookups_stay_near_the_strategy_count(self, monkeypatch):
+        # A stateless sweep per round looks up every kept strategy: 1,829
+        # lookups over the 58 rounds of each run here.
+        game = bertrand_grid(30)
+        lookups = []
+        lookup = OracleCache.lookup
+
+        def counted(self, *args):
+            lookups.append(args)
+            return lookup(self, *args)
+
+        monkeypatch.setattr(OracleCache, "lookup", counted)
+        for seed in range(3):
+            lookups.clear()
+            trace = iterate(
+                game, ReductionKind.TILDE, BeliefKind.PURE, Policy.SINGLE_RANDOM, seed
+            )
+            assert len(trace.steps) == 58
+            assert len(lookups) <= 2 * sum(game.sizes)
