@@ -12,11 +12,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 #: Exact rational number: arbitrary-precision, canonical (gcd-reduced,
 #: positive denominator).  The stdlib Fraction already guarantees both.
@@ -73,7 +74,44 @@ def _numerals(values: Sequence[int], scale: int) -> list[str]:
     for v in set(values):
         g = math.gcd(v, scale)
         text[v] = str(v // g) if g == scale else f"{v // g}/{scale // g}"
-    return [text[v] for v in values]
+    return list(map(text.__getitem__, values))
+
+
+def _scaled(values: Sequence[object]) -> tuple[Sequence[int], int]:
+    """`values` as integers on their least common denominator, and that
+    denominator."""
+    types = set(map(type, values))
+    if types == {int}:
+        return values, 1
+    if types <= {int, Fraction}:
+        # A Fraction hashes slowly, so each entry is scaled on its own.
+        dens = list(map(operator.attrgetter("denominator"), values))
+        scale = math.lcm(*set(dens))
+        nums = map(operator.attrgetter("numerator"), values)
+        return list(map(operator.mul, nums, map(scale.__floordiv__, dens))), scale
+    # Other entries, such as the parser's numeral tokens, are read once per
+    # distinct value.
+    exact = {q: q if isinstance(q, (int, Fraction)) else Fraction(q) for q in set(values)}
+    scale = math.lcm(*{q.denominator for q in exact.values()})
+    ints = {q: f.numerator * (scale // f.denominator) for q, f in exact.items()}
+    return list(map(ints.__getitem__, values)), scale
+
+
+def _check_labels(labels: Sequence[Sequence[str]]) -> None:
+    """Reject a label set the text format cannot carry."""
+    if len(labels) < 1:
+        raise InputError("a game needs at least one player")
+    for i, labs in enumerate(labels):
+        if not labs:
+            raise InputError(f"player {i + 1} has an empty strategy set")
+        if len(set(labs)) != len(labs):
+            raise InputError(f"player {i + 1} has duplicate strategy labels")
+        for lab in labs:
+            bad = not lab or any(ch.isspace() or ch in ":;,#" for ch in lab)
+            if bad:
+                # whitespace breaks the text format; the other characters
+                # break payoff lines, comments, or restriction literals
+                raise InputError(f"bad strategy label {lab!r}")
 
 
 class FiniteGame:
@@ -87,6 +125,11 @@ class FiniteGame:
     Best-response comparisons are invariant under the positive scaling, so
     scans run on plain ints; `payoff` forms the `Fraction` on demand.
     `offsets[i]` is player i's first bit in `Restriction.bits`.
+
+    One builder, `_fill`, turns per-player payoff columns in row-major order
+    into the integer tensor, `colmax` and the digest.  `__init__` checks and
+    flattens a profile-keyed table into those columns; `from_function` and
+    `parse_game` produce the columns directly.
     """
 
     __slots__ = (
@@ -108,29 +151,8 @@ class FiniteGame:
         labels: Sequence[Sequence[str]],
         table: Mapping[JointProfile, Sequence[Rational]],
     ) -> None:
-        if len(labels) < 1:
-            raise InputError("a game needs at least one player")
-        for i, labs in enumerate(labels):
-            if not labs:
-                raise InputError(f"player {i + 1} has an empty strategy set")
-            if len(set(labs)) != len(labs):
-                raise InputError(f"player {i + 1} has duplicate strategy labels")
-            for lab in labs:
-                bad = not lab or any(ch.isspace() or ch in ":;,#" for ch in lab)
-                if bad:
-                    # whitespace breaks the text format; the other characters
-                    # break payoff lines, comments, or restriction literals
-                    raise InputError(f"bad strategy label {lab!r}")
-        self.players = n = len(labels)
-        self.labels = tuple(tuple(labs) for labs in labels)
-        self.sizes = tuple(len(labs) for labs in self.labels)
-        strides = [1] * n
-        for i in range(n - 2, -1, -1):
-            strides[i] = strides[i + 1] * self.sizes[i + 1]
-        self.strides = tuple(strides)
-        self.offsets = tuple(itertools.accumulate(self.sizes[:-1], initial=0))
-        self._opponents = tuple(tuple(j for j in range(n) if j != i) for i in range(n))
-        total = strides[0] * self.sizes[0]
+        self._shape(labels)
+        total = self.strides[0] * self.sizes[0]
 
         # A total table keyed by exactly the profiles is read in one pass;
         # anything else is checked key by key for a precise error.
@@ -146,20 +168,56 @@ class FiniteGame:
             missing = flat.count(None)
             if missing:
                 raise InputError(f"payoff tensor incomplete: {missing} profiles missing")
-        for k, row in enumerate(flat):
-            if len(row) != n:
-                profile = tuple(k // st % sz for st, sz in zip(strides, self.sizes))
-                raise InputError(f"profile {profile}: expected {n} payoffs")
+        self._fill(self._columns(flat))
 
+    @classmethod
+    def from_function(
+        cls,
+        labels: Sequence[Sequence[str]],
+        payoff: Callable[[JointProfile], Sequence[Rational]],
+    ) -> "FiniteGame":
+        """Build the dense tensor by evaluating `payoff` at every joint profile."""
+        game = cls.__new__(cls)
+        game._shape(labels)
+        profiles = itertools.product(*map(range, game.sizes))
+        game._fill(game._columns(list(map(payoff, profiles))))
+        return game
+
+    def _shape(self, labels: Sequence[Sequence[str]]) -> None:
+        """Check the labels and set everything that depends only on them."""
+        _check_labels(labels)
+        self.players = n = len(labels)
+        self.labels = tuple(tuple(labs) for labs in labels)
+        self.sizes = tuple(len(labs) for labs in self.labels)
+        strides = [1] * n
+        for i in range(n - 2, -1, -1):
+            strides[i] = strides[i + 1] * self.sizes[i + 1]
+        self.strides = tuple(strides)
+        self.offsets = tuple(itertools.accumulate(self.sizes[:-1], initial=0))
+        self._opponents = tuple(tuple(j for j in range(n) if j != i) for i in range(n))
+
+    def _columns(self, rows: Sequence[Sequence[Rational]]) -> list[tuple]:
+        """Per-player columns of payoff rows in row-major order."""
+        n = self.players
+        try:
+            columns = list(zip(*rows, strict=True))
+        except ValueError:  # rows of different lengths
+            columns = []
+        if len(columns) != n:
+            k = next(k for k, row in enumerate(rows) if len(row) != n)
+            profile = tuple(k // st % sz for st, sz in zip(self.strides, self.sizes))
+            raise InputError(f"profile {profile}: expected {n} payoffs")
+        return columns
+
+    def _fill(self, columns: Iterable[Sequence[object]]) -> None:
+        """The tensor builder: scaled integers, `colmax` and the digest from
+        one row-major payoff column per player.  Entries are ints, Fractions
+        or anything `Fraction()` reads, such as the parser's checked numeral
+        tokens; each distinct entry is converted once."""
         ipay, scales, colmax, texts = [], [], [], []
-        for i in range(n):
-            col = [row[i] for row in flat]
-            scale = 1
-            if any(type(q) is not int for q in col):
-                col = [q if isinstance(q, (int, Fraction)) else Fraction(q) for q in col]
-                scale = math.lcm(*{q.denominator for q in col})
-                col = [q.numerator * (scale // q.denominator) for q in col]
-            span, step = self.sizes[i] * strides[i], strides[i]
+        for i, col in enumerate(columns):
+            col, scale = _scaled(col)
+            span, step = self.sizes[i] * self.strides[i], self.strides[i]
             bases = self.opponent_bases(i)
             colmax.append({b: max(col[b : b + span : step]) for b in bases})
             ipay.append(tuple(col))
@@ -175,20 +233,6 @@ class FiniteGame:
         )
         self._digest = hashlib.sha256(blob.encode()).hexdigest()
         self._hash = hash(self._digest)
-
-    @classmethod
-    def from_function(
-        cls,
-        labels: Sequence[Sequence[str]],
-        payoff: Callable[[JointProfile], Sequence[Rational]],
-    ) -> "FiniteGame":
-        """Build the dense tensor by evaluating `payoff` at every joint profile."""
-        sizes = [len(labs) for labs in labels]
-        table = {
-            profile: payoff(profile)
-            for profile in itertools.product(*(range(s) for s in sizes))
-        }
-        return cls(labels, table)
 
     def flat_index(self, profile: Sequence[int]) -> int:
         """Row-major tensor offset of a joint profile, range-checked."""
@@ -426,11 +470,14 @@ def join(a: Restriction, b: Restriction) -> Restriction:
 #   strategies <i>: <label> <label> ...
 #   payoff <label_1> ... <label_n> : <q_1> ... <q_n>
 #
-# `#` starts a comment; every joint profile must appear exactly once.
+# `#` starts a comment and blank lines are skipped; spacing around `:` is
+# free.  Every joint profile must appear exactly once, in any order.
 # ---------------------------------------------------------------------------
 
 _STRATEGIES_RE = re.compile(r"^strategies\s+([0-9]+)\s*:\s*(.*)$")
 _PAYOFF_RE = re.compile(r"^payoff\s+(.*?)\s*:\s*(.*)$")
+#: Payoff lines tokenized at once; bounds the memory of one token list.
+_CHUNK = 4096
 
 
 def _count(token: str, lineno: int) -> int:
@@ -443,36 +490,42 @@ def _count(token: str, lineno: int) -> int:
         ) from None
 
 
-class _Numerals(dict):
-    """Memo of parsed numerals: token -> int or Fraction."""
-
-    def __missing__(self, token: str) -> int | Fraction:
-        value = self[token] = _numeral(token)
-        return value
+def _nonblank(lines: list[str], start: int = 0) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each non-blank line from `lines[start]` on."""
+    numbered = enumerate(lines[start:], start=start + 1)
+    return ((k, s) for k, raw in numbered if (s := raw.strip()))
 
 
 def parse_game(text: str) -> FiniteGame:
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((lineno, stripped))
-    if not lines:
-        raise FormatError("empty game text")
+    """Read the game text format; a `FormatError` names the first bad line.
 
-    lineno, head = lines[0]
+    The header is read line by line.  The payoff lines are read in bulk by
+    `_payoff_columns`: chunks of `_CHUNK` lines, each tokenized by one
+    `str.split()` and checked with strided slices.  Its per-player columns
+    go straight to the tensor builder.  When a bulk check fails,
+    `_reject_payoff_lines` walks the payoff lines one by one and raises the
+    first bad line's error.  It never returns a game, so the bulk path is
+    the only one that accepts.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    numbered = _nonblank(lines)
+    lineno, head = next(numbered, (0, ""))
+    if not head:
+        raise FormatError("empty game text")
     parts = head.split()
     if len(parts) != 2 or parts[0] != "players" or not _COUNT_RE.fullmatch(parts[1]):
         raise FormatError(f"line {lineno}: expected 'players <n>'")
     n = _count(parts[1], lineno)
     if n < 1:
         raise FormatError(f"line {lineno}: need at least one player")
-    if len(lines) < 1 + n:
+    header = list(itertools.islice(numbered, n))
+    if len(header) < n:
         raise FormatError("missing strategies lines")
 
     labels: list[tuple[str, ...]] = []
-    for i in range(n):
-        lineno, line = lines[1 + i]
+    for i, (lineno, line) in enumerate(header):
         m = _STRATEGIES_RE.match(line)
         if not m or _count(m.group(1), lineno) != i + 1:
             raise FormatError(f"line {lineno}: expected 'strategies {i + 1}: ...'")
@@ -483,12 +536,93 @@ def parse_game(text: str) -> FiniteGame:
             raise FormatError(f"line {lineno}: duplicate labels for player {i + 1}")
         labels.append(labs)
 
-    # One label -> index dict per player; numerals repeat, so each distinct
-    # token is parsed once.
+    columns = _payoff_columns(lines[lineno:], labels)
+    if columns is None:
+        _reject_payoff_lines(_nonblank(lines, lineno), labels)
+    game = FiniteGame.__new__(FiniteGame)
+    try:
+        game._shape(labels)
+    except InputError as exc:
+        raise FormatError(str(exc)) from None
+    game._fill(columns)
+    return game
+
+
+def _payoff_columns(
+    lines: list[str], labels: Sequence[Sequence[str]]
+) -> list[list[str]] | None:
+    """Each player's numeral tokens in row-major order, or None when a check fails.
+
+    The non-blank lines are tokenized in chunks of `_CHUNK`: a chunk is
+    joined with a `;` token at each line end (no valid payoff line holds a
+    `;`), spaced around every `:` and split once.  Strided slices check that
+    each record is one line `payoff <n labels> : <n numerals>`.  Per-player
+    dicts map labels to tensor offsets already multiplied by the strides;
+    records land by offset, so lines may come in any order, and a repeated
+    or missing profile shows in the offsets.  Each distinct numeral token is
+    checked once, and equal tokens share one string.
+    """
+    n = len(labels)
+    sizes = [len(labs) for labs in labels]
+    strides = [math.prod(sizes[i + 1 :]) for i in range(n)]
+    total = strides[0] * sizes[0]
+    # A label that is a separator token (a bad label) is left out, so the
+    # slot checks below also place every `:` and `;`.
+    index = [
+        {lab: k * st for k, lab in enumerate(labs) if lab not in (":", ";")}
+        for labs, st in zip(labels, strides)
+    ]
+    width = 2 * n + 3  # payoff, n labels, `:`, n numerals, `;`
+    body = list(filter(str.strip, lines))
+    offsets: list[int] = []
+    columns: list[list[str]] = [[] for _ in range(n)]
+    distinct: dict[str, str] = {}
+    for start in range(0, len(body), _CHUNK):
+        chunk = body[start : start + _CHUNK]
+        records = len(chunk)
+        toks = " ; ".join(chunk).replace(":", " : ").split()
+        if not (
+            len(toks) == records * width - 1
+            and toks[::width].count("payoff") == records
+            and toks[n + 1 :: width].count(":") == records
+            and toks[width - 1 :: width].count(";") == records - 1
+        ):
+            return None
+        flat = map(index[0].__getitem__, toks[1::width])
+        for i in range(1, n):
+            flat = map(operator.add, flat, map(index[i].__getitem__, toks[1 + i :: width]))
+        try:
+            offsets += flat
+        except KeyError:  # an unknown label
+            return None
+        for i, col in enumerate(columns):
+            vals = toks[n + 2 + i :: width]
+            col += map(distinct.setdefault, vals, vals)
+    try:
+        for token in distinct:
+            _numeral(token)
+    except FormatError:
+        return None
+    if len(offsets) != total:
+        return None  # a profile missing or repeated
+    if offsets != list(range(total)):  # lines out of row-major order
+        if len(set(offsets)) != total:
+            return None  # a profile repeated
+        order = sorted(range(total), key=offsets.__getitem__)
+        columns = [list(map(col.__getitem__, order)) for col in columns]
+    return columns
+
+
+def _reject_payoff_lines(
+    numbered: Iterable[tuple[int, str]], labels: Sequence[Sequence[str]]
+) -> NoReturn:
+    """Raise the error of the first bad payoff line, read one line at a time,
+    then the label or completeness error of lines that all read.  The
+    diagnostic path of `parse_game`: called only once a bulk check failed."""
+    n = len(labels)
     index = [{lab: k for k, lab in enumerate(labs)} for labs in labels]
-    numeral = _Numerals().__getitem__
-    table: dict[JointProfile, tuple[int | Fraction, ...]] = {}
-    for lineno, line in lines[1 + n :]:
+    seen: set[JointProfile] = set()
+    for lineno, line in numbered:
         m = _PAYOFF_RE.match(line)
         if not m:
             raise FormatError(f"line {lineno}: expected 'payoff <labels> : <rationals>'")
@@ -505,17 +639,23 @@ def parse_game(text: str) -> FiniteGame:
             raise FormatError(
                 f"line {lineno}: unknown label {labs[i]!r} for player {i + 1}"
             ) from None
-        if key in table:
+        if key in seen:
             raise FormatError(f"line {lineno}: duplicate profile {' '.join(labs)}")
+        seen.add(key)
         try:
-            table[key] = tuple(map(numeral, vals))
+            for val in vals:
+                _numeral(val)
         except FormatError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
-
     try:
-        return FiniteGame(labels, table)
+        _check_labels(labels)
     except InputError as exc:
         raise FormatError(str(exc)) from None
+    missing = math.prod(map(len, labels)) - len(seen)
+    if missing:
+        raise FormatError(f"payoff tensor incomplete: {missing} profiles missing")
+    # Lines that all read, with good labels, pass every bulk check.
+    raise AssertionError("the bulk payoff check failed on well-formed lines")
 
 
 def render_game(game: FiniteGame, header_comment: str | None = None) -> str:

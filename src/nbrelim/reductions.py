@@ -275,6 +275,7 @@ def candidate_certificates(
     resolution: int = DEFAULT_GRID_RESOLUTION,
     cache: OracleCache | None = None,
     frontier: Frontier | None = None,
+    first: bool = False,
 ) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, int], Certificate], bool]:
     """Per-player certified never-best strategies, their certificates, and
     whether any answer was inconclusive.
@@ -284,7 +285,9 @@ def candidate_certificates(
     vacuously never-best.  `cache` answers what it can and remembers the
     rest; the result is the same as without it.  `frontier` (with `cache`)
     carries one run's answers from sweep to sweep; without it, every kept
-    strategy is decided and nothing is kept.
+    strategy is decided and nothing is kept.  With `first`, the sweep stops
+    at the first removable strategy: the sets then hold only what was found
+    before the stop.
     """
     if restriction.parent != game:
         raise InputError("restriction does not belong to the game")
@@ -297,6 +300,9 @@ def candidate_certificates(
     certs: dict[tuple[int, int], Certificate] = {}
     saw_inconclusive = False
     for player in range(game.players):
+        if first and certs:  # a removable strategy is already found
+            removable.append(())
+            continue
         if not all(kept[j] for j in game.opponents(player)):
             removable.append(kept[player])
             certs.update(((player, s), EmptyBeliefSet()) for s in kept[player])
@@ -320,6 +326,8 @@ def candidate_certificates(
                     cache.remember(player, s, bits, cmp, cert)
             if isinstance(cert, NeverBest):
                 gone[s] = cert
+                if first:
+                    break
                 continue
             saw_inconclusive |= isinstance(cert, Inconclusive)
             if frontier is not None:
@@ -344,10 +352,11 @@ def _certified_step(
     belief_kind: BeliefKind,
     certs: Mapping[tuple[int, int], Certificate],
 ) -> Step:
-    target = source.remove(_removal(chosen))
+    removal = _removal(chosen)
+    removed = tuple(tuple(sorted(removal.get(i, ()))) for i in range(len(source.kept)))
     step_certs = tuple(sorted((pair, certs[pair]) for pair in chosen))
     return Step(
-        source, target, target.removed_from(source), kind, belief_kind, step_certs
+        source, source.remove(removal), removed, kind, belief_kind, step_certs
     )
 
 

@@ -6,8 +6,10 @@ scans, an exact vertex-enumeration feasibility oracle for cross-checking
 the simplex, and a plain-`Fraction` phase-1 simplex with a dense lazy-row
 loop that the engine's integer pivots and support-only scan must follow
 step for step.  It also holds the belief-set definitions the tests check
-against (kinds, narrowed membership, pure enumeration) and a plain-`Fraction`
-reading, digest and rendering of game text for the integer game layer.
+against (kinds, narrowed membership, pure enumeration), a plain-`Fraction`
+reading, digest and rendering of game text for the integer game layer, and
+a line-by-line reader of game text that the bulk tokenizer must match error
+for error.
 Nothing imports the oracle or reduction machinery, except
 `iterate_reference`: the iteration loop with one stateless sweep per round,
 which the engine's watch-list frontier must match byte for byte.
@@ -29,7 +31,7 @@ from nbrelim.beliefs import (
     as_product,
     point_distribution,
 )
-from nbrelim.games import FiniteGame, InputError, full_restriction
+from nbrelim.games import FiniteGame, FormatError, InputError, full_restriction
 
 
 def best_response_set(game, player, opp_profile, candidates=None):
@@ -384,6 +386,92 @@ def parse_game_reference(text):
         profile = tuple(labels[i].index(lab) for i, lab in enumerate(names))
         table[profile] = tuple(Fraction(tok) for tok in tail.split())
     return labels, table
+
+
+def parse_game_lines_reference(text):
+    """The line-by-line game text reader: one regex match per line, errors
+    in line order, then the table handed to `FiniteGame(labels, table)`.
+
+    It raises the same `FormatError` messages `parse_game` must raise, and
+    on valid text returns an equal game.
+    """
+    numbered = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            numbered.append((lineno, stripped))
+    if not numbered:
+        raise FormatError("empty game text")
+
+    def count(token, lineno):
+        try:
+            return int(token)
+        except ValueError:
+            raise FormatError(
+                f"line {lineno}: numeral of {len(token)} characters is too long"
+            ) from None
+
+    def numeral(token):
+        if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", token):
+            raise FormatError(f"not an integer or a/b rational: {token!r}")
+        num, _, den = token.partition("/")
+        try:
+            return Fraction(int(num), int(den)) if den else int(num)
+        except ValueError:
+            raise FormatError(f"numeral of {len(token)} characters is too long") from None
+        except ZeroDivisionError:
+            raise FormatError(f"zero denominator: {token!r}") from None
+
+    lineno, head = numbered[0]
+    parts = head.split()
+    if len(parts) != 2 or parts[0] != "players" or not re.fullmatch("[0-9]+", parts[1]):
+        raise FormatError(f"line {lineno}: expected 'players <n>'")
+    n = count(parts[1], lineno)
+    if n < 1:
+        raise FormatError(f"line {lineno}: need at least one player")
+    if len(numbered) < 1 + n:
+        raise FormatError("missing strategies lines")
+
+    labels = []
+    for i in range(n):
+        lineno, line = numbered[1 + i]
+        m = re.match(r"^strategies\s+([0-9]+)\s*:\s*(.*)$", line)
+        if not m or count(m.group(1), lineno) != i + 1:
+            raise FormatError(f"line {lineno}: expected 'strategies {i + 1}: ...'")
+        labs = tuple(m.group(2).split())
+        if not labs:
+            raise FormatError(f"line {lineno}: player {i + 1} has no strategies")
+        if len(set(labs)) != len(labs):
+            raise FormatError(f"line {lineno}: duplicate labels for player {i + 1}")
+        labels.append(labs)
+
+    table = {}
+    for lineno, line in numbered[1 + n :]:
+        m = re.match(r"^payoff\s+(.*?)\s*:\s*(.*)$", line)
+        if not m:
+            raise FormatError(f"line {lineno}: expected 'payoff <labels> : <rationals>'")
+        labs = m.group(1).split()
+        vals = m.group(2).split()
+        if len(labs) != n:
+            raise FormatError(f"line {lineno}: expected {n} strategy labels")
+        if len(vals) != n:
+            raise FormatError(f"line {lineno}: expected {n} payoffs")
+        key = []
+        for i, lab in enumerate(labs):
+            if lab not in labels[i]:
+                raise FormatError(f"line {lineno}: unknown label {lab!r} for player {i + 1}")
+            key.append(labels[i].index(lab))
+        if tuple(key) in table:
+            raise FormatError(f"line {lineno}: duplicate profile {' '.join(labs)}")
+        try:
+            table[tuple(key)] = tuple(numeral(v) for v in vals)
+        except FormatError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from None
+
+    try:
+        return FiniteGame(labels, table)
+    except InputError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def _rational_text(q):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,9 +24,15 @@ from nbrelim.games import (
     restrict,
     restrict_by_labels,
 )
+from nbrelim import catalog, games
 from nbrelim.catalog import bertrand_grid, gap_3x2, random_game
 
-from oracles import digest_reference, parse_game_reference, render_game_reference
+from oracles import (
+    digest_reference,
+    parse_game_lines_reference,
+    parse_game_reference,
+    render_game_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -294,3 +301,219 @@ class TestTextFormat:
             "payoff T L : 2 0", "\n# mid comment\npayoff T L : 2 0  # inline"
         )
         assert parse_game(text) == gap_3x2()
+
+
+def _outcome(parse, text):
+    """A game's digest, or the text of the `FormatError` the parse raised."""
+    try:
+        return parse(text).digest()
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+def _assert_parity(text):
+    """`parse_game` accepts what the line reader accepts, as an equal game,
+    and otherwise raises the same message; returns the shared outcome."""
+    got = _outcome(parse_game, text)
+    assert got == _outcome(parse_game_lines_reference, text)
+    return got
+
+
+ONE_PLAYER_TEXT = """\
+players 1
+strategies 1: a b c
+payoff b : 2/3
+payoff a : 1
+payoff c : -1
+"""
+
+THREE_PLAYER_TEXT = render_game(random_game(3, (2, 3, 2), 4, seed=5))
+
+
+def _sub(old, new):
+    return lambda text: text.replace(old, new)
+
+
+# (name, text -> text, accepted?) on GOOD_TEXT unless the name says otherwise
+MUTATIONS = [
+    ("unspaced colon", _sub("payoff T L : 2 0", "payoff T L:2 0"), True),
+    ("colon glued left", _sub(" : ", ": "), True),
+    ("colon glued right", _sub(" : ", " :"), True),
+    ("tabs", _sub(" ", "\t"), True),
+    ("crlf", _sub("\n", "\r\n"), True),
+    ("inline comment", _sub("payoff M L : 0 0", "payoff M L : 0 0 # x:;"), True),
+    ("mid-block comment", _sub("payoff M L", "# payoff X : ;\npayoff M L"), True),
+    ("blank lines", lambda t: t.replace("\npayoff M", "\n\n  \t\npayoff M") + "\n\n", True),
+    ("permuted lines", lambda t: "\n".join(t.splitlines()[:4] + t.splitlines()[:3:-1]), True),
+    ("semicolon token", _sub("payoff T R : 2 0", "payoff T R ; : 2 0"), False),
+    ("semicolon numeral", _sub("payoff T R : 2 0", "payoff T R : 2 ; 0"), False),
+    ("semicolon glued", _sub("payoff T R : 2 0", "payoff T;R : 2 0"), False),
+    ("trailing semicolon", _sub("payoff B L : 1 0", "payoff B L : 1 0;"), False),
+    ("two colons", _sub("payoff T R : 2 0", "payoff T R : 2 : 0"), False),
+    ("double colon", _sub("payoff T R : 2 0", "payoff T R :: 2 0"), False),
+    ("colon among labels", _sub("payoff T R : 2 0", "payoff T : R : 2 0"), False),
+    ("missing colon", _sub("payoff T R : 2 0", "payoff T R 2 0"), False),
+    ("missing profile", _sub("payoff B R : 0 0\n", ""), False),
+    ("duplicate profile", lambda t: t + "payoff T L : 2 0\n", False),
+    ("duplicate in place", _sub("payoff B R", "payoff B L"), False),
+    ("two lines on one", _sub("0\npayoff M R", "0 payoff M R"), False),
+    ("one line on two", _sub("payoff M R : 1 0", "payoff M R :\n1 0"), False),
+    ("keyword typo", _sub("payoff M R", "payof M R"), False),
+    ("keyword glued", _sub("payoff M R", "payoffM R"), False),
+    ("extra label", _sub("payoff M R", "payoff M R L"), False),
+    ("extra payoff", _sub("payoff M R : 1 0", "payoff M R : 1 0 0"), False),
+    ("short payoffs", _sub("payoff M R : 1 0", "payoff M R : 1"), False),
+    ("short line after long", lambda t: t.replace(
+        "payoff M L : 0 0\npayoff M R : 1 0", "payoff M L : 0 0 0\npayoff M R : 1"), False),
+    ("zero denominator", _sub("payoff M R : 1 0", "payoff M R : 1/0 0"), False),
+    ("no payoff lines", lambda t: "\n".join(t.splitlines()[:4]), False),
+    ("semicolon label", _sub(" R", " ;"), False),
+    ("colon label", _sub(" R", " R:"), False),
+    ("comma label", _sub(" R", " R,S"), False),
+    ("keyword label", _sub(" R", " payoff"), True),
+    ("numeral label", _sub(" R", " -1/2"), True),
+    ("one player", lambda t: ONE_PLAYER_TEXT, True),
+    ("one player, colon glued", lambda t: ONE_PLAYER_TEXT.replace(" : ", ":"), True),
+    ("one player, missing colon", lambda t: ONE_PLAYER_TEXT.replace("a : 1", "a 1"), False),
+    ("three players", lambda t: THREE_PLAYER_TEXT, True),
+    ("three players, permuted", lambda t: "\n".join(
+        THREE_PLAYER_TEXT.splitlines()[:4] + THREE_PLAYER_TEXT.splitlines()[:3:-1]), True),
+    ("three players, short label",
+     lambda t: THREE_PLAYER_TEXT.replace("s1 s2 s1 :", "s1 s2 :"), False),
+]
+
+
+class TestParserParity:
+    """The bulk tokenizer against the line-by-line reader in `oracles`."""
+
+    @pytest.mark.parametrize("mutation,accepted", [(m, a) for _, m, a in MUTATIONS],
+                             ids=[name for name, _, _ in MUTATIONS])
+    def test_mutation_corpus(self, mutation, accepted):
+        outcome = _assert_parity(mutation(GOOD_TEXT))
+        assert outcome.startswith("FormatError") is not accepted
+
+    def test_accepted_mutations_read_the_same_game(self, g3x2):
+        for name, mutation, accepted in MUTATIONS[:9]:
+            assert accepted and parse_game(mutation(GOOD_TEXT)) == g3x2, name
+
+    def test_chunks_name_the_bad_line(self):
+        game = random_game(2, (70, 70), 5, seed=3)
+        lines = render_game(game).splitlines()
+        assert len(lines) - 3 > games._CHUNK  # the payoff block spans two chunks
+        k = 3 + games._CHUNK + 100  # index of a payoff line in the second chunk
+        assert parse_game("\n".join(lines)) == game
+        assert parse_game("\n".join(lines[:3] + lines[:2:-1])) == game
+        edits = [
+            lines[k] + " 1.5",
+            lines[k].replace(" : ", " "),
+            lines[k].replace(" : ", " : 1.5 "),
+            lines[k].replace("payoff", "payof"),
+            lines[7],  # a repeat of a profile from the first chunk
+        ]
+        for edit in edits:
+            text = "\n".join(lines[:k] + [edit] + lines[k + 1 :])
+            outcome = _assert_parity(text)
+            assert outcome.startswith(f"FormatError: line {k + 1}: "), outcome
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_mutations(self, data):
+        n = data.draw(st.integers(1, 3), label="players")
+        pool = ["a", "b", "c", "payoff", "0", "-1", "x/2", ";", ",", ":"]
+        labels = []
+        for _ in range(n):
+            labs = data.draw(st.lists(st.sampled_from(pool[:7]), min_size=1, max_size=3,
+                                      unique=True))
+            labels.append(labs)
+        if data.draw(st.integers(0, 9)) == 0:  # rarely, a label the format refuses
+            labels[-1] = labels[-1] + [data.draw(st.sampled_from(pool[7:]))]
+        colon = data.draw(st.sampled_from([" : ", ":", " :", ": "]))
+        lines = []
+        for profile in itertools.product(*labels):
+            vals = [str(data.draw(st.integers(-3, 3))) for _ in range(n)]
+            if data.draw(st.booleans()):
+                vals[0] += "/" + str(data.draw(st.integers(1, 4)))
+            lines.append("payoff " + " ".join(profile) + colon + " ".join(vals))
+        lines = data.draw(st.permutations(lines))
+        k = data.draw(st.integers(0, len(lines) - 1))
+        edit = data.draw(st.sampled_from(["none"] * 4 + ["drop", "repeat"]), label="line edit")
+        if edit != "none":
+            lines = lines[:k] + lines[k + (edit == "drop") :] + [lines[k]] * (edit == "repeat")
+        text = "\n".join(
+            [f"players {n}"]
+            + [f"strategies {i + 1}: " + " ".join(labs) for i, labs in enumerate(labels)]
+            + lines
+        ) + data.draw(st.sampled_from(["", "\n"]))
+        snippets = [":", ";", " ", "\t", "\n", "\r\n", "#", "payoff ", "a", "/", "0",
+                    "\n\n", "payoff a : 1\n", "\x1c", "\xa0"]
+        for _ in range(data.draw(st.integers(0, 3), label="edits")):
+            at = data.draw(st.integers(0, len(text)))
+            if data.draw(st.booleans()):
+                text = text[:at] + data.draw(st.sampled_from(snippets)) + text[at:]
+            else:
+                text = text[:at] + text[at + data.draw(st.integers(1, 3)) :]
+        chunk = data.draw(st.sampled_from([1, 2, 3, games._CHUNK]), label="chunk")
+        saved, games._CHUNK = games._CHUNK, chunk
+        try:
+            _assert_parity(text)
+        finally:
+            games._CHUNK = saved
+
+
+def _rows(game, native):
+    """Each profile's payoffs: as `Fraction`, or as `int` where integral."""
+    rows = {}
+    for profile in itertools.product(*map(range, game.sizes)):
+        row = tuple(game.payoff(profile, i) for i in range(game.players))
+        rows[profile] = tuple(
+            int(q) if native and q.denominator == 1 else q for q in row
+        )
+    return rows
+
+
+BUILDERS = [entry.build for entry in catalog.CATALOG.values()] + [
+    lambda: random_game(3, (2, 3, 4), 5, seed=1),
+    lambda: random_game(1, (4,), 2, seed=2),
+    lambda: catalog.bertrand_grid(7),
+    lambda: catalog.hotelling_grid(6),
+]
+
+
+class TestConstructors:
+    """`from_function` and `FiniteGame(labels, table)` build one tensor."""
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_both_constructors_agree(self, build):
+        game = build()
+        for native in (True, False):
+            rows = _rows(game, native)
+            by_table = FiniteGame(game.labels, rows)
+            by_function = FiniteGame.from_function(game.labels, rows.__getitem__)
+            for built in (by_table, by_function):
+                assert built == game and built.digest() == game.digest()
+                assert built.ipay == game.ipay and built.scales == game.scales
+                assert built.colmax == game.colmax
+                assert all(type(v) is int for col in built.ipay for v in col)
+
+    def test_other_numeric_types_are_read_exactly(self):
+        game = FiniteGame.from_function([["a", "b"]], lambda p: ((0.5, "1/3")[p[0]],))
+        assert game.ipay == ((3, 2),) and game.scales == (6,)
+        assert game == FiniteGame([["a", "b"]], {(0,): (Fraction(1, 2),), (1,): ("1/3",)})
+
+    @pytest.mark.parametrize("short_at", [None, 0, 3])
+    def test_wrong_arity_row(self, short_at):
+        labels = [["a", "b"], ["x", "y"]]
+
+        def pay(profile):
+            k = profile[0] * 2 + profile[1]
+            return (1,) if short_at is None or k == short_at else (1, 2)
+
+        bad = (0, 0) if short_at is None else (short_at // 2, short_at % 2)
+        message = "^" + re.escape(f"profile {bad}: expected 2 payoffs") + "$"
+        with pytest.raises(InputError, match=message):
+            FiniteGame.from_function(labels, pay)
+        table = {p: pay(p) for p in itertools.product(range(2), range(2))}
+        with pytest.raises(InputError, match=message):
+            FiniteGame(labels, table)
+        with pytest.raises(InputError, match=r"^profile \(0, 0\): expected 2 payoffs$"):
+            FiniteGame.from_function(labels, lambda p: (1, 2, 3))
