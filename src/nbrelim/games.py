@@ -397,7 +397,7 @@ class Restriction:
             bad = gone_set.difference(kept[i])
             if bad:
                 raise InputError(f"cannot remove absent strategies {sorted(bad)}")
-            kept[i] = tuple(s for s in kept[i] if s not in gone_set)
+            kept[i] = tuple(itertools.filterfalse(gone_set.__contains__, kept[i]))
             bits &= ~(sum(1 << s for s in gone_set) << self.parent.offsets[i])
         new = object.__new__(Restriction)
         object.__setattr__(new, "parent", self.parent)

@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import ge, gt, sub
 from typing import Iterator, Sequence, Union
 
 from .beliefs import (
@@ -153,14 +154,13 @@ def _column_best(
     game: FiniteGame, player: int, bases: Sequence[int], cmp: ComparisonSet
 ) -> list[int]:
     """Best integer payoff over the comparison candidates, per opponent column."""
-    stride = game.strides[player]
-    ip = game.ipay[player]
-    full = len(cmp.candidates) == game.sizes[player]
-    if full:
+    if len(cmp.candidates) == game.sizes[player]:
         col = game.colmax[player]
         return [col[b] for b in bases]
-    offs = [c * stride for c in cmp.candidates]
-    return [max(ip[b + o] for o in offs) for b in bases]
+    ip = game.ipay[player]
+    offs = [c * game.strides[player] for c in cmp.candidates]
+    rows = [[ip[b + off] for b in bases] for off in offs]
+    return rows[0] if len(rows) == 1 else list(map(max, *rows))
 
 
 def _nth_opponent_profile(
@@ -190,7 +190,6 @@ def _pure_witness(
 def _correlated_certificate(
     game: FiniteGame,
     player: int,
-    strategy: int,
     kept: Sequence[Sequence[int]],
     cmp: ComparisonSet,
     bases: Sequence[int],
@@ -203,40 +202,37 @@ def _correlated_certificate(
     belief simplex, generating comparison-constraint rows lazily (the binding
     competitors are found by scanning violations at the current vertex, over
     its support only).  A sub-LP infeasibility already proves infeasibility
-    of the full system.
+    of the full system.  Every scan takes the first candidate on ties.
     """
     ip = game.ipay[player]
     stride = game.strides[player]
-    own_off = strategy * stride
-
-    # Pure strict domination on the whole support settles the question early.
-    for other in cmp.candidates:
-        if other == strategy:
-            continue
-        off = other * stride
-        if all(ip[b + off] > o for b, o in zip(bases, own)):
-            return NeverBest("dominated", ((other, Fraction(1)),))
+    offs = [c * stride for c in cmp.candidates]
+    # The LP starts from the first column where the strategy does best.  A
+    # pure dominator must beat it there and in the first column, which few
+    # candidates do; only those get the whole-row test.
+    top = max(own)
+    start = own.index(top)
+    head, first = bases[start], bases[0]
+    for c, off in zip(cmp.candidates, offs):
+        if ip[head + off] > top and ip[first + off] > own[0]:
+            if all(map(gt, [ip[b + off] for b in bases], own)):
+                return NeverBest("dominated", ((c, Fraction(1)),))
 
     n = len(bases)
     ineqs: list[tuple[list[int], int]] = []
-    # Start from the column where the strategy does best.  A vertex has at
-    # most len(ineqs) + 1 nonzeros: `support` lists them as (position, mass).
-    support = [(max(range(n), key=lambda pos: (own[pos], -pos)), Fraction(1))]
+    # A vertex has at most len(ineqs) + 1 nonzeros: `support` lists them as
+    # (position, mass).
+    support = [(start, Fraction(1))]
     while True:
         den = lcm(*(p.denominator for _, p in support))
-        atoms = [
-            (bases[pos], p.numerator * (den // p.denominator)) for pos, p in support
-        ]
-        own_val = sum(nm * ip[b + own_off] for b, nm in atoms)
-        worst = None
-        worst_gap = 0
-        for other in cmp.candidates:
-            off = other * stride
-            gap = sum(nm * ip[b + off] for b, nm in atoms) - own_val
-            if gap > worst_gap:
-                worst_gap = gap
-                worst = other
-        if worst is None:
+        atoms = [(pos, p.numerator * (den // p.denominator)) for pos, p in support]
+        own_val = sum(nm * own[pos] for pos, nm in atoms)
+        # Candidate totals at the vertex: one scaled row per atom, summed.
+        totals = list(
+            map(sum, zip(*([nm * ip[bases[pos] + o] for o in offs] for pos, nm in atoms)))
+        )
+        peak = max(totals)
+        if peak <= own_val:
             return BestResponse(
                 DistributionBelief(
                     tuple(
@@ -245,8 +241,8 @@ def _correlated_certificate(
                     )
                 )
             )
-        off = worst * stride
-        ineqs.append(([o - ip[b + off] for o, b in zip(own, bases)], 0))
+        off = offs[totals.index(peak)]
+        ineqs.append((list(map(sub, own, [ip[b + off] for b in bases])), 0))
         solution = lp_feasible(ineqs, ([1] * n, 1), num_vars=n)
         if solution is None:
             return NeverBest("lp")
@@ -431,11 +427,13 @@ def find_witness(
         cache.bind(game, kind)
     if not all(kept[j] for j in game.opponents(player)):
         return EmptyBeliefSet()
-    if cache is None:
-        return _find_witness_fast(game, kept, player, strategy, kind, cmp, resolution)
-    cert = cache.lookup(player, strategy, restriction.bits, cmp)
-    if cert is None:
-        cert = _find_witness_fast(game, kept, player, strategy, kind, cmp, resolution)
+    if cache is not None:
+        cert = cache.lookup(player, strategy, restriction.bits, cmp)
+        if cert is not None:
+            return cert
+    bases = game.opponent_bases(player, kept)
+    cert = _find_witness_fast(game, kept, player, strategy, kind, cmp, resolution, bases)
+    if cache is not None:
         cache.remember(player, strategy, restriction.bits, cmp, cert)
     return cert
 
@@ -448,11 +446,13 @@ def _find_witness_fast(
     kind: BeliefKind,
     cmp: ComparisonSet,
     resolution: int,
+    bases: Sequence[int],
     colmax: Sequence[int] | None = None,
 ) -> Certificate:
     """The decision itself, computed afresh: `find_witness` without checks,
     memo or the empty-belief rule, so every opponent must keep a strategy.
-    `colmax` optionally supplies `_column_best` for the kept bases.
+    `bases` is `game.opponent_bases(player, kept)`; `colmax` optionally
+    supplies `_column_best` for them.
 
     One ladder serves the nested belief sets (pure inside independent mixed
     inside correlated).  A pure witness answers every kind, so the pure scan
@@ -462,20 +462,19 @@ def _find_witness_fast(
     beliefs are the same set; with more, a correlated never-best proof
     covers the mixed beliefs and anything else falls to the grid search.
     """
-    bases = game.opponent_bases(player, kept)
-    ip = game.ipay[player]
-    own_off = strategy * game.strides[player]
     if not cmp.candidates:
         return _pure_witness(game, player, kept, 0, kind)
+    ip = game.ipay[player]
+    own_off = strategy * game.strides[player]
+    own = [ip[b + own_off] for b in bases]
     best = colmax if colmax is not None else _column_best(game, player, bases, cmp)
-    for pos, b in enumerate(bases):
-        if ip[b + own_off] >= best[pos]:
-            return _pure_witness(game, player, kept, pos, kind)
+    hits = list(map(ge, own, best))
+    if True in hits:
+        return _pure_witness(game, player, kept, hits.index(True), kind)
     if kind is BeliefKind.PURE:
         return NeverBest("exhaustive")
 
-    own = [ip[b + own_off] for b in bases]
-    cert = _correlated_certificate(game, player, strategy, kept, cmp, bases, own)
+    cert = _correlated_certificate(game, player, kept, cmp, bases, own)
     if kind is BeliefKind.CORRELATED or isinstance(cert, NeverBest):
         return cert
     if game.players == 2:

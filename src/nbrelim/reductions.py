@@ -307,7 +307,7 @@ def candidate_certificates(
             removable.append(kept[player])
             certs.update(((player, s), EmptyBeliefSet()) for s in kept[player])
             continue
-        cmp = colmax = None
+        cmp = bases = colmax = None
         gone = {} if frontier is None else frontier.never_best[player]
         for s in todo[player]:
             if kind is ReductionKind.DARROW:
@@ -316,11 +316,12 @@ def candidate_certificates(
                 cmp = comparison_for(kind, game, restriction, restriction, player)
             cert = cache.lookup(player, s, bits, cmp) if cache is not None else None
             if cert is None:
-                if colmax is None and kind is not ReductionKind.DARROW:
+                if bases is None:
                     bases = game.opponent_bases(player, kept)
-                    colmax = _column_best(game, player, bases, cmp)
+                    if kind is not ReductionKind.DARROW:
+                        colmax = _column_best(game, player, bases, cmp)
                 cert = _find_witness_fast(
-                    game, kept, player, s, belief_kind, cmp, resolution, colmax
+                    game, kept, player, s, belief_kind, cmp, resolution, bases, colmax
                 )
                 if cache is not None:
                     cache.remember(player, s, bits, cmp, cert)

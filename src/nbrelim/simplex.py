@@ -2,8 +2,8 @@
 
 The solver answers one question: does x >= 0 exist with a.x >= b for each
 inequality row and e.x == f for the normalization row?  Pivots run in exact
-integer (fraction-free) arithmetic: every row is scaled to integers by the
-common denominator of the inputs, and one running denominator, the
+integer (fraction-free) arithmetic: inputs that are not all `int` are scaled
+to integers by their common denominator, and one running denominator, the
 determinant of the current basis, keeps the tableau integral (Edmonds 1967,
 Bareiss 1968, as in Avis's lrs).  The returned point is `fractions.Fraction`.
 Bland's pivoting rule makes the run deterministic and cycle-free.
@@ -42,23 +42,22 @@ def lp_feasible(
         num_vars = widths.pop()
     elif widths and widths != {num_vars}:
         raise InputError("constraint rows have inconsistent dimensions")
-    rows = [
-        ([_exact(c) for c in coeffs], _exact(bound), is_eq)
-        for coeffs, bound, is_eq in rows
-    ]
+    ints = {int}
+    if not all(type(b) is int and ints.issuperset(map(type, a)) for a, b, _ in rows):
+        # Rows of plain ints (every oracle call) are used as they are.  Scaling
+        # the others by the common denominator leaves the surplus and artificial
+        # columns at +-1, which rescales those variables by a positive constant:
+        # reduced-cost signs and the order of ratios, hence Bland's pivots, are
+        # those of the rational tableau.
+        rows = [([Fraction(c) for c in a], Fraction(b), eq) for a, b, eq in rows]
+        scale = lcm(*(v.denominator for a, b, _ in rows for v in (b, *a)))
+        rows = [([int(c * scale) for c in a], int(b * scale), eq) for a, b, eq in rows]
     if num_vars == 0:
         ok = all(
             (bound == 0 if is_eq else bound <= 0) for _, bound, is_eq in rows
         )
         return [] if ok else None
 
-    # Scaling every row by the common denominator leaves the surplus and
-    # artificial columns at +-1, which rescales those variables by a positive
-    # constant: reduced-cost signs and the order of ratios, hence Bland's
-    # pivots, are those of the rational tableau.
-    scale = lcm(
-        *(v.denominator for coeffs, bound, _ in rows for v in (bound, *coeffs))
-    )
     m = len(rows)
     num_surplus = sum(1 for _, _, is_eq in rows if not is_eq)
     # Column layout: structural | surplus | artificial.
@@ -72,12 +71,12 @@ def lp_feasible(
     art_idx = 0
     for coeffs, bound, is_eq in rows:
         row = [0] * (ncols + 1)
-        row[:num_vars] = [c.numerator * (scale // c.denominator) for c in coeffs]
+        row[:num_vars] = coeffs
         if not is_eq:
             row[surplus_at + surplus_idx] = -1
             this_surplus = surplus_at + surplus_idx
             surplus_idx += 1
-        row[ncols] = bound.numerator * (scale // bound.denominator)
+        row[ncols] = bound
         if row[ncols] < 0 or (row[ncols] == 0 and not is_eq):
             # Flipping a zero-bound inequality turns its surplus column into a
             # ready-made basic column, avoiding an artificial.
@@ -137,10 +136,6 @@ def lp_feasible(
     if obj[ncols] != 0:
         return None
     return _extract(tableau, basis, num_vars, den)
-
-
-def _exact(value: Rational) -> int | Fraction:
-    return value if isinstance(value, int) else Fraction(value)
 
 
 def _pivot(

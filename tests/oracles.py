@@ -5,7 +5,7 @@ plain loops: best-response tables, fast-elimination replays, pure equilibrium
 scans, an exact vertex-enumeration feasibility oracle for cross-checking
 the simplex, and a plain-`Fraction` phase-1 simplex with a dense lazy-row
 loop that the engine's integer pivots and support-only scan must follow
-step for step.  It also holds the belief-set definitions the tests check
+step for step, with a plain pure-domination scan beside it.  It also holds the belief-set definitions the tests check
 against (kinds, narrowed membership, pure enumeration), a plain-`Fraction`
 reading, digest and rendering of game text for the integer game layer, and
 a line-by-line reader of game text that the bulk tokenizer must match error
@@ -309,6 +309,23 @@ def correlated_row_generation(game, player, strategy, kept, candidates, lp):
         point = lp(ineqs, ([1] * len(profiles), 1), num_vars=len(profiles))
         if point is None:
             return "nbr", None, len(ineqs)
+
+
+def first_pure_dominator(game, player, strategy, kept, candidates):
+    """The first candidate, in index order, that pays strictly more than
+    `strategy` against every kept opponent profile, or None: the plain full
+    scan the oracle's prefiltered domination test must agree with."""
+    axes = [sorted(kept[j]) for j in range(game.players) if j != player]
+
+    def pay(s, opp):
+        profile = list(opp)
+        profile.insert(player, s)
+        return game.payoff(tuple(profile), player)
+
+    for c in sorted(candidates):
+        if all(pay(c, opp) > pay(strategy, opp) for opp in itertools.product(*axes)):
+            return c
+    return None
 
 
 # --- belief-set definitions ------------------------------------------------

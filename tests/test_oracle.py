@@ -28,11 +28,19 @@ from nbrelim.oracle import (
     render_certificate,
 )
 
-from nbrelim.reductions import ReductionKind, iterate, legal_removal_candidates
+from nbrelim import reductions
+from nbrelim.reductions import (
+    ReductionKind,
+    candidate_certificates,
+    comparison_for,
+    iterate,
+    legal_removal_candidates,
+)
 
 from oracles import (
     best_response_set,
     correlated_row_generation,
+    first_pure_dominator,
     is_pure_best_to_some,
     lp_feasible_reference,
     replay_fast_pure,
@@ -318,6 +326,105 @@ class TestCorrelatedRowGeneration:
         for seed in range(4):
             game = random_game(2, (7, 7), 2, seed)
             self.lp_path_against_reference(game, seed, monkeypatch)
+
+
+class TestWholeRowScans:
+    """The whole-row scans of the decision ladder pick what plain scans in
+    candidate order pick, on tie-heavy games (payoffs in [-2, 2]) with full
+    and partial comparison sets."""
+
+    @staticmethod
+    def restrictions(seeds):
+        for seed in seeds:
+            game = random_game(2, (7, 7), 2, seed=1500 + seed)
+            rng = random.Random(seed)
+            for _ in range(4):
+                kept = [sorted(rng.sample(range(7), rng.randint(1, 7))) for _ in range(2)]
+                yield game, restrict(game, kept), rng
+
+    def cases(self, seeds):
+        for game, r, rng in self.restrictions(seeds):
+            for player in range(2):
+                partial = sorted(rng.sample(range(7), rng.randint(1, 6)))
+                for candidates in (range(7), r.kept[player], partial):
+                    yield game, r, player, ComparisonSet(player, tuple(candidates))
+
+    def test_prefilter_returns_the_first_dominator(self):
+        dominated = decoys = 0
+        for game, r, player, cmp in self.cases(range(8)):
+            kept = r.kept
+            opps = list(game.opponent_profiles(player, kept))
+            for s in kept[player]:
+                cert = find_witness(game, r, player, s, BeliefKind.CORRELATED, cmp)
+                first = first_pure_dominator(game, player, s, kept, cmp.candidates)
+                if first is None:
+                    assert getattr(cert, "proof", None) != "dominated"
+                    continue
+                dominated += 1
+                assert cert == NeverBest("dominated", ((first, Fraction(1)),))
+                # A candidate before the dominator that beats the strategy
+                # at the LP's start column passes the first filter only.
+                own = [game.payoff((s, *o) if player == 0 else (*o, s), player)
+                       for o in opps]
+                start = opps[own.index(max(own))]
+                decoys += any(
+                    game.payoff((c, *start) if player == 0 else (*start, c), player)
+                    > max(own)
+                    for c in cmp.candidates
+                    if c < first
+                )
+        assert dominated > 100 and decoys > 10
+
+    def test_column_best_is_the_per_base_max(self):
+        shapes = set()
+        for game, r, player, cmp in self.cases(range(4)):
+            bases = game.opponent_bases(player, r.kept)
+            scale = game.scales[player]
+            want = [
+                max(
+                    game.payoff((c, *o) if player == 0 else (*o, c), player) * scale
+                    for c in cmp.candidates
+                )
+                for o in game.opponent_profiles(player, r.kept)
+            ]
+            assert oracle._column_best(game, player, bases, cmp) == want
+            assert oracle._column_best(game, player, bases[:1], cmp) == want[:1]
+            shapes.add((len(cmp.candidates) == 1, len(cmp.candidates) == 7))
+        assert shapes == {(True, False), (False, False), (False, True)}
+
+    @pytest.mark.parametrize("kind", list(ReductionKind))
+    def test_sweep_with_shared_bases_matches_find_witness(self, kind, monkeypatch):
+        decided = []
+        real = reductions._find_witness_fast
+
+        def recording(game, kept, player, s, belief_kind, cmp, resolution, bases,
+                      colmax=None):
+            assert bases == game.opponent_bases(player, kept)
+            cert = real(game, kept, player, s, belief_kind, cmp, resolution, bases,
+                        colmax)
+            decided.append((player, s, cmp, cert))
+            return cert
+
+        monkeypatch.setattr(reductions, "_find_witness_fast", recording)
+        verdicts = set()
+        for game, r, _ in self.restrictions(range(3)):
+            for belief_kind in BeliefKind:
+                decided.clear()
+                removable, certs, _ = candidate_certificates(game, r, belief_kind, kind)
+                assert len(decided) == sum(map(len, r.kept))
+                for player, s, cmp, cert in decided:
+                    want = comparison_for(kind, game, r, r, player)
+                    if kind is ReductionKind.DARROW:
+                        want = ComparisonSet(player, set(want.candidates) - {s})
+                    assert cmp == want
+                    assert cert == find_witness(game, r, player, s, belief_kind, cmp)
+                    verdicts.add(type(cert))
+                    if isinstance(cert, NeverBest):
+                        assert certs[(player, s)] == cert
+                        assert s in removable[player]
+                    else:
+                        assert s not in removable[player]
+        assert verdicts == {BestResponse, NeverBest}
 
 
 class TestGridSearch:

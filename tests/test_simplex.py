@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nbrelim import simplex
 from nbrelim.games import InputError
 from nbrelim.simplex import lp_feasible
 
@@ -203,3 +204,51 @@ def test_huge_coefficients_divide_exactly():
             check_point(x, ineqs, eq)
             seen += max(v.denominator for v in x) > 2**60
     assert seen > 0
+
+
+# --- all-int systems skip the scaling ----------------------------------------
+
+
+def as_fractions(row):
+    coeffs, bound = row
+    return [Fraction(c) for c in coeffs], Fraction(bound)
+
+
+big = st.integers(2**80 - 9, 2**80 + 9)
+entries = st.integers(-6, 6) | big | big.map(lambda v: -v) | st.booleans()
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_integer_rows_same_point_three_ways(data):
+    # As given (plain ints take the unscaled path), with every entry a
+    # Fraction (the scaled path) and through the Fraction reference pivots;
+    # bool entries and rows mixing int and Fraction take the scaled path.
+    nvars = data.draw(st.integers(1, 5))
+    row = st.tuples(
+        st.lists(entries, min_size=nvars, max_size=nvars),
+        st.sampled_from([0, 0, -1, -(2**80)]) | entries,
+    )
+    ineqs = data.draw(st.lists(row, max_size=5))
+    eq = data.draw(st.just(([1] * nvars, 1)) | row)
+    got = lp_feasible(ineqs, eq, num_vars=nvars)
+    scaled = lp_feasible(list(map(as_fractions, ineqs)), as_fractions(eq), num_vars=nvars)
+    assert got == scaled == lp_feasible_reference(ineqs, eq, num_vars=nvars)
+    mixed = [
+        as_fractions(r) if data.draw(st.booleans(), label="as Fraction") else r
+        for r in ineqs
+    ]
+    assert lp_feasible(mixed, eq, num_vars=nvars) == got
+
+
+def test_integer_rows_skip_the_scaling(monkeypatch):
+    def no_scaling(*denominators):
+        raise AssertionError("an all-int system was scaled")
+
+    monkeypatch.setattr(simplex, "lcm", no_scaling)
+    ineqs = [([3, -1, 0], 1), ([-1, 2, -1], 0)]
+    got = lp_feasible(ineqs, ([1, 1, 1], 1))
+    assert got is not None and got == lp_feasible_reference(ineqs, ([1, 1, 1], 1))
+    for row in ([3, Fraction(-1), 0], 1), ([3, True, 0], 1), ([3, -1, 0], 1.0):
+        with pytest.raises(AssertionError):
+            lp_feasible([row], ([1, 1, 1], 1))
