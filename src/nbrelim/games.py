@@ -355,6 +355,13 @@ class Restriction:
         object.__setattr__(self, "kept", tuple(norm))
         object.__setattr__(self, "bits", bits)
 
+    @classmethod
+    def _trusted(cls, parent: FiniteGame, kept: tuple, bits: int) -> "Restriction":
+        """No checks: `kept` is sorted, duplicate-free and in range; `bits` its mask."""
+        new = object.__new__(cls)
+        new.__dict__.update(parent=parent, kept=kept, bits=bits)
+        return new
+
     def classify(self) -> RestrictionClass:
         if all(not ks for ks in self.kept):
             return RestrictionClass.EMPTY
@@ -399,11 +406,7 @@ class Restriction:
                 raise InputError(f"cannot remove absent strategies {sorted(bad)}")
             kept[i] = tuple(itertools.filterfalse(gone_set.__contains__, kept[i]))
             bits &= ~(sum(1 << s for s in gone_set) << self.parent.offsets[i])
-        new = object.__new__(Restriction)
-        object.__setattr__(new, "parent", self.parent)
-        object.__setattr__(new, "kept", tuple(kept))
-        object.__setattr__(new, "bits", bits)
-        return new
+        return Restriction._trusted(self.parent, tuple(kept), bits)
 
     def removed_from(self, other: "Restriction") -> tuple[tuple[int, ...], ...]:
         """Per-player strategies present in `other` but not in self."""
@@ -430,7 +433,8 @@ def _check_same_parent(a: Restriction, b: Restriction) -> None:
 
 
 def full_restriction(game: FiniteGame) -> Restriction:
-    return Restriction(game, tuple(tuple(range(s)) for s in game.sizes))
+    kept = tuple(tuple(range(s)) for s in game.sizes)
+    return Restriction._trusted(game, kept, (1 << sum(game.sizes)) - 1)
 
 
 def restrict(game: FiniteGame, kept: Sequence[Iterable[int]]) -> Restriction:

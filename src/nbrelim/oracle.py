@@ -323,9 +323,14 @@ class OracleCache:
     removed: the residual supports of arc consistency (Lecoutre & Hemery,
     IJCAI 2007) that `reductions.Frontier` watches; `support` is the last
     witness's opponent mask.  A second game or belief kind is an `InputError`.
+
+    `sweeps` is `iterate`'s sweep table: per (relation, resolution), a swept
+    restriction's bits map to its removable mask shifted left once, bit 0 set
+    if an answer was inconclusive.  Never-best answers are exact, so no memo
+    history changes a removable set; `Inconclusive` depends on the resolution.
     """
 
-    __slots__ = ("kind", "game", "witnesses", "never_best", "support")
+    __slots__ = ("kind", "game", "witnesses", "never_best", "support", "sweeps")
 
     DEPTH = 8
 
@@ -335,6 +340,7 @@ class OracleCache:
         self.witnesses: dict[tuple[int, int], list[list]] = {}
         self.never_best: dict[tuple[int, int], list[tuple]] = {}
         self.support = 0
+        self.sweeps: dict[tuple, dict[int, int]] = {}
 
     def bind(self, game: FiniteGame, kind: BeliefKind) -> None:
         if kind is not self.kind:

@@ -17,8 +17,12 @@ policies.  Traces record every removal with its certificate.
 The one memo is the `OracleCache` a caller passes (`iterate` makes one when
 none is given); its docstring states why a remembered answer is sound.  An
 `iterate` run keeps a `Frontier` of answers and what each watches, so a sweep
-re-decides only what a removal touched.  A one-off sweep has no next sweep to
-serve, so it decides every kept strategy and keeps no state.
+re-decides only what a removal touched.  A restriction already swept under
+the same relation and resolution is read from the cache's sweep table, and
+the `Frontier` is left as it was: restrictions only shrink along a run, so
+its next sweep re-decides what every removal since its last one touched.  A
+one-off sweep has no next sweep to serve, so it decides every kept strategy
+and keeps no state.
 """
 
 from __future__ import annotations
@@ -396,10 +400,7 @@ def legal_removal_candidates(
     darrow only singletons are guaranteed and joint removals must be
     re-validated (the comparison set shrinks with the removal).
     """
-    sets, _, _ = candidate_certificates(
-        game, source, belief_kind, kind, resolution, cache
-    )
-    return sets
+    return candidate_certificates(game, source, belief_kind, kind, resolution, cache)[0]
 
 
 def iterate(
@@ -425,6 +426,8 @@ def iterate(
         raise InputError("user-script policy needs a schedule")
     if cache is None:
         cache = OracleCache(belief_kind)
+    cache.bind(game, belief_kind)  # before the sweep table answers for `game`
+    table = cache.sweeps.setdefault((kind, resolution), {})
     rng = random.Random(seed)
     current = full_restriction(game)
     steps: list[Step] = []
@@ -437,12 +440,22 @@ def iterate(
         steps.append(result)
         current = result.target
 
-    frontier = Frontier(game, kind)
+    frontier, offsets = Frontier(game, kind), game.offsets
     while True:
-        sets, certs, saw_inconclusive = candidate_certificates(
-            game, current, belief_kind, kind, resolution, cache, frontier
-        )
-        flat = [(i, s) for i, gone in enumerate(sets) for s in gone]
+        swept = table.get(current.bits)
+        if swept is None:
+            sets, certs, saw_inconclusive = candidate_certificates(
+                game, current, belief_kind, kind, resolution, cache, frontier
+            )
+            flat = [(i, s) for i, gone in enumerate(sets) for s in gone]
+            mask = sum(2 << offsets[i] + s for i, s in flat)  # bit 0: inconclusive
+            table[current.bits] = mask | saw_inconclusive
+        else:  # swept before: the same sets, each ascending as a sweep gives them
+            certs, saw_inconclusive = None, bool(swept & 1)
+            flat = [
+                (i, s) for i, (offset, size) in enumerate(zip(offsets, game.sizes))
+                for s in _bits(swept >> offset + 1 & (1 << size) - 1)
+            ]
         if not flat or policy is Policy.USER_SCRIPT:
             break
         if policy is Policy.FAST:
@@ -454,10 +467,17 @@ def iterate(
             while not chosen:
                 chosen = [pair for pair in flat if rng.getrandbits(1)]
         if kind is ReductionKind.DARROW:
-            step = _joint_darrow_step(
-                game, current, chosen, belief_kind, resolution, cache
-            )
+            step = _joint_darrow_step(game, current, chosen, belief_kind, resolution, cache)
         else:
+            if certs is None:  # a table hit keeps no certificates: ask again
+                certs = {
+                    (i, s): find_witness(
+                        game, current, i, s, belief_kind,
+                        comparison_for(kind, game, current, current, i),
+                        resolution, cache,
+                    )
+                    for i, s in chosen
+                }
             step = _certified_step(current, chosen, kind, belief_kind, certs)
         steps.append(step)
         current = step.target

@@ -202,8 +202,8 @@ def _larger_candidates(
             for size, off in zip(game.sizes, game.offsets)
         ]
         for combo in itertools.product(*subsets):
-            if sum(bits for _, bits in combo) & ~outcome.bits:
-                yield Restriction(game, tuple(kept for kept, _ in combo))
+            if (bits := sum(b for _, b in combo)) & ~outcome.bits:
+                yield Restriction._trusted(game, tuple(kept for kept, _ in combo), bits)
         return
     rng = random.Random(child_seed(seed, 999))
     supersets = [join(outcome, random_restriction(game, rng, False)) for _ in range(20)]
@@ -459,10 +459,10 @@ def check_nash_preservation(
         OracleCache(BeliefKind.PURE),
     )
     before = set(pure_nash(game))
-    after = [
-        (t, set(pure_nash(t.outcome)) if t.outcome.is_nondegenerate() else set())
-        for t in traces
-    ]
+    found = {t.outcome.bits: t.outcome for t in traces}
+    for bits, outcome in found.items():  # one scan per distinct outcome
+        found[bits] = set(pure_nash(outcome)) if outcome.is_nondegenerate() else set()
+    after = [(t, found[t.outcome.bits]) for t in traces]
     lost = next(
         (
             (t.render(), f"lost equilibria {sorted(before - nash)}")

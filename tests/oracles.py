@@ -519,7 +519,8 @@ def render_game_reference(labels, table):
 def iterate_reference(game, kind, belief_kind, policy, seed, cache, resolution=2):
     """`reductions.iterate` with a stateless `candidate_certificates` sweep of
     every kept strategy each round, sharing `cache`: the loop before the
-    frontier, drawing the same random choices from the same sorted sets."""
+    frontier and the sweep table, drawing the same random choices from the
+    same sorted sets."""
     from nbrelim.reductions import (
         Policy,
         ReductionKind,

@@ -131,6 +131,26 @@ class TestRestriction:
                 assert current.contains(nxt)
                 current = nxt
 
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_trusted_constructor_equals_the_checked_one(self, data):
+        shape = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        game = random_game(len(shape), shape, 3, seed=data.draw(st.integers(0, 99)))
+        # the checked constructor sorts and deduplicates; the trusted one
+        # takes the normalized sets and an independently built mask
+        raw = [data.draw(st.lists(st.integers(0, n - 1), max_size=6)) for n in shape]
+        kept = tuple(tuple(sorted(set(ks))) for ks in raw)
+        offsets = list(itertools.accumulate(shape, initial=0))
+        bits = sum(1 << offsets[i] + s for i, ks in enumerate(kept) for s in ks)
+        trusted = Restriction._trusted(game, kept, bits)
+        checked = Restriction(game, tuple(map(tuple, raw)))
+        assert (trusted.kept, trusted.bits) == (checked.kept, checked.bits)
+        assert trusted == checked and hash(trusted) == hash(checked)
+        full = full_restriction(game)
+        whole = Restriction(game, tuple(tuple(range(n)) for n in shape))
+        assert (full.kept, full.bits) == (whole.kept, whole.bits)
+        assert full == whole
+
     def test_classify(self, g3x2):
         assert full_restriction(g3x2).classify() is RestrictionClass.NONDEGENERATE
         assert restrict(g3x2, [(), (0,)]).classify() is RestrictionClass.DEGENERATE

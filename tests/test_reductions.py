@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nbrelim import reductions
 from nbrelim.beliefs import BeliefKind, PurePoint
 from nbrelim.catalog import (
     bertrand_grid,
@@ -45,6 +46,7 @@ from nbrelim.reductions import (
     legal_removal_candidates,
     validate_step,
 )
+from nbrelim.verification import child_seed
 
 from oracles import (
     enumerate_pure_beliefs,
@@ -606,3 +608,115 @@ class TestFrontier:
             )
             assert len(trace.steps) == 58
             assert len(lookups) <= 2 * sum(game.sizes)
+
+
+class TestSweepTable:
+    """`iterate` sweeps each restriction once per cache, relation and
+    resolution; a table hit reads the sets back and gives the same trace."""
+
+    @staticmethod
+    def counted_sweeps(monkeypatch):
+        calls = []
+        sweep = reductions.candidate_certificates
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])  # the relation swept under
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(reductions, "candidate_certificates", counted)
+        return calls
+
+    def test_shared_cache_traces_match_fresh_ones(self, monkeypatch):
+        sweeps = self.counted_sweeps(monkeypatch)
+        games = TestResidualSupports.corpus() + [
+            TestFrontier.pinched_window_with_a_dominated_strategy()
+        ]
+        rounds = 0
+        for n, game in enumerate(games):
+            for bk in BeliefKind:
+                # The runs of `check_equivalence`, all on one cache.
+                cache = OracleCache(bk)
+                runs = [
+                    (kind, Policy.FAST, 0)
+                    for kind in (ReductionKind.TILDE, ReductionKind.ARROW)
+                ] + [
+                    (kind, Policy.SINGLE_RANDOM if k % 2 else Policy.RANDOM_PARTIAL,
+                     child_seed(child_seed(n, j + 1), k))
+                    for j, kind in enumerate(ReductionKind)
+                    for k in range(3)
+                ]
+                for kind, policy, seed in runs:
+                    trace = iterate(
+                        game, kind, bk, policy, seed, resolution=2, cache=cache
+                    )
+                    fresh = iterate(game, kind, bk, policy, seed, resolution=2)
+                    reference = iterate_reference(
+                        game, kind, bk, policy, seed, OracleCache(bk)
+                    )
+                    assert trace.render() == fresh.render() == reference.render()
+                    rounds += len(trace.steps) + 1
+        # The shared cache swept far fewer rounds than the runs made: every
+        # fresh and reference run sweeps each of its own rounds.
+        shared = len(sweeps) - 2 * rounds
+        assert 0 < shared < rounds / 2
+
+    def test_a_rerun_sweeps_nothing(self, monkeypatch):
+        sweeps = self.counted_sweeps(monkeypatch)
+        game = random_game(2, [5, 5], 5, seed=11)
+        for bk in BeliefKind:
+            cache = OracleCache(bk)
+            for kind in ReductionKind:
+                for policy in (Policy.RANDOM_PARTIAL, Policy.SINGLE_RANDOM):
+                    first = iterate(game, kind, bk, policy, 3, cache=cache)
+                    sweeps.clear()
+                    again = iterate(game, kind, bk, policy, 3, cache=cache)
+                    assert sweeps == []
+                    assert again.render() == first.render()
+                    assert len(first.steps) > 0
+
+    def test_each_relation_sweeps_for_itself(self, monkeypatch):
+        # `check_equivalence` compares the relations' runs on one cache, so no
+        # relation may read another's sweeps, even where, as here, one seed
+        # of single removals walks one chain under all three.
+        sweeps = self.counted_sweeps(monkeypatch)
+        game = random_game(2, [5, 5], 5, seed=11)
+        for bk in BeliefKind:
+            cache = OracleCache(bk)
+            chains = set()
+            for kind in ReductionKind:
+                sweeps.clear()
+                trace = iterate(game, kind, bk, Policy.SINGLE_RANDOM, 3, cache=cache)
+                assert sweeps == [kind] * (len(trace.steps) + 1)
+                chains.add(tuple(step.target.bits for step in trace.steps))
+            assert len(chains) == 1
+
+    def test_each_resolution_keeps_its_own_answers(self):
+        # X's mixed answer is inconclusive at resolution 2 and a witness at 3
+        # (the 1/3-2/3 mix is on that grid); the coarse run comes first, so
+        # both runs must give what a fresh cache gives.
+        game = TestFrontier.pinched_window_with_a_dominated_strategy()
+        bk = BeliefKind.INDEPENDENT_MIXED
+        for kind in ReductionKind:
+            policy = Policy.SINGLE_RANDOM if kind is ReductionKind.DARROW else Policy.FAST
+            cache = OracleCache(bk)
+            traces = {}
+            for resolution in (2, 3):
+                trace = iterate(
+                    game, kind, bk, policy, 1, resolution=resolution, cache=cache
+                )
+                fresh = iterate(game, kind, bk, policy, 1, resolution=resolution)
+                assert trace.render() == fresh.render()
+                traces[resolution] = trace
+            assert not traces[2].maximal and traces[3].maximal
+
+    def test_a_second_game_is_refused_before_the_table_answers(self):
+        # `fixed` is a fixed point, so its full restriction's entry lists
+        # nothing removable; g has the same shape and bits, and that entry
+        # must not answer for g, where M and B go.
+        g = gap_3x2()
+        fixed = FiniteGame.from_function(g.labels, lambda p: (0, 0))
+        assert iterate(fixed, ReductionKind.TILDE, BeliefKind.PURE).steps == ()
+        cache = OracleCache(BeliefKind.PURE)
+        iterate(fixed, ReductionKind.TILDE, BeliefKind.PURE, cache=cache)
+        with pytest.raises(InputError):
+            iterate(g, ReductionKind.TILDE, BeliefKind.PURE, cache=cache)

@@ -1,5 +1,6 @@
 """Theorem checkers: closure, equilibria, and the campaign functions."""
 
+import itertools
 import json
 import random
 
@@ -16,7 +17,13 @@ from nbrelim.catalog import (
     random_game,
 )
 from nbrelim.games import (
-    FiniteGame, InputError, full_restriction, join, restrict, restrict_by_labels,
+    FiniteGame,
+    InputError,
+    Restriction,
+    full_restriction,
+    join,
+    restrict,
+    restrict_by_labels,
 )
 from nbrelim.oracle import BestResponse, NeverBest
 from nbrelim.reductions import Policy, ReductionKind, Rejection, Trace
@@ -97,6 +104,24 @@ class TestIsClosed:
             assert is_closed(game, restriction, BeliefKind.PURE) is expected
             seen.add((restriction.is_nondegenerate(), expected))
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+class TestLargerCandidates:
+    def test_lattice_candidates_equal_checked_restrictions(self):
+        # 7 strategies in all: the whole lattice, built from masks
+        game = random_game(3, [2, 3, 2], 3, seed=4)
+        outcome = restrict(game, [(0,), (1, 2), (0, 1)])
+        got = list(verification._larger_candidates(game, outcome, 0))
+        subsets = [
+            [c for r in range(n + 1) for c in itertools.combinations(range(n), r)]
+            for n in game.sizes
+        ]
+        lattice = [Restriction(game, kept) for kept in itertools.product(*subsets)]
+        expected = [r for r in lattice if not outcome.contains(r)]
+        assert len(got) == 2**7 - 2**5
+        assert sorted((r.kept, r.bits) for r in got) == sorted(
+            (r.kept, r.bits) for r in expected
+        )
 
 
 class TestPureNash:
