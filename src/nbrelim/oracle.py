@@ -6,8 +6,8 @@ and the belief kind picks the search space.  One pure scan comes first for
 every kind (a pure witness is a witness for all three); past it, correlated
 beliefs are decided by exact rational LP feasibility with constraint-row
 generation, and independent mixed beliefs by delegation (two players) or by
-a correlated never-best proof, else a verified simplex-grid search (three or
-more).
+a correlated never-best proof, else a product-grid search on the integer
+tensor (three or more).
 
 Every `BestResponse` certificate carries a witness belief that re-verifies by
 direct expected-payoff comparison.  `NeverBest` is only ever returned with an
@@ -21,8 +21,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import ge, gt, sub
-from typing import Iterator, Sequence, Union
+from operator import ge, gt, mul, sub
+from typing import Sequence, Union
 
 from .beliefs import (
     Belief,
@@ -249,27 +249,16 @@ def _correlated_certificate(
         support = [(pos, p) for pos, p in enumerate(solution) if p]
 
 
-def simplex_grid(size: int, resolution: int) -> Iterator[tuple[Fraction, ...]]:
-    """Probability vectors of `size` entries with denominator <= resolution.
-
-    Denominator first, each vector once (at its smallest denominator).
-    """
-
-    def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-        if parts == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for tail in compositions(total - head, parts - 1):
-                yield (head,) + tail
-
-    seen: set[tuple[Fraction, ...]] = set()
-    for den in range(1, resolution + 1):
-        for combo in compositions(den, size):
-            vec = tuple(Fraction(a, den) for a in combo)
-            if vec not in seen:
-                seen.add(vec)
-                yield vec
+@functools.lru_cache(maxsize=64)
+def simplex_grid(size: int, resolution: int) -> tuple[tuple[int, ...], ...]:
+    """Probability vectors of `size` entries with denominator <= resolution,
+    as numerators over lcm(1..resolution): sorted, each vector once."""
+    den = lcm(*range(1, resolution + 1))
+    return tuple(sorted({  # compositions of d by stars and bars
+        tuple((b - a - 1) * (den // d) for a, b in zip((-1,) + bars, bars + (d + size - 1,)))
+        for d in range(1, resolution + 1)
+        for bars in itertools.combinations(range(d + size - 1), size - 1)
+    }))
 
 
 def _grid_product_witness(
@@ -280,22 +269,37 @@ def _grid_product_witness(
     cmp: ComparisonSet,
     resolution: int,
 ) -> ProductBelief | None:
-    opps = game.opponents(player)
-    grids = []
-    for j in opps:
-        axis = kept[j]
-        grids.append(
-            [
-                tuple((s, p) for s, p in zip(axis, vec) if p > 0)
-                for vec in sorted(simplex_grid(len(axis), resolution))
-            ]
-        )
-    for combo in itertools.product(*grids):
-        mu = ProductBelief(tuple(combo))
-        bases, nums, _ = integer_form(game, player, mu)
-        if _int_witness_check(game, player, strategy, bases, nums, cmp):
-            return mu
-    return None
+    """The first point of the product of the opponents' grids (the last
+    varying fastest) where `strategy` weakly beats every candidate, or None.
+    Each candidate's integer payoff row minus the strategy's is contracted
+    with each prefix once, so a last-grid point costs one dot per candidate."""
+    ip, stride = game.ipay[player], game.strides[player]
+    bases, own = game.opponent_bases(player, kept), strategy * stride
+    rows = [
+        [ip[b + c * stride] - ip[b + own] for b in bases]
+        for c in cmp.candidates if c != strategy
+    ]
+    axes = [kept[j] for j in game.opponents(player)]
+
+    def scan(k: int, rows: list[list[int]], width: int) -> tuple | None:
+        grid = simplex_grid(len(axes[k]), resolution)
+        if k == len(axes) - 1:
+            hits = (nums for nums in grid if all(sum(map(mul, r, nums)) <= 0 for r in rows))
+            return next(((nums,) for nums in hits), None)
+        width //= len(axes[k])
+        for nums in grid:
+            cut = [[sum(n * row[i * width + r] for i, n in enumerate(nums) if n)
+                    for r in range(width)] for row in rows]
+            if (found := scan(k + 1, cut, width)) is not None:
+                return (nums,) + found
+        return None
+
+    if (found := scan(0, rows, len(bases))) is None:
+        return None
+    return ProductBelief(tuple(
+        tuple((s, Fraction(n, sum(nums))) for s, n in zip(axis, nums) if n)
+        for axis, nums in zip(axes, found)
+    ))
 
 
 class OracleCache:

@@ -18,11 +18,11 @@ The one memo is the `OracleCache` a caller passes (`iterate` makes one when
 none is given); its docstring states why a remembered answer is sound.  An
 `iterate` run keeps a `Frontier` of answers and what each watches, so a sweep
 re-decides only what a removal touched.  A restriction already swept under
-the same relation and resolution is read from the cache's sweep table, and
-the `Frontier` is left as it was: restrictions only shrink along a run, so
-its next sweep re-decides what every removal since its last one touched.  A
-one-off sweep has no next sweep to serve, so it decides every kept strategy
-and keeps no state.
+the same relation and resolution is read from the cache's sweep table (its
+certificates through `OracleCache.lookup`), and the `Frontier` is left as
+it was: restrictions only shrink along a run, so its next sweep re-decides
+what every removal since its last one touched.  A one-off sweep has no next
+sweep to serve, so it decides every kept strategy and keeps no state.
 """
 
 from __future__ import annotations
@@ -357,9 +357,11 @@ def _certified_step(
     belief_kind: BeliefKind,
     certs: Mapping[tuple[int, int], Certificate],
 ) -> Step:
+    """The step removing `chosen`, which lists (player, strategy) pairs in
+    ascending order, each certified in `certs`."""
     removal = _removal(chosen)
-    removed = tuple(tuple(sorted(removal.get(i, ()))) for i in range(len(source.kept)))
-    step_certs = tuple(sorted((pair, certs[pair]) for pair in chosen))
+    removed = tuple(tuple(removal.get(i, ())) for i in range(len(source.kept)))
+    step_certs = tuple((pair, certs[pair]) for pair in chosen)
     return Step(
         source, source.remove(removal), removed, kind, belief_kind, step_certs
     )
@@ -469,15 +471,13 @@ def iterate(
         if kind is ReductionKind.DARROW:
             step = _joint_darrow_step(game, current, chosen, belief_kind, resolution, cache)
         else:
-            if certs is None:  # a table hit keeps no certificates: ask again
-                certs = {
-                    (i, s): find_witness(
-                        game, current, i, s, belief_kind,
-                        comparison_for(kind, game, current, current, i),
-                        resolution, cache,
-                    )
-                    for i, s in chosen
-                }
+            if certs is None:  # a hit keeps none: the cache has them unless evicted
+                certs = {}
+                for i, s in chosen:  # only the oracle answers an empty belief set
+                    cmp = comparison_for(kind, game, current, current, i)
+                    certs[i, s] = all(current.kept) and cache.lookup(
+                        i, s, current.bits, cmp
+                    ) or find_witness(game, current, i, s, belief_kind, cmp, resolution, cache)
             step = _certified_step(current, chosen, kind, belief_kind, certs)
         steps.append(step)
         current = step.target

@@ -8,7 +8,7 @@ Six campaigns check the guarantees on a concrete game instance:
 - `check_equivalence`: the arrow and darrow relations coincide step by step,
   and all three relations reach one outcome;
 - `check_nash_preservation`: maximal reductions keep the pure equilibria;
-- `check_oracle_agreement`: the correlated LP agrees with grid enumeration;
+- `check_oracle_agreement`: the correlated LP agrees with a grid scan;
 - `check_kind_monotonicity`: never-best verdicts are monotone across the
   belief kinds.
 
@@ -22,9 +22,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from operator import add
+from typing import Iterator, Sequence
 
-from .beliefs import BeliefKind, DistributionBelief
+from .beliefs import BeliefKind
 from .games import (
     FiniteGame,
     InputError,
@@ -41,7 +42,6 @@ from .oracle import (
     find_witness,
     full_comparison,
     is_best_response,
-    simplex_grid,
 )
 from .reductions import (
     Policy,
@@ -222,6 +222,8 @@ def _fast_and_orders(
 ) -> list[Trace]:
     """The fast trace (none under darrow, which has no fast variant), then
     `num_orders` random-order traces, all sharing `cache`."""
+    if num_orders < 1:  # a checker that samples nothing would pass unchecked
+        raise InputError(f"num_orders must be at least 1, got {num_orders}")
     fast = [] if kind is ReductionKind.DARROW else [
         iterate(game, kind, belief_kind, Policy.FAST, resolution=resolution, cache=cache)
     ]
@@ -400,6 +402,8 @@ def check_equivalence(
     """On finite games the arrow and darrow relations coincide step-by-step,
     and all three relations' maximal sequences share one non-degenerate
     outcome."""
+    if num_orders < 1:  # a checker that samples nothing would pass unchecked
+        raise InputError(f"num_orders must be at least 1, got {num_orders}")
     instance = _instance_name(game)
     cache = OracleCache(belief_kind)
     counter = next(_step_rejections(game, belief_kind, seed, resolution, cache), None)
@@ -495,14 +499,30 @@ def check_nash_preservation(
     ]
 
 
-def grid_distributions(
-    profiles: Sequence[JointProfile], max_denominator: int
-) -> Iterable[DistributionBelief]:
-    """All correlated beliefs over `profiles` with denominator <= max_denominator."""
-    for vec in simplex_grid(len(profiles), max_denominator):
-        yield DistributionBelief(
-            tuple((pr, p) for pr, p in zip(profiles, vec) if p > 0)
-        )
+def _grid_best_responses(game: FiniteGame, player: int, max_denominator: int) -> int:
+    """Bit mask of the strategies that are a weak best response to some
+    correlated belief with denominator <= max_denominator: the integer
+    compositions of each d in (max_denominator // 2, max_denominator] over
+    the opponent profiles, which hold every such belief scaled."""
+    ip, stride, own = game.ipay[player], game.strides[player], range(game.sizes[player])
+    *head, last = [[ip[b + s * stride] for s in own] for b in game.opponent_bases(player)]
+    mask = 0
+
+    def walk(k: int, left: int, totals: list[int]) -> None:
+        nonlocal mask
+        if k == len(head):  # the last profile takes what is left
+            totals = [x + left * y for x, y in zip(totals, last)]
+            top = max(totals)
+            mask |= sum(1 << s for s, x in enumerate(totals) if x == top)
+            return
+        for _ in range(left + 1):
+            walk(k + 1, left, totals)
+            left -= 1
+            totals = list(map(add, totals, head[k]))
+
+    for den in range(max_denominator // 2 + 1, max_denominator + 1):
+        walk(0, den, [0] * len(last))
+    return mask
 
 
 def check_oracle_agreement(
@@ -514,27 +534,30 @@ def check_oracle_agreement(
     """Cross-check the correlated LP verdicts against grid enumeration.
 
     Every witness the oracle returns must be confirmed as a best response,
-    and whenever the LP says never-best no grid point may be a witness.
+    and whenever the LP says never-best no grid point may be a witness: one
+    integer scan per player, at its first never-best verdict, finds them all.
     """
+    if max_denominator < 1:
+        raise InputError(f"max_denominator must be at least 1, got {max_denominator}")
     cache = OracleCache(BeliefKind.CORRELATED)
     full = full_restriction(game)
 
     def disagreements() -> Iterator[tuple[str, ...]]:
         for player in range(game.players):
             cmp = full_comparison(game, player)
-            profiles = list(game.opponent_profiles(player))
+            grid_best = None  # scanned at the player's first never-best verdict
             for s in range(game.sizes[player]):
                 cert = find_witness(
                     game, full, player, s, BeliefKind.CORRELATED, cmp, resolution, cache
                 )
-                if isinstance(cert, NeverBest) and any(
-                    is_best_response(game, player, s, mu, cmp)
-                    for mu in grid_distributions(profiles, max_denominator)
-                ):
-                    yield (
-                        f"player {player + 1} strategy {s}: LP says never-best "
-                        f"but a grid witness exists",
-                    )
+                if isinstance(cert, NeverBest):
+                    if grid_best is None:
+                        grid_best = _grid_best_responses(game, player, max_denominator)
+                    if grid_best >> s & 1:
+                        yield (
+                            f"player {player + 1} strategy {s}: LP says never-best "
+                            f"but a grid witness exists",
+                        )
                 elif isinstance(cert, BestResponse) and not is_best_response(
                     game, player, s, cert.witness, cmp
                 ):

@@ -5,8 +5,11 @@ plain loops: best-response tables, fast-elimination replays, pure equilibrium
 scans, an exact vertex-enumeration feasibility oracle for cross-checking
 the simplex, and a plain-`Fraction` phase-1 simplex with a dense lazy-row
 loop that the engine's integer pivots and support-only scan must follow
-step for step, with a plain pure-domination scan beside it.  It also holds the belief-set definitions the tests check
-against (kinds, narrowed membership, pure enumeration), a plain-`Fraction`
+step for step, with a plain pure-domination scan beside it.  It also holds
+the belief grids of the grid searches in plain `Fraction` (correlated
+beliefs of bounded denominator and the first witness of the product-grid
+search), the belief-set definitions the tests check against (kinds,
+narrowed membership, pure enumeration), a plain-`Fraction`
 reading, digest and rendering of game text for the integer game layer, and
 a line-by-line reader of game text that the bulk tokenizer must match error
 for error.
@@ -325,6 +328,58 @@ def first_pure_dominator(game, player, strategy, kept, candidates):
     for c in sorted(candidates):
         if all(pay(c, opp) > pay(strategy, opp) for opp in itertools.product(*axes)):
             return c
+    return None
+
+
+# --- belief grids in plain Fraction ------------------------------------------
+
+
+def simplex_vectors(size, max_denominator):
+    """Probability vectors of `size` entries with denominator <= max_denominator
+    as Fraction tuples, denominator first, each once (at its smallest
+    denominator), compositions by stars and bars in ascending order."""
+    seen = set()
+    for den in range(1, max_denominator + 1):
+        for bars in itertools.combinations(range(den + size - 1), size - 1):
+            cuts = (-1,) + bars + (den + size - 1,)
+            vec = tuple(Fraction(b - a - 1, den) for a, b in zip(cuts, cuts[1:]))
+            if vec not in seen:
+                seen.add(vec)
+                yield vec
+
+
+def grid_distributions(profiles, max_denominator):
+    """All correlated beliefs over `profiles` with denominator <= max_denominator."""
+    for vec in simplex_vectors(len(profiles), max_denominator):
+        yield DistributionBelief(tuple((pr, p) for pr, p in zip(profiles, vec) if p > 0))
+
+
+def grid_product_witness_reference(game, player, strategy, kept, candidates, resolution):
+    """The product-grid search in plain Fractions: one sorted grid per
+    opponent over its kept strategies, their product in order (the last
+    opponent varying fastest), the first point at which `strategy` pays at
+    least every candidate, as a `ProductBelief`; None if there is none."""
+    opps = [j for j in range(game.players) if j != player]
+    grids = [sorted(simplex_vectors(len(kept[j]), resolution)) for j in opps]
+
+    def value(c, factors):
+        total = Fraction(0)
+        for picks in itertools.product(*factors):
+            prob = Fraction(1)
+            for _, p in picks:
+                prob *= p
+            profile = [s for s, _ in picks]
+            profile.insert(player, c)
+            total += prob * game.payoff(tuple(profile), player)
+        return total
+
+    for combo in itertools.product(*grids):
+        factors = tuple(
+            tuple((s, p) for s, p in zip(kept[j], vec) if p > 0) for j, vec in zip(opps, combo)
+        )
+        own = value(strategy, factors)
+        if all(own >= value(c, factors) for c in candidates):
+            return ProductBelief(factors)
     return None
 
 

@@ -38,13 +38,12 @@ from nbrelim.reductions import (
     validate_step,
 )
 from nbrelim.verification import (
-    grid_distributions,
     pure_nash,
     random_order_traces,
     random_restriction,
 )
 
-from oracles import brute_pure_nash, replay_fast_pure
+from oracles import brute_pure_nash, grid_distributions, replay_fast_pure
 
 RANDOM_2P_GAMES = 500
 RANDOM_3P_GAMES = 100

@@ -41,6 +41,8 @@ from oracles import (
     best_response_set,
     correlated_row_generation,
     first_pure_dominator,
+    grid_distributions,
+    grid_product_witness_reference,
     is_pure_best_to_some,
     lp_feasible_reference,
     replay_fast_pure,
@@ -157,8 +159,6 @@ class TestFindWitness:
         )
         assert is_best_response(game, 0, 0, uniform, cmp)
         assert is_best_response(game, 0, 1, uniform, cmp)
-        from nbrelim.verification import grid_distributions
-
         profiles = list(game.opponent_profiles(0))
         for s in (0, 1):
             assert any(
@@ -461,6 +461,30 @@ class TestGridSearch:
             full_comparison(game, 0), resolution=2,
         )
         assert isinstance(cert, NeverBest)
+
+    def test_product_scan_matches_the_fraction_loop(self):
+        # Random 3- and 4-player queries with payoffs in [-2, 2], so ties are
+        # common: the integer scan returns the reference loop's first hit.
+        rng = random.Random(23)
+        found = []
+        for trial in range(200):
+            players = 3 if trial % 3 else 4
+            sizes = [rng.randint(1, 4 if players == 3 else 3) for _ in range(players)]
+            game = random_game(players, sizes, 2, seed=9000 + trial)
+            kept = tuple(tuple(sorted(rng.sample(range(n), rng.randint(1, n)))) for n in sizes)
+            player = rng.randrange(players)
+            strategy = rng.randrange(sizes[player])
+            size = sizes[player]
+            candidates = tuple(sorted(rng.sample(range(size), rng.randint(1, size))))
+            resolution = rng.randint(1, 5)
+            got = oracle._grid_product_witness(
+                game, player, strategy, kept, ComparisonSet(player, candidates), resolution
+            )
+            assert got == grid_product_witness_reference(
+                game, player, strategy, kept, candidates, resolution
+            )
+            found.append(got is not None)
+        assert 20 < found.count(False) < 100
 
     def test_inconclusive_excluded_from_never_best_set(self):
         game = pinched_window_3p()

@@ -674,6 +674,66 @@ class TestSweepTable:
                     assert again.render() == first.render()
                     assert len(first.steps) > 0
 
+    @staticmethod
+    def counted_oracle_calls(monkeypatch):
+        calls = []
+        oracle_call = reductions.find_witness
+
+        def counted(*args, **kwargs):
+            calls.append(args[2:4])  # (player, strategy)
+            return oracle_call(*args, **kwargs)
+
+        monkeypatch.setattr(reductions, "find_witness", counted)
+        return calls
+
+    @staticmethod
+    def rerun_corpus():
+        """(game index, game, belief kind, relation, policy, seed) of seeded
+        orders, tilde and arrow, over the residual-support corpus."""
+        games = TestResidualSupports.corpus() + [
+            TestFrontier.pinched_window_with_a_dominated_strategy()
+        ]
+        policies = (Policy.RANDOM_PARTIAL, Policy.SINGLE_RANDOM)
+        for n, game in enumerate(games):
+            for bk in BeliefKind:
+                for kind in (ReductionKind.TILDE, ReductionKind.ARROW):
+                    for k, policy in enumerate(policies):
+                        yield n, game, bk, kind, policy, child_seed(n, k)
+
+    def test_a_rerun_reads_certificates_from_the_cache(self, monkeypatch):
+        # A re-run hits the table every round; each chosen strategy's
+        # certificate is the cache's, and the oracle is not asked again.
+        calls = self.counted_oracle_calls(monkeypatch)
+        hits = 0
+        for n, game, bk, kind, policy, seed in self.rerun_corpus():
+            cache = OracleCache(bk)
+            iterate(game, kind, bk, policy, seed, resolution=2, cache=cache)
+            calls.clear()
+            again = iterate(game, kind, bk, policy, seed, resolution=2, cache=cache)
+            assert calls == []
+            fresh = iterate(game, kind, bk, policy, seed, resolution=2)
+            reference = iterate_reference(game, kind, bk, policy, seed, OracleCache(bk))
+            certs = [[s.certificates for s in t.steps] for t in (again, fresh, reference)]
+            assert certs[0] == certs[1] == certs[2]
+            hits += len(again.steps)
+        assert hits > 500
+
+    def test_an_evicted_certificate_falls_back_to_the_oracle(self, monkeypatch):
+        # With one entry per (player, strategy), the other runs on a shared
+        # cache push out most certificates before a re-run reads them.
+        monkeypatch.setattr(OracleCache, "DEPTH", 1)
+        calls = self.counted_oracle_calls(monkeypatch)
+        runs = {}
+        for n, game, bk, kind, policy, seed in self.rerun_corpus():
+            runs.setdefault((n, bk), []).append((game, kind, policy, seed))
+        for (n, bk), group in runs.items():
+            cache = OracleCache(bk)
+            for game, kind, policy, seed in group + group:
+                trace = iterate(game, kind, bk, policy, seed, resolution=2, cache=cache)
+                fresh = iterate(game, kind, bk, policy, seed, resolution=2)
+                assert trace.render() == fresh.render()
+        assert calls  # some certificate was evicted and asked again
+
     def test_each_relation_sweeps_for_itself(self, monkeypatch):
         # `check_equivalence` compares the relations' runs on one cache, so no
         # relation may read another's sweeps, even where, as here, one seed

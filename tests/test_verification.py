@@ -2,11 +2,13 @@
 
 import itertools
 import json
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from nbrelim import verification
+from nbrelim import oracle, verification
 from nbrelim.beliefs import BeliefKind, point_distribution
 from nbrelim.catalog import (
     bertrand_grid,
@@ -25,7 +27,7 @@ from nbrelim.games import (
     restrict,
     restrict_by_labels,
 )
-from nbrelim.oracle import BestResponse, NeverBest
+from nbrelim.oracle import BestResponse, NeverBest, full_comparison, is_best_response
 from nbrelim.reductions import Policy, ReductionKind, Rejection, Trace
 from nbrelim.verification import (
     TheoremReport,
@@ -40,7 +42,7 @@ from nbrelim.verification import (
     random_restriction,
 )
 
-from oracles import brute_pure_nash, is_pure_best_to_some
+from oracles import brute_pure_nash, grid_distributions, is_pure_best_to_some
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +315,103 @@ class TestCheckers:
                 r.verdict == "pass"
                 for r in check_nash_preservation(game, ReductionKind.TILDE, seed=trial)
             )
+
+
+class TestZeroSamples:
+    """A checker that samples nothing would pass unchecked, so it refuses."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda game: check_order_independence(game, BeliefKind.PURE, num_orders=0),
+            lambda game: check_fast_dominance(game, BeliefKind.PURE, num_orders=0),
+            lambda game: check_equivalence(game, BeliefKind.PURE, num_orders=0),
+            lambda game: check_nash_preservation(game, ReductionKind.DARROW, num_orders=0),
+            lambda game: check_oracle_agreement(game, max_denominator=0),
+        ],
+        ids=["order_independence", "fast_dominance", "equivalence", "nash", "oracle_agreement"],
+    )
+    def test_no_samples_is_an_input_error(self, g, run):
+        with pytest.raises(InputError, match="must be at least 1"):
+            run(g)
+
+
+def _games(players, max_size):
+    """Games of `players` players with at most `max_size` strategies each and
+    payoffs in [-2, 2], so that ties are common."""
+    return st.lists(
+        st.integers(1, max_size), min_size=players, max_size=players
+    ).flatmap(
+        lambda sizes: st.lists(
+            st.integers(-2, 2),
+            min_size=players * math.prod(sizes),
+            max_size=players * math.prod(sizes),
+        ).map(lambda pays: _game_from(sizes, pays))
+    )
+
+
+def _game_from(sizes, pays):
+    labels = [[f"s{k}" for k in range(n)] for n in sizes]
+    rows = iter(zip(*[iter(pays)] * len(sizes)))
+    return FiniteGame.from_function(labels, lambda profile: next(rows))
+
+
+def dominated_3x4x4():
+    """Player 1's strategies 0 and 1 are strictly dominated by 2; player 2's
+    and player 3's strategy 0 by their strategy 3."""
+    base = random_game(3, [3, 4, 4], 5, seed=11)
+
+    def pay(profile):
+        row = []
+        for i, drop in enumerate(((2, 1, 0), (1, 0, 0, 0), (1, 0, 0, 0))):
+            top = list(profile)
+            top[i] = len(drop) - 1 if drop[profile[i]] else profile[i]
+            row.append(base.payoff(tuple(top), i) - drop[profile[i]])
+        return row
+
+    return FiniteGame.from_function(base.labels, pay)
+
+
+class TestGridScans:
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(_games(2, 3), _games(3, 2)))
+    # Player 1's strategy 0 is a best response only at the (1/2, 1/2) mix,
+    # which the compositions of 3 alone miss.
+    @example(_game_from([3, 2], [0, 0, 0, 0, 1, 0, -1, 0, -1, 0, 1, 0]))
+    def test_cross_check_mask_is_every_grid_best_response(self, game):
+        for player in range(game.players):
+            cmp = full_comparison(game, player)
+            profiles = list(game.opponent_profiles(player))
+            for den in range(1, 7):
+                grid = list(grid_distributions(profiles, den))
+                expected = sum(
+                    1 << s
+                    for s in range(game.sizes[player])
+                    if any(is_best_response(game, player, s, mu, cmp) for mu in grid)
+                )
+                assert verification._grid_best_responses(game, player, den) == expected
+
+    def test_cross_check_scans_each_player_once(self, monkeypatch):
+        game = dominated_3x4x4()
+        scans = []
+        scan = verification._grid_best_responses
+
+        def counted(game, player, max_denominator):
+            scans.append(player)
+            return scan(game, player, max_denominator)
+
+        monkeypatch.setattr(verification, "_grid_best_responses", counted)
+        reports = check_oracle_agreement(game)
+        assert [r.verdict for r in reports] == ["pass"]
+        assert scans == [0, 1, 2]
+
+    def test_product_scan_of_a_dominated_strategy_finds_nothing(self):
+        game = dominated_3x4x4()
+        kept = full_restriction(game).kept
+        cmp = full_comparison(game, 0)
+        for s in (0, 1):
+            assert oracle._grid_product_witness(game, 0, s, kept, cmp, 8) is None
+        assert oracle._grid_product_witness(game, 0, 2, kept, cmp, 8) is not None
 
 
 class TestReportShape:
