@@ -268,6 +268,8 @@ class FiniteGame:
                 continue
             choices = range(self.sizes[j]) if kept is None else kept[j]
             axes.append([s * self.strides[j] for s in choices])
+        if len(axes) == 1:  # one opponent: its scaled axis is the list
+            return axes[0]
         return [sum(combo) for combo in itertools.product(*axes)]
 
     def opponent_profiles(

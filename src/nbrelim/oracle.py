@@ -36,7 +36,7 @@ from .beliefs import (
     point_distribution,
     render_belief,
 )
-from .games import FiniteGame, InputError, Restriction
+from .games import FiniteGame, InputError, Restriction, full_restriction
 from .simplex import lp_feasible
 
 DEFAULT_GRID_RESOLUTION = 8
@@ -59,6 +59,14 @@ class ComparisonSet:
             raise InputError(f"comparison candidate {candidates[0]} out of range")
         object.__setattr__(self, "candidates", candidates)
         object.__setattr__(self, "bits", sum(1 << c for c in candidates))
+
+    @classmethod
+    def _trusted(cls, player: int, candidates: tuple, bits: int) -> "ComparisonSet":
+        """No checks: `candidates` is sorted, duplicate-free and non-negative;
+        `bits` its mask."""
+        new = object.__new__(cls)
+        new.__dict__.update(player=player, candidates=candidates, bits=bits)
+        return new
 
 
 def full_comparison(game: FiniteGame, player: int) -> ComparisonSet:
@@ -332,25 +340,39 @@ class OracleCache:
     restriction's bits map to its removable mask shifted left once, bit 0 set
     if an answer was inconclusive.  Never-best answers are exact, so no memo
     history changes a removable set; `Inconclusive` depends on the resolution.
+
+    `steps` is `iterate`'s transition table: per (relation, resolution),
+    `(restriction bits, chosen pairs)` maps to the `Step` a run took there.
+    Verdicts are exact, so the removal a step makes (under darrow, what is
+    left of the chosen pairs once validation drops the rejected ones) is a
+    function of the key.  Only its never-best proofs are those of its first
+    build, which `render()` does not show.  An entry lives while the trace
+    that first took it does: `iterate` adds a run's new steps once its
+    `Trace` exists, and a finalizer on that trace drops them.  `full` is the
+    bound game's full restriction, built at the first `bind`.
     """
 
-    __slots__ = ("kind", "game", "witnesses", "never_best", "support", "sweeps")
+    __slots__ = (
+        "kind", "game", "full", "witnesses", "never_best", "support", "sweeps", "steps"
+    )
 
     DEPTH = 8
 
     def __init__(self, kind: BeliefKind) -> None:
         self.kind = kind
         self.game: FiniteGame | None = None
+        self.full: Restriction | None = None
         self.witnesses: dict[tuple[int, int], list[list]] = {}
         self.never_best: dict[tuple[int, int], list[tuple]] = {}
         self.support = 0
         self.sweeps: dict[tuple, dict[int, int]] = {}
+        self.steps: dict[tuple, dict[tuple, object]] = {}
 
     def bind(self, game: FiniteGame, kind: BeliefKind) -> None:
         if kind is not self.kind:
             raise InputError("oracle cache bound to a different belief kind")
         if self.game is None:
-            self.game = game
+            self.game, self.full = game, full_restriction(game)
         elif self.game is not game and self.game != game:
             raise InputError("oracle cache bound to a different game")
 

@@ -23,11 +23,18 @@ certificates through `OracleCache.lookup`), and the `Frontier` is left as
 it was: restrictions only shrink along a run, so its next sweep re-decides
 what every removal since its last one touched.  A one-off sweep has no next
 sweep to serve, so it decides every kept strategy and keeps no state.
+
+Once a round has picked its removal, a transition that a live trace on the
+same cache already took is not built again: the run appends that trace's
+`Step` from the cache's transition table.  Verdicts are exact, so it is the
+step the run would build, and it is shared only while the trace that first
+took it lives (see `OracleCache`).
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -173,9 +180,9 @@ def comparison_for(
 ) -> ComparisonSet:
     if kind is ReductionKind.TILDE:
         return full_comparison(game, player)
-    if kind is ReductionKind.ARROW:
-        return ComparisonSet(player, source.kept[player])
-    return ComparisonSet(player, target.kept[player])
+    kept = source if kind is ReductionKind.ARROW else target
+    bits = kept.bits >> game.offsets[player] & (1 << game.sizes[player]) - 1
+    return ComparisonSet._trusted(player, kept.kept[player], bits)
 
 
 def validate_step(
@@ -313,9 +320,15 @@ def candidate_certificates(
             continue
         cmp = bases = colmax = None
         gone = {} if frontier is None else frontier.never_best[player]
+        if kind is ReductionKind.DARROW:
+            own = kept[player]
+            own_bits = bits >> game.offsets[player] & (1 << game.sizes[player]) - 1
         for s in todo[player]:
             if kind is ReductionKind.DARROW:
-                cmp = ComparisonSet(player, tuple(t for t in kept[player] if t != s))
+                k = own.index(s)
+                cmp = ComparisonSet._trusted(
+                    player, own[:k] + own[k + 1 :], own_bits & ~(1 << s)
+                )
             elif cmp is None:
                 cmp = comparison_for(kind, game, restriction, restriction, player)
             cert = cache.lookup(player, s, bits, cmp) if cache is not None else None
@@ -428,11 +441,13 @@ def iterate(
         raise InputError("user-script policy needs a schedule")
     if cache is None:
         cache = OracleCache(belief_kind)
-    cache.bind(game, belief_kind)  # before the sweep table answers for `game`
+    cache.bind(game, belief_kind)  # before the tables answer for `game`
     table = cache.sweeps.setdefault((kind, resolution), {})
+    shared = cache.steps.setdefault((kind, resolution), {})
     rng = random.Random(seed)
-    current = full_restriction(game)
+    current = cache.full
     steps: list[Step] = []
+    built: dict[tuple, Step] = {}  # the transitions this run took first
     for removal in script if policy is Policy.USER_SCRIPT else ():
         result = validate_step(
             game, current, current.remove(removal), kind, belief_kind, resolution, cache
@@ -443,6 +458,7 @@ def iterate(
         current = result.target
 
     frontier, offsets = Frontier(game, kind), game.offsets
+    pairs = [(i, s) for i, size in enumerate(game.sizes) for s in range(size)]  # bit b: pairs[b]
     while True:
         swept = table.get(current.bits)
         if swept is None:
@@ -454,10 +470,7 @@ def iterate(
             table[current.bits] = mask | saw_inconclusive
         else:  # swept before: the same sets, each ascending as a sweep gives them
             certs, saw_inconclusive = None, bool(swept & 1)
-            flat = [
-                (i, s) for i, (offset, size) in enumerate(zip(offsets, game.sizes))
-                for s in _bits(swept >> offset + 1 & (1 << size) - 1)
-            ]
+            flat = [pairs[b] for b in _bits(swept >> 1)]
         if not flat or policy is Policy.USER_SCRIPT:
             break
         if policy is Policy.FAST:
@@ -468,9 +481,13 @@ def iterate(
             chosen = []
             while not chosen:
                 chosen = [pair for pair in flat if rng.getrandbits(1)]
-        if kind is ReductionKind.DARROW:
-            step = _joint_darrow_step(game, current, chosen, belief_kind, resolution, cache)
-        else:
+        key = (current.bits, tuple(chosen))  # darrow: before the step shrinks it
+        step = shared.get(key)
+        if step is None and kind is ReductionKind.DARROW:
+            step = built[key] = _joint_darrow_step(
+                game, current, chosen, belief_kind, resolution, cache
+            )
+        elif step is None:
             if certs is None:  # a hit keeps none: the cache has them unless evicted
                 certs = {}
                 for i, s in chosen:  # only the oracle answers an empty belief set
@@ -478,7 +495,7 @@ def iterate(
                     certs[i, s] = all(current.kept) and cache.lookup(
                         i, s, current.bits, cmp
                     ) or find_witness(game, current, i, s, belief_kind, cmp, resolution, cache)
-            step = _certified_step(current, chosen, kind, belief_kind, certs)
+            step = built[key] = _certified_step(current, chosen, kind, belief_kind, certs)
         steps.append(step)
         current = step.target
 
@@ -486,10 +503,19 @@ def iterate(
     if saw_inconclusive:
         notes.append("inconclusive strategies kept; sound, possibly non-maximal")
     maximal = not flat and (policy is Policy.USER_SCRIPT or not saw_inconclusive)
-    return Trace(
+    trace = Trace(
         game, kind, belief_kind, policy, seed, tuple(steps), current, maximal,
         tuple(notes),
     )
+    if built:  # shared while `trace` lives; a run that raised shares nothing
+        shared.update(built)
+        weakref.finalize(trace, _unshare, shared, tuple(built)).atexit = False
+    return trace
+
+
+def _unshare(shared: dict[tuple, Step], keys: tuple[tuple, ...]) -> None:
+    for key in keys:
+        del shared[key]
 
 
 def _joint_darrow_step(

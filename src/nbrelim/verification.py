@@ -20,6 +20,7 @@ have to be taken on faith.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from operator import add
@@ -197,13 +198,17 @@ def _larger_candidates(
     all (tested on bit masks before it is built); else 20 sampled supersets
     of `outcome`, then the singletons of the pure equilibria (each closed)."""
     if sum(game.sizes) <= 12:
-        subsets = [
-            [(tuple(s for s in range(size) if m >> s & 1), m << off) for m in range(1 << size)]
+        kepts = [
+            [tuple(s for s in range(size) if m >> s & 1) for m in range(1 << size)]
+            for size in game.sizes
+        ]
+        masks = [
+            [m << off for m in range(1 << size)]
             for size, off in zip(game.sizes, game.offsets)
         ]
-        for combo in itertools.product(*subsets):
-            if (bits := sum(b for _, b in combo)) & ~outcome.bits:
-                yield Restriction._trusted(game, tuple(kept for kept, _ in combo), bits)
+        for kept, parts in zip(itertools.product(*kepts), itertools.product(*masks)):
+            if (bits := sum(parts)) & ~outcome.bits:
+                yield Restriction._trusted(game, kept, bits)
         return
     rng = random.Random(child_seed(seed, 999))
     supersets = [join(outcome, random_restriction(game, rng, False)) for _ in range(20)]
@@ -499,6 +504,13 @@ def check_nash_preservation(
     ]
 
 
+# The most grid points `check_oracle_agreement` scans for one player: about
+# 7 s of integer sums for a 3-strategy player (Python 3.11).  A 4x4x4 game's
+# grid at denominator 6 has 73,644 points, a 100-strategy opponent's about
+# 1.7 * 10**9.
+MAX_GRID_POINTS = 1_000_000
+
+
 def _grid_best_responses(game: FiniteGame, player: int, max_denominator: int) -> int:
     """Bit mask of the strategies that are a weak best response to some
     correlated belief with denominator <= max_denominator: the integer
@@ -536,13 +548,17 @@ def check_oracle_agreement(
     Every witness the oracle returns must be confirmed as a best response,
     and whenever the LP says never-best no grid point may be a witness: one
     integer scan per player, at its first never-best verdict, finds them all.
+    A grid of more than `MAX_GRID_POINTS` points is not scanned: the report
+    is unknown and names the count.
     """
     if max_denominator < 1:
         raise InputError(f"max_denominator must be at least 1, got {max_denominator}")
     cache = OracleCache(BeliefKind.CORRELATED)
     full = full_restriction(game)
+    dens = range(max_denominator // 2 + 1, max_denominator + 1)
 
-    def disagreements() -> Iterator[tuple[str, ...]]:
+    def disagreements() -> Iterator[tuple[str, ...] | str]:
+        """Counterexamples, or the reason the scan stopped undecided."""
         for player in range(game.players):
             cmp = full_comparison(game, player)
             grid_best = None  # scanned at the player's first never-best verdict
@@ -551,7 +567,16 @@ def check_oracle_agreement(
                     game, full, player, s, BeliefKind.CORRELATED, cmp, resolution, cache
                 )
                 if isinstance(cert, NeverBest):
-                    if grid_best is None:
+                    if grid_best is None:  # compositions of each d into n parts
+                        n = math.prod(game.sizes) // game.sizes[player]
+                        points = sum(math.comb(d + n - 1, n - 1) for d in dens)
+                        if points > MAX_GRID_POINTS:
+                            yield (
+                                f"player {player + 1}'s denominator-{max_denominator} "
+                                f"grid has {points} points, over the limit of "
+                                f"{MAX_GRID_POINTS}"
+                            )
+                            return
                         grid_best = _grid_best_responses(game, player, max_denominator)
                     if grid_best >> s & 1:
                         yield (
@@ -567,6 +592,8 @@ def check_oracle_agreement(
                     )
 
     counter = next(disagreements(), None)
+    if isinstance(counter, str):
+        return [_report("oracle_agreement", _instance_name(game), seed, None, unknown=counter)]
     return [
         _report(
             "oracle_agreement", _instance_name(game), seed, counter is None,

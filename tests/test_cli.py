@@ -206,6 +206,14 @@ class TestVerify:
         ]
         assert rec["verdict"] == "pass"
 
+    def test_an_oversized_cross_check_grid_exits_unknown(self, capsys):
+        # About 1.7e9 grid points: answered at once, not scanned.
+        code, out, _ = run(
+            capsys, "verify", "oracle-agreement", "--game", "catalog:bertrand100"
+        )
+        assert code == 4
+        assert "unknown (player 1's denominator-6 grid has 1705727895 points" in out
+
     def test_needs_some_game(self, capsys):
         code, _, err = run(capsys, "verify", "nash")
         assert code == 2

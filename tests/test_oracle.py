@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nbrelim.beliefs import (
     BeliefKind,
@@ -103,6 +104,31 @@ class TestIsBestResponse:
     def test_wrong_player_comparison(self, g):
         with pytest.raises(InputError):
             is_best_response(g, 0, 0, PurePoint((0,)), ComparisonSet(1, (0,)))
+
+
+class TestComparisonSet:
+    @given(
+        player=st.integers(0, 2),
+        raw=st.lists(st.integers(0, 7), max_size=10),
+        drop=st.integers(0, 7),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_trusted_constructor_equals_the_checked_one(self, player, raw, drop):
+        # the checked constructor sorts and deduplicates; the trusted one
+        # takes a normalized tuple and a mask built apart from it: the kept
+        # set's, and, as the darrow sweep builds it, the kept set's without
+        # one strategy
+        kept = tuple(sorted(set(raw)))
+        bits = sum(1 << c for c in kept)
+        without = tuple(c for c in kept if c != drop)
+        for candidates, trusted in (
+            (raw, ComparisonSet._trusted(player, kept, bits)),
+            ([c for c in raw if c != drop],
+             ComparisonSet._trusted(player, without, bits & ~(1 << drop))),
+        ):
+            checked = ComparisonSet(player, tuple(candidates))
+            assert (trusted.candidates, trusted.bits) == (checked.candidates, checked.bits)
+            assert trusted == checked and hash(trusted) == hash(checked)
 
 
 class TestFindWitness:

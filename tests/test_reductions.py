@@ -1,5 +1,6 @@
 """Reduction steps, fast variants, iteration policies, trace invariants."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -780,3 +781,104 @@ class TestSweepTable:
         iterate(fixed, ReductionKind.TILDE, BeliefKind.PURE, cache=cache)
         with pytest.raises(InputError):
             iterate(g, ReductionKind.TILDE, BeliefKind.PURE, cache=cache)
+
+
+class TestSharedSteps:
+    """Runs on one cache share each transition a live trace already took,
+    and the table keeps nothing that no trace holds."""
+
+    @staticmethod
+    def counted_builds(monkeypatch):
+        calls = []
+        for name in ("_certified_step", "validate_step"):
+            build = getattr(reductions, name)
+
+            def counted(*args, name=name, build=build, **kwargs):
+                calls.append(name)
+                return build(*args, **kwargs)
+
+            monkeypatch.setattr(reductions, name, counted)
+        return calls
+
+    def test_a_held_transition_builds_nothing(self, monkeypatch):
+        builds = self.counted_builds(monkeypatch)
+        game = random_game(2, [5, 5], 5, seed=11)
+        for bk in BeliefKind:
+            # An entry lives as long as the trace that first took it, which
+            # may be an earlier run's: every trace is held.
+            cache, held = OracleCache(bk), []
+            for kind in ReductionKind:
+                for policy in (Policy.RANDOM_PARTIAL, Policy.SINGLE_RANDOM):
+                    first = iterate(game, kind, bk, policy, 3, cache=cache)
+                    builds.clear()
+                    again = iterate(game, kind, bk, policy, 3, cache=cache)
+                    held += [first, again]
+                    assert builds == []
+                    assert len(again.steps) == len(first.steps) > 0
+                    assert all(a is b for a, b in zip(again.steps, first.steps))
+                    assert again.outcome is first.outcome
+
+    def test_dropped_traces_leave_an_empty_table(self):
+        # Refcounting alone frees the traces: no step or trace is in a cycle.
+        game = random_game(2, [4, 5], 5, seed=2)
+        gc.disable()
+        try:
+            for bk in BeliefKind:
+                cache = OracleCache(bk)
+                traces = [
+                    iterate(game, kind, bk, policy, seed, cache=cache)
+                    for kind in ReductionKind
+                    for policy in (Policy.RANDOM_PARTIAL, Policy.SINGLE_RANDOM)
+                    for seed in range(5)
+                ]
+                assert sum(map(len, cache.steps.values())) > 0
+                del traces
+                assert list(cache.steps) == [(kind, 8) for kind in ReductionKind]
+                assert all(table == {} for table in cache.steps.values())
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("kind", list(ReductionKind))
+    def test_a_run_that_raises_shares_nothing(self, monkeypatch, kind):
+        name = "_joint_darrow_step" if kind is ReductionKind.DARROW else "_certified_step"
+        build, built = getattr(reductions, name), []
+
+        def failing(*args, **kwargs):
+            if len(built) == 2:
+                raise RuntimeError("step three")
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(reductions, name, failing)
+        game = bertrand_grid(10)
+        cache = OracleCache(BeliefKind.PURE)
+        with pytest.raises(RuntimeError):
+            iterate(game, kind, BeliefKind.PURE, Policy.SINGLE_RANDOM, 1, cache=cache)
+        assert len(built) == 2
+        assert cache.steps == {(kind, 8): {}}
+
+    def test_shared_steps_match_fresh_runs(self):
+        shared = 0
+        for n, game in enumerate(TestResidualSupports.corpus()):
+            for bk in BeliefKind:
+                cache, held, seen = OracleCache(bk), [], set()
+                for kind in ReductionKind:
+                    policies = [Policy.RANDOM_PARTIAL, Policy.SINGLE_RANDOM]
+                    if kind is not ReductionKind.DARROW:
+                        policies.append(Policy.FAST)
+                    for policy in policies:
+                        # the same seeds under every relation: one chain of
+                        # removals is often walked under all three
+                        for seed in (n, n + 1, n + 2):
+                            trace = iterate(
+                                game, kind, bk, policy, seed, resolution=2, cache=cache
+                            )
+                            fresh = iterate(game, kind, bk, policy, seed, resolution=2)
+                            reference = iterate_reference(
+                                game, kind, bk, policy, seed, OracleCache(bk)
+                            )
+                            assert trace.render() == fresh.render() == reference.render()
+                            shared += sum(id(step) in seen for step in trace.steps)
+                            seen.update(map(id, trace.steps))
+                            held.append(trace)
+        assert shared > 1000  # of the 2,874 steps taken
