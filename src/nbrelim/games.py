@@ -124,7 +124,8 @@ class FiniteGame:
     each opponent profile to the best entry of `ipay[i]` against it.
     Best-response comparisons are invariant under the positive scaling, so
     scans run on plain ints; `payoff` forms the `Fraction` on demand.
-    `offsets[i]` is player i's first bit in `Restriction.bits`.
+    `offsets[i]` is player i's first bit in `Restriction.bits`, `bit_masks[i]`
+    the mask of its bits, and `bit_pairs[b]` the (player, strategy) of bit b.
 
     One builder, `_fill`, turns per-player payoff columns in row-major order
     into the integer tensor, `colmax` and the digest.  `__init__` checks and
@@ -141,6 +142,8 @@ class FiniteGame:
         "scales",
         "colmax",
         "offsets",
+        "bit_masks",
+        "bit_pairs",
         "_opponents",
         "_digest",
         "_hash",
@@ -194,6 +197,9 @@ class FiniteGame:
             strides[i] = strides[i + 1] * self.sizes[i + 1]
         self.strides = tuple(strides)
         self.offsets = tuple(itertools.accumulate(self.sizes[:-1], initial=0))
+        sizes = self.sizes
+        self.bit_masks = tuple((1 << n) - 1 << o for n, o in zip(sizes, self.offsets))
+        self.bit_pairs = tuple((i, s) for i, n in enumerate(sizes) for s in range(n))
         self._opponents = tuple(tuple(j for j in range(n) if j != i) for i in range(n))
 
     def _columns(self, rows: Sequence[Sequence[Rational]]) -> list[tuple]:
@@ -329,6 +335,14 @@ class RestrictionClass(Enum):
     EMPTY = "empty"
 
 
+def _unchecked(cls: type, *values: object):
+    """An instance of the frozen dataclass `cls` from its field values in
+    declaration order, built without `__init__`: the caller vouches for them."""
+    new = object.__new__(cls)
+    new.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return new
+
+
 @dataclass(frozen=True)
 class Restriction:
     """Per-player subsets of a parent game's strategy sets.
@@ -357,12 +371,8 @@ class Restriction:
         object.__setattr__(self, "kept", tuple(norm))
         object.__setattr__(self, "bits", bits)
 
-    @classmethod
-    def _trusted(cls, parent: FiniteGame, kept: tuple, bits: int) -> "Restriction":
-        """No checks: `kept` is sorted, duplicate-free and in range; `bits` its mask."""
-        new = object.__new__(cls)
-        new.__dict__.update(parent=parent, kept=kept, bits=bits)
-        return new
+    # (parent, kept, bits), no checks: `kept` sorted, duplicate-free, in range.
+    _trusted = classmethod(_unchecked)
 
     def classify(self) -> RestrictionClass:
         if all(not ks for ks in self.kept):
@@ -399,24 +409,23 @@ class Restriction:
         The kept sets are already normalized, so filtering them and clearing
         the removed bits is all the new restriction needs.
         """
-        kept = list(self.kept)
-        bits = self.bits
+        kept, bits = list(self.kept), self.bits
+        offsets, sizes = self.parent.offsets, self.parent.sizes
         for i, gone in removal.items():
-            gone_set = set(gone)
-            bad = gone_set.difference(kept[i])
-            if bad:
-                raise InputError(f"cannot remove absent strategies {sorted(bad)}")
-            kept[i] = tuple(itertools.filterfalse(gone_set.__contains__, kept[i]))
-            bits &= ~(sum(1 << s for s in gone_set) << self.parent.offsets[i])
+            gone, own, drop = tuple(gone), kept[i], 0
+            mine = bits >> offsets[i] & (1 << sizes[i]) - 1
+            for s in gone:
+                if not (isinstance(s, int) and 0 <= s < sizes[i] and mine >> s & 1):
+                    bad = sorted(set(gone).difference(own))
+                    raise InputError(f"cannot remove absent strategies {bad}")
+                drop |= 1 << s
+            if drop & drop - 1:
+                kept[i] = tuple(itertools.filterfalse(set(gone).__contains__, own))
+            elif drop:  # one strategy, at its rank among the kept bits
+                k = (mine & drop - 1).bit_count()
+                kept[i] = own[:k] + own[k + 1 :]
+            bits &= ~(drop << offsets[i])
         return Restriction._trusted(self.parent, tuple(kept), bits)
-
-    def removed_from(self, other: "Restriction") -> tuple[tuple[int, ...], ...]:
-        """Per-player strategies present in `other` but not in self."""
-        _check_same_parent(self, other)
-        return tuple(
-            tuple(s for s in o if s not in keep)
-            for keep, o in zip(map(set, self.kept), other.kept)
-        )
 
     def render(self) -> str:
         """Label form, e.g. `{T}x{L,R}`."""

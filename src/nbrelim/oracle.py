@@ -36,7 +36,7 @@ from .beliefs import (
     point_distribution,
     render_belief,
 )
-from .games import FiniteGame, InputError, Restriction, full_restriction
+from .games import FiniteGame, InputError, Restriction, _unchecked, full_restriction
 from .simplex import lp_feasible
 
 DEFAULT_GRID_RESOLUTION = 8
@@ -60,13 +60,9 @@ class ComparisonSet:
         object.__setattr__(self, "candidates", candidates)
         object.__setattr__(self, "bits", sum(1 << c for c in candidates))
 
-    @classmethod
-    def _trusted(cls, player: int, candidates: tuple, bits: int) -> "ComparisonSet":
-        """No checks: `candidates` is sorted, duplicate-free and non-negative;
-        `bits` its mask."""
-        new = object.__new__(cls)
-        new.__dict__.update(player=player, candidates=candidates, bits=bits)
-        return new
+    # (player, candidates, bits), no checks: `candidates` sorted,
+    # duplicate-free, non-negative.
+    _trusted = classmethod(_unchecked)
 
 
 def full_comparison(game: FiniteGame, player: int) -> ComparisonSet:
@@ -327,7 +323,10 @@ class OracleCache:
     integers and, if it passes, joins it.  A never-best entry is
     `(comparison set, restriction with the player's own strategies added,
     certificate)`.  Each (player, strategy) keeps its `DEPTH` newest entries
-    of each type, and the newest match answers.
+    of each type, and the newest match answers.  So a never-best proof
+    depends on the cache's history: a step of a campaign sharing one cache
+    can carry another dominating strategy than a fresh `solve` gives, with
+    the same `render()`, which shows the proof's kind only.
 
     Along one `iterate` run restrictions shrink and comparison sets never
     grow (tilde: the full sets; arrow: the kept set; darrow: the kept set

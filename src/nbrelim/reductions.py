@@ -15,20 +15,10 @@ exists), and `iterate` drives maximal sequences under several elimination
 policies.  Traces record every removal with its certificate.
 
 The one memo is the `OracleCache` a caller passes (`iterate` makes one when
-none is given); its docstring states why a remembered answer is sound.  An
-`iterate` run keeps a `Frontier` of answers and what each watches, so a sweep
-re-decides only what a removal touched.  A restriction already swept under
-the same relation and resolution is read from the cache's sweep table (its
-certificates through `OracleCache.lookup`), and the `Frontier` is left as
-it was: restrictions only shrink along a run, so its next sweep re-decides
-what every removal since its last one touched.  A one-off sweep has no next
-sweep to serve, so it decides every kept strategy and keeps no state.
-
-Once a round has picked its removal, a transition that a live trace on the
-same cache already took is not built again: the run appends that trace's
-`Step` from the cache's transition table.  Verdicts are exact, so it is the
-step the run would build, and it is shared only while the trace that first
-took it lives (see `OracleCache`).
+none is given); its docstring states why a remembered answer, a swept
+restriction and a shared step are sound.  An `iterate` run keeps a
+`Frontier`, so a sweep re-decides only what a removal touched; it skips a
+sweep, or a step's build, that the cache's tables already hold.
 """
 
 from __future__ import annotations
@@ -37,10 +27,11 @@ import random
 import weakref
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from itertools import repeat
+from typing import Iterator, Mapping, Sequence, Union
 
 from .beliefs import BeliefKind
-from .games import FiniteGame, InputError, Restriction, full_restriction
+from .games import FiniteGame, InputError, Restriction, _unchecked, full_restriction
 from .oracle import (
     DEFAULT_GRID_RESOLUTION,
     BestResponse,
@@ -87,6 +78,8 @@ class Step:
     kind: ReductionKind
     belief_kind: BeliefKind
     certificates: tuple[tuple[tuple[int, int], Certificate], ...]
+
+    _trusted = classmethod(_unchecked)  # the fields in order, no checks
 
     def certificate_for(self, player: int, strategy: int) -> Certificate:
         for key, cert in self.certificates:
@@ -206,21 +199,17 @@ def validate_step(
         raise InputError("target is not a restriction of source")
     if target.kept == source.kept:
         raise InputError("a reduction step must remove something")
-    removed = target.removed_from(source)
+    chosen = [game.bit_pairs[b] for b in _bits(source.bits & ~target.bits)]
     certs: list[tuple[tuple[int, int], Certificate]] = []
-    for player in range(game.players):
-        if not removed[player]:
-            continue
+    for player, s in chosen:
         cmp = comparison_for(kind, game, source, target, player)
-        for s in removed[player]:
-            cert = find_witness(
-                game, source, player, s, belief_kind, cmp, resolution, cache
-            )
-            if isinstance(cert, BestResponse):
-                return Rejection(player, s, cert, "witness")
-            if isinstance(cert, Inconclusive):
-                return Rejection(player, s, cert, "inconclusive")
-            certs.append(((player, s), cert))
+        cert = find_witness(game, source, player, s, belief_kind, cmp, resolution, cache)
+        if isinstance(cert, BestResponse):
+            return Rejection(player, s, cert, "witness")
+        if isinstance(cert, Inconclusive):
+            return Rejection(player, s, cert, "inconclusive")
+        certs.append(((player, s), cert))
+    removed = tuple(tuple(s for i, s in chosen if i == p) for p in range(game.players))
     return Step(source, target, removed, kind, belief_kind, tuple(certs))
 
 
@@ -231,6 +220,19 @@ def _bits(mask: int) -> Iterator[int]:
         yield low.bit_length() - 1
 
 
+def _kth_bit(mask: int, k: int) -> int:
+    """The position of set bit `k` (from 0, ascending) of `mask`."""
+    at = 0
+    while mask & mask - 1:  # halve the mask until one bit is left
+        half = mask.bit_length() >> 1
+        low = mask & (1 << half) - 1
+        if k < (ones := low.bit_count()):
+            mask = low
+        else:
+            k, mask, at = k - ones, mask >> half, at + half
+    return at + mask.bit_length() - 1
+
+
 class Frontier:
     """The standing answers of one `iterate` run.  An answer holds while
     what it watches is kept: a witness its opponent support
@@ -238,14 +240,21 @@ class Frontier:
     comparison set being fixed and a smaller restriction keeping it a fact;
     an arrow or darrow one its player's kept set, the comparison set it was
     proved against.  A sweep re-decides what a removal touched, and every
-    `Inconclusive` answer."""
+    `Inconclusive` answer.
+
+    The removable strategies are held in the forms a sweep returns and a
+    draw reads, updated only where facts change: `removable` as a bit mask
+    laid out as `Restriction.bits`, `sets` as per-player ascending tuples and
+    `certs` as one (player, strategy) -> certificate dict."""
 
     def __init__(self, game: FiniteGame, kind: ReductionKind) -> None:
-        self.kind, self.bits, self.inconclusive = kind, None, 0
-        self.watchers: dict[int, int] = {}  # bit -> mask of witnesses on it
-        self.never_best: list[dict[int, Certificate]] = [{} for _ in game.sizes]
+        self.kind, self.bits, self.inconclusive, self.removable = kind, None, 0, 0
+        self.watchers = [0] * len(game.bit_pairs)  # bit -> mask of witnesses on it
+        self.sets: list[tuple[int, ...]] = [()] * game.players
+        self.certs: dict[tuple[int, int], Certificate] = {}
+        self.pairs, self.fulls = game.bit_pairs, game.bit_masks
 
-    def stale(self, restriction: Restriction) -> Sequence[Iterable[int]]:
+    def stale(self, restriction: Restriction) -> Sequence[Sequence[int]]:
         """Per player, the kept strategies a sweep of `restriction` decides."""
         previous, self.bits = self.bits, restriction.bits
         if previous is None:
@@ -253,18 +262,27 @@ class Frontier:
         gone = previous & ~self.bits
         dirty, self.inconclusive = self.inconclusive, 0
         for bit in _bits(gone):
-            dirty |= self.watchers.pop(bit, 0)
-        dirty &= self.bits
-        game, todo = restriction.parent, []
-        for never_best, offset, size in zip(self.never_best, game.offsets, game.sizes):
-            full = (1 << size) - 1
-            if lost := gone >> offset & full:
-                for s in _bits(lost):
-                    never_best.pop(s, None)
-                if self.kind is not ReductionKind.TILDE:
-                    dirty |= sum(1 << s for s in never_best) << offset
-            todo.append(_bits(dirty >> offset & full))
+            dirty |= self.watchers[bit]
+            self.watchers[bit] = 0
+            if self.removable >> bit & 1:
+                self.drop(*self.pairs[bit], bit)
+        if self.kind is not ReductionKind.TILDE:
+            for full in self.fulls:
+                if gone & full:
+                    dirty |= self.removable & full
+        todo: list[list[int]] = [[] for _ in self.fulls]
+        for bit in _bits(dirty & self.bits):
+            player, s = self.pairs[bit]
+            todo[player].append(s)
         return todo
+
+    def drop(self, player: int, s: int, bit: int) -> None:
+        """`s`, removable until now, is not."""
+        self.removable ^= 1 << bit
+        own = self.sets[player]
+        k = own.index(s)
+        self.sets[player] = own[:k] + own[k + 1 :]
+        del self.certs[player, s]
 
     def record(self, bit: int, cert: Certificate, support: int) -> None:
         """`cert` is a witness, which watches `support`, or `Inconclusive`."""
@@ -274,8 +292,7 @@ class Frontier:
         while support:  # `_bits` inlined: every witness answer passes here
             low = support & -support
             support ^= low
-            watched = low.bit_length() - 1
-            self.watchers[watched] = self.watchers.get(watched, 0) | 1 << bit
+            self.watchers[low.bit_length() - 1] |= 1 << bit
 
 
 def candidate_certificates(
@@ -295,10 +312,11 @@ def candidate_certificates(
     under-approximation; strategies facing an empty opponent component are
     vacuously never-best.  `cache` answers what it can and remembers the
     rest; the result is the same as without it.  `frontier` (with `cache`)
-    carries one run's answers from sweep to sweep; without it, every kept
-    strategy is decided and nothing is kept.  With `first`, the sweep stops
-    at the first removable strategy: the sets then hold only what was found
-    before the stop.
+    carries one run's answers from sweep to sweep, and the certificates
+    returned are its own dict, valid until its next sweep; without it, every
+    kept strategy is decided and nothing is kept.  With `first`, the sweep
+    stops at the first removable strategy: the sets then hold only what was
+    found before the stop.
     """
     if restriction.parent != game:
         raise InputError("restriction does not belong to the game")
@@ -306,23 +324,30 @@ def candidate_certificates(
         cache.bind(game, belief_kind)
     kept = restriction.kept
     bits = restriction.bits
-    todo = kept if frontier is None else frontier.stale(restriction)
-    removable: list[tuple[int, ...]] = []
-    certs: dict[tuple[int, int], Certificate] = {}
+    run = frontier is not None
+    if not run:
+        frontier = Frontier(game, kind)
+    todo = frontier.stale(restriction)
+    # With a component empty, every player faces an empty opponent component
+    # or keeps nothing itself.
+    degenerate = not all(kept)
     saw_inconclusive = False
     for player in range(game.players):
-        if first and certs:  # a removable strategy is already found
-            removable.append(())
+        if first and frontier.removable:  # a removable strategy is already found
+            break
+        if degenerate:  # every kept strategy's fact (if any) becomes vacuous
+            frontier.certs.update(((player, s), EmptyBeliefSet()) for s in kept[player])
+            frontier.sets[player] = kept[player]
+            frontier.removable |= bits & game.bit_masks[player]
             continue
-        if not all(kept[j] for j in game.opponents(player)):
-            removable.append(kept[player])
-            certs.update(((player, s), EmptyBeliefSet()) for s in kept[player])
+        if not todo[player]:
             continue
+        offset, size = game.offsets[player], game.sizes[player]
         cmp = bases = colmax = None
-        gone = {} if frontier is None else frontier.never_best[player]
+        fresh = []  # strategies found removable in this sweep
         if kind is ReductionKind.DARROW:
             own = kept[player]
-            own_bits = bits >> game.offsets[player] & (1 << game.sizes[player]) - 1
+            own_bits = bits >> offset & (1 << size) - 1
         for s in todo[player]:
             if kind is ReductionKind.DARROW:
                 k = own.index(s)
@@ -343,17 +368,21 @@ def candidate_certificates(
                 if cache is not None:
                     cache.remember(player, s, bits, cmp, cert)
             if isinstance(cert, NeverBest):
-                gone[s] = cert
+                if not frontier.removable >> offset + s & 1:
+                    frontier.removable |= 1 << offset + s
+                    fresh.append(s)
+                frontier.certs[player, s] = cert
                 if first:
                     break
                 continue
             saw_inconclusive |= isinstance(cert, Inconclusive)
-            if frontier is not None:
-                gone.pop(s, None)
-                frontier.record(game.offsets[player] + s, cert, cache.support)
-        removable.append(tuple(sorted(gone)))
-        certs.update({(player, s): cert for s, cert in gone.items()})
-    return tuple(removable), certs, saw_inconclusive
+            if run:
+                if frontier.removable >> offset + s & 1:
+                    frontier.drop(player, s, offset + s)
+                frontier.record(offset + s, cert, cache.support)
+        if fresh:  # one merge keeps the tuple ascending
+            frontier.sets[player] = tuple(sorted(frontier.sets[player] + tuple(fresh)))
+    return tuple(frontier.sets), frontier.certs, saw_inconclusive
 
 
 def _removal(chosen: Sequence[tuple[int, int]]) -> dict[int, list[int]]:
@@ -373,9 +402,9 @@ def _certified_step(
     """The step removing `chosen`, which lists (player, strategy) pairs in
     ascending order, each certified in `certs`."""
     removal = _removal(chosen)
-    removed = tuple(tuple(removal.get(i, ())) for i in range(len(source.kept)))
-    step_certs = tuple((pair, certs[pair]) for pair in chosen)
-    return Step(
+    removed = tuple(map(tuple, map(removal.get, range(len(source.kept)), repeat(()))))
+    step_certs = tuple(zip(chosen, map(certs.__getitem__, chosen)))
+    return Step._trusted(
         source, source.remove(removal), removed, kind, belief_kind, step_certs
     )
 
@@ -444,7 +473,7 @@ def iterate(
     cache.bind(game, belief_kind)  # before the tables answer for `game`
     table = cache.sweeps.setdefault((kind, resolution), {})
     shared = cache.steps.setdefault((kind, resolution), {})
-    rng = random.Random(seed)
+    rng = None  # seeded at the first draw
     current = cache.full
     steps: list[Step] = []
     built: dict[tuple, Step] = {}  # the transitions this run took first
@@ -457,28 +486,30 @@ def iterate(
         steps.append(result)
         current = result.target
 
-    frontier, offsets = Frontier(game, kind), game.offsets
-    pairs = [(i, s) for i, size in enumerate(game.sizes) for s in range(size)]  # bit b: pairs[b]
+    frontier = Frontier(game, kind)
+    pairs = game.bit_pairs
     while True:
         swept = table.get(current.bits)
         if swept is None:
-            sets, certs, saw_inconclusive = candidate_certificates(
+            _, certs, saw_inconclusive = candidate_certificates(
                 game, current, belief_kind, kind, resolution, cache, frontier
             )
-            flat = [(i, s) for i, gone in enumerate(sets) for s in gone]
-            mask = sum(2 << offsets[i] + s for i, s in flat)  # bit 0: inconclusive
-            table[current.bits] = mask | saw_inconclusive
-        else:  # swept before: the same sets, each ascending as a sweep gives them
-            certs, saw_inconclusive = None, bool(swept & 1)
-            flat = [pairs[b] for b in _bits(swept >> 1)]
-        if not flat or policy is Policy.USER_SCRIPT:
+            mask = frontier.removable
+            table[current.bits] = mask << 1 | saw_inconclusive  # bit 0: inconclusive
+        else:  # swept before: the same mask
+            certs, mask, saw_inconclusive = None, swept >> 1, bool(swept & 1)
+        if not mask or policy is Policy.USER_SCRIPT:
             break
+        # The draws of a walk over the pairs in ascending bit order, as the
+        # sets of a sweep list them.
         if policy is Policy.FAST:
-            chosen = flat
+            chosen = [pairs[b] for b in _bits(mask)]
         elif policy is Policy.SINGLE_RANDOM:
-            chosen = [flat[rng.randrange(len(flat))]]
+            rng = rng or random.Random(seed)
+            chosen = [pairs[_kth_bit(mask, rng.randrange(mask.bit_count()))]]
         else:
-            chosen = []
+            rng, chosen = rng or random.Random(seed), []
+            flat = [pairs[b] for b in _bits(mask)]
             while not chosen:
                 chosen = [pair for pair in flat if rng.getrandbits(1)]
         key = (current.bits, tuple(chosen))  # darrow: before the step shrinks it
@@ -499,10 +530,10 @@ def iterate(
         steps.append(step)
         current = step.target
 
-    notes = ["script ended before a fixed point"] if flat else []
+    notes = ["script ended before a fixed point"] if mask else []
     if saw_inconclusive:
         notes.append("inconclusive strategies kept; sound, possibly non-maximal")
-    maximal = not flat and (policy is Policy.USER_SCRIPT or not saw_inconclusive)
+    maximal = not mask and (policy is Policy.USER_SCRIPT or not saw_inconclusive)
     trace = Trace(
         game, kind, belief_kind, policy, seed, tuple(steps), current, maximal,
         tuple(notes),

@@ -52,61 +52,43 @@ def lp_feasible(
         rows = [([Fraction(c) for c in a], Fraction(b), eq) for a, b, eq in rows]
         scale = lcm(*(v.denominator for a, b, _ in rows for v in (b, *a)))
         rows = [([int(c * scale) for c in a], int(b * scale), eq) for a, b, eq in rows]
-    if num_vars == 0:
-        ok = all(
-            (bound == 0 if is_eq else bound <= 0) for _, bound, is_eq in rows
-        )
-        return [] if ok else None
-
     m = len(rows)
-    num_surplus = sum(1 for _, _, is_eq in rows if not is_eq)
-    # Column layout: structural | surplus | artificial.
+    # Column layout: structural | surplus | artificial.  Flipping an
+    # inequality with bound <= 0 makes its surplus column a ready-made basic
+    # unit column; equalities and positive bounds get an artificial.
+    art_at = num_vars + sum(1 for _, _, is_eq in rows if not is_eq)
+    ncols = art_at + sum(1 for _, bound, is_eq in rows if is_eq or bound > 0)
     tableau: list[list[int]] = []
     basis: list[int] = []
-    art_cols: list[int] = []
-    surplus_at = num_vars
-    art_at = num_vars + num_surplus
-    ncols = art_at + m  # worst case: one artificial per row; unused stay zero
-    surplus_idx = 0
-    art_idx = 0
+    surplus, art = num_vars, art_at
     for coeffs, bound, is_eq in rows:
         row = [0] * (ncols + 1)
-        row[:num_vars] = coeffs
+        row[:num_vars], row[ncols] = coeffs, bound
         if not is_eq:
-            row[surplus_at + surplus_idx] = -1
-            this_surplus = surplus_at + surplus_idx
-            surplus_idx += 1
-        row[ncols] = bound
-        if row[ncols] < 0 or (row[ncols] == 0 and not is_eq):
-            # Flipping a zero-bound inequality turns its surplus column into a
-            # ready-made basic column, avoiding an artificial.
+            row[surplus] = -1
+        if bound < 0 or (bound == 0 and not is_eq):
             row = [-v for v in row]
-        if not is_eq and row[this_surplus] == 1:
-            # The flipped surplus column is already a unit column.
-            basis.append(this_surplus)
+        if is_eq or bound > 0:
+            row[art] = 1
+            basis.append(art)
+            art += 1
         else:
-            col = art_at + art_idx
-            art_idx += 1
-            row[col] = 1
-            basis.append(col)
-            art_cols.append(col)
+            basis.append(surplus)
+        surplus += not is_eq
         tableau.append(row)
 
     # The true tableau is `tableau / den`; den is the basis determinant,
     # 1 for the starting unit basis and positive after every pivot.
     den = 1
-    art_set = set(art_cols)
-    if not art_set:
-        return _extract(tableau, basis, num_vars, den)
-
-    # Objective: minimize the sum of artificials.  The reduced-cost row is the
-    # sum of the rows whose basic variable is artificial.
-    obj = [0] * (ncols + 1)
-    for r in range(m):
-        if basis[r] in art_set:
-            obj = [o + v for o, v in zip(obj, tableau[r])]
-
     while True:
+        # Objective: minimize the sum of artificials.  Its reduced-cost row is
+        # the sum of the rows whose basic variable is artificial, in every
+        # tableau (pivots are linear in the rows), so it is read off them
+        # rather than pivoted as a row of its own.
+        arts = [row for row, b in zip(tableau, basis) if b >= art_at]
+        if not arts:
+            break
+        obj = arts[0] if len(arts) == 1 else [sum(col) for col in zip(*arts)]
         # Bland: entering column = smallest index with positive reduced cost,
         # artificial columns excluded so they never re-enter.
         enter = -1
@@ -115,6 +97,8 @@ def lp_feasible(
                 enter = j
                 break
         if enter < 0:
+            if obj[ncols] != 0:
+                return None
             break
         # Ratio test by cross-multiplication (both entries positive); Bland
         # tie-break on the smallest basic variable index.
@@ -131,41 +115,15 @@ def lp_feasible(
                     leave = r
         if leave < 0:
             raise InputError("phase-1 objective unbounded; inconsistent tableau")
-        den = _pivot(tableau, obj, basis, leave, enter, den)
-
-    if obj[ncols] != 0:
-        return None
-    return _extract(tableau, basis, num_vars, den)
-
-
-def _pivot(
-    tableau: list[list[int]],
-    obj: list[int],
-    basis: list[int],
-    leave: int,
-    enter: int,
-    den: int,
-) -> int:
-    """Integer pivot; returns the new denominator (the pivot entry).
-
-    Every other row, the objective included, becomes
-    (piv * v - f * p) // den; the division is exact (Bareiss).
-    """
-    piv_row = tableau[leave]
-    piv = piv_row[enter]
-    for r, row in enumerate(tableau):
-        if r != leave:
-            f = row[enter]
-            tableau[r] = [(piv * v - f * p) // den for v, p in zip(row, piv_row)]
-    f = obj[enter]
-    obj[:] = [(piv * v - f * p) // den for v, p in zip(obj, piv_row)]
-    basis[leave] = enter
-    return piv
-
-
-def _extract(
-    tableau: list[list[int]], basis: list[int], num_vars: int, den: int
-) -> list[Fraction]:
+        # Integer pivot: every other row becomes (piv * v - f * p) // den, an
+        # exact division (Bareiss), and the pivot entry the new denominator.
+        piv_row = tableau[leave]
+        piv = piv_row[enter]
+        for r, row in enumerate(tableau):
+            if r != leave:
+                f = row[enter]
+                tableau[r] = [(piv * v - f * p) // den for v, p in zip(row, piv_row)]
+        basis[leave], den = enter, piv
     x = [Fraction(0)] * num_vars
     for r, b in enumerate(basis):
         if b < num_vars:

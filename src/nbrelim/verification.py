@@ -38,8 +38,10 @@ from .games import (
 from .oracle import (
     DEFAULT_GRID_RESOLUTION,
     BestResponse,
+    ComparisonSet,
     NeverBest,
     OracleCache,
+    _column_best,
     find_witness,
     full_comparison,
     is_best_response,
@@ -135,14 +137,10 @@ def pure_nash(target: FiniteGame | Restriction) -> tuple[JointProfile, ...]:
     if not restriction.is_nondegenerate():
         raise InputError("pure equilibria are undefined for degenerate restrictions")
     kept = restriction.kept
-    colmax = []
+    colmax = []  # per player: opponent profile offset -> best kept payoff
     for i in range(game.players):
-        ip = game.ipay[i]
-        stride = game.strides[i]
-        table: dict[int, int] = {}
-        for base in game.opponent_bases(i, kept):
-            table[base] = max(ip[base + s * stride] for s in kept[i])
-        colmax.append(table)
+        bases, own = game.opponent_bases(i, kept), ComparisonSet(i, kept[i])
+        colmax.append(dict(zip(bases, _column_best(game, i, bases, own))))
     out = []
     strides = game.strides
     for profile in itertools.product(*kept):
@@ -504,11 +502,12 @@ def check_nash_preservation(
     ]
 
 
-# The most grid points `check_oracle_agreement` scans for one player: about
+# The most work `check_oracle_agreement` spends on one player's grid, counted
+# as grid points times the player's strategies (one multiply-add each): about
 # 7 s of integer sums for a 3-strategy player (Python 3.11).  A 4x4x4 game's
-# grid at denominator 6 has 73,644 points, a 100-strategy opponent's about
-# 1.7 * 10**9.
-MAX_GRID_POINTS = 1_000_000
+# grid at denominator 6 has 73,644 points, 294,576 units of work; a
+# 100-strategy opponent's has about 1.7 * 10**9 points.
+MAX_GRID_WORK = 3_000_000
 
 
 def _grid_best_responses(game: FiniteGame, player: int, max_denominator: int) -> int:
@@ -548,8 +547,9 @@ def check_oracle_agreement(
     Every witness the oracle returns must be confirmed as a best response,
     and whenever the LP says never-best no grid point may be a witness: one
     integer scan per player, at its first never-best verdict, finds them all.
-    A grid of more than `MAX_GRID_POINTS` points is not scanned: the report
-    is unknown and names the count.
+    A grid that would take more than `MAX_GRID_WORK` (points times the
+    player's strategies) is not scanned: the report is unknown and names
+    the points and the work.
     """
     if max_denominator < 1:
         raise InputError(f"max_denominator must be at least 1, got {max_denominator}")
@@ -570,11 +570,13 @@ def check_oracle_agreement(
                     if grid_best is None:  # compositions of each d into n parts
                         n = math.prod(game.sizes) // game.sizes[player]
                         points = sum(math.comb(d + n - 1, n - 1) for d in dens)
-                        if points > MAX_GRID_POINTS:
+                        work = points * game.sizes[player]
+                        if work > MAX_GRID_WORK:
                             yield (
                                 f"player {player + 1}'s denominator-{max_denominator} "
-                                f"grid has {points} points, over the limit of "
-                                f"{MAX_GRID_POINTS}"
+                                f"grid has {points} points, {work} for its "
+                                f"{game.sizes[player]} strategies, over the limit "
+                                f"of {MAX_GRID_WORK}"
                             )
                             return
                         grid_best = _grid_best_responses(game, player, max_denominator)

@@ -99,6 +99,17 @@ class TestFiniteGame:
 
 
 class TestRestriction:
+    @pytest.mark.parametrize(
+        "removal, bad",
+        [({0: [0]}, [0]), ({0: [-1]}, [-1]), ({1: [2]}, [2]), ({1: [0, 0, 5]}, [5]),
+         ({0: ["M"]}, ["M"])],
+    )
+    def test_removing_an_absent_strategy_is_an_input_error(self, g3x2, removal, bad):
+        # player 1 keeps M and B (indices 1, 2), player 2 both of its two
+        sub = restrict_by_labels(g3x2, [["M", "B"], ["L", "R"]])
+        with pytest.raises(InputError, match=re.escape(f"absent strategies {bad}")):
+            sub.remove(removal)
+
     def test_restrict_examples(self, g3x2):
         sub = restrict_by_labels(g3x2, [["M", "B"], ["L", "R"]])
         assert sub.kept == ((1, 2), (0, 1))

@@ -590,6 +590,49 @@ class TestFrontier:
             )
             assert got == sets
 
+    @pytest.mark.parametrize("kind", list(ReductionKind))
+    @pytest.mark.parametrize("policy", [Policy.SINGLE_RANDOM, Policy.RANDOM_PARTIAL])
+    def test_draws_past_one_machine_word_match_the_reference(self, kind, policy):
+        # 80 strategy bits: a draw's k-th set bit crosses the 64-bit boundary.
+        game = bertrand_grid(40)
+        assert sum(game.sizes) > 64
+        cache, reference_cache = OracleCache(BeliefKind.PURE), OracleCache(BeliefKind.PURE)
+        for seed in range(3):
+            trace = iterate(
+                game, kind, BeliefKind.PURE, policy, seed, resolution=2, cache=cache
+            )
+            reference = iterate_reference(
+                game, kind, BeliefKind.PURE, policy, seed, reference_cache
+            )
+            assert trace.render() == reference.render()
+            assert any(  # some removal drawn past the first machine word
+                game.offsets[1] + t >= 64 for step in trace.steps for t in step.removed[1]
+            )
+
+    @pytest.mark.parametrize("kind", list(ReductionKind))
+    def test_an_emptied_opponent_set_leaves_only_vacuous_certificates(self, g, kind):
+        # M and B are never-best on the full game, facts the frontier keeps.
+        # With the columns gone, every kept row is removable vacuously, and no
+        # certificate may be a never-best fact kept from the earlier sweep.
+        cache = OracleCache(BeliefKind.CORRELATED)
+        frontier = Frontier(g, kind)
+        full = full_restriction(g)
+        sets, certs, _ = candidate_certificates(
+            g, full, BeliefKind.CORRELATED, kind, cache=cache, frontier=frontier
+        )
+        assert sets == ((1, 2), ()) and isinstance(certs[0, 1], NeverBest)
+        for current in (restrict(g, [(0, 1, 2), ()]), restrict(g, [(0, 2), ()])):
+            sets, certs, _ = candidate_certificates(
+                g, current, BeliefKind.CORRELATED, kind, cache=cache, frontier=frontier
+            )
+            assert sets == (current.kept[0], ())
+            assert certs == {(0, s): EmptyBeliefSet() for s in current.kept[0]}
+            step = reductions._certified_step(
+                current, [(0, 2)], kind, BeliefKind.CORRELATED, certs
+            )
+            assert step.certificates == (((0, 2), EmptyBeliefSet()),)
+            assert "NBR(vacuous)" in render_certificate(step.certificates[0][1], g, 0)
+
     def test_lookups_stay_near_the_strategy_count(self, monkeypatch):
         # A stateless sweep per round looks up every kept strategy: 1,829
         # lookups over the 58 rounds of each run here.
@@ -609,6 +652,42 @@ class TestFrontier:
             )
             assert len(trace.steps) == 58
             assert len(lookups) <= 2 * sum(game.sizes)
+
+
+class TestSeeding:
+    """A run seeds its generator at its first draw, so a run that draws
+    nothing builds none."""
+
+    @staticmethod
+    def counted_generators(monkeypatch):
+        made = []
+
+        class Counted(random.Random):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(random, "Random", Counted)
+        return made
+
+    def test_fast_and_zero_step_runs_build_no_generator(self, g, monkeypatch):
+        made = self.counted_generators(monkeypatch)
+        fast = iterate(g, ReductionKind.TILDE, BeliefKind.PURE, Policy.FAST, seed=3)
+        assert fast.steps
+        constant = FiniteGame.from_function([["a", "b"], ["x", "y"]], lambda p: (1, 1))
+        for policy in (Policy.SINGLE_RANDOM, Policy.RANDOM_PARTIAL):
+            idle = iterate(constant, ReductionKind.ARROW, BeliefKind.PURE, policy, seed=3)
+            assert not idle.steps
+        assert made == []
+
+    @pytest.mark.parametrize("policy", [Policy.SINGLE_RANDOM, Policy.RANDOM_PARTIAL])
+    def test_a_random_run_builds_one_seeded_generator(self, g, monkeypatch, policy):
+        expected = iterate(g, ReductionKind.TILDE, BeliefKind.PURE, policy, seed=5)
+        made = self.counted_generators(monkeypatch)
+        trace = iterate(g, ReductionKind.TILDE, BeliefKind.PURE, policy, seed=5)
+        assert len(trace.steps) > 1
+        assert made == [(5,)]
+        assert trace.render() == expected.render()
 
 
 class TestSweepTable:

@@ -405,11 +405,12 @@ class TestGridScans:
         assert [r.verdict for r in reports] == ["pass"]
         assert scans == [0, 1, 2]
 
-    @pytest.mark.parametrize("limit, verdict", [(73_644, "pass"), (73_643, "unknown")])
+    @pytest.mark.parametrize("limit, verdict", [(220_932, "pass"), (220_931, "unknown")])
     def test_a_grid_over_the_limit_is_not_scanned(self, monkeypatch, limit, verdict):
         # Player 1 faces 16 opponent profiles, and its strategy 0 is
         # never-best: its denominator-6 grid has C(19, 15) + C(20, 15) +
-        # C(21, 15) = 73,644 points.
+        # C(21, 15) = 73,644 points, 220,932 units of work for its 3
+        # strategies.
         game = dominated_3x4x4()
         scans = []
         scan = verification._grid_best_responses
@@ -419,13 +420,14 @@ class TestGridScans:
             return scan(game, player, max_denominator)
 
         monkeypatch.setattr(verification, "_grid_best_responses", counted)
-        monkeypatch.setattr(verification, "MAX_GRID_POINTS", limit)
+        monkeypatch.setattr(verification, "MAX_GRID_WORK", limit)
         [report] = check_oracle_agreement(game)
         assert report.verdict == verdict
         if verdict == "unknown":
             assert scans == []
             assert report.details == (
-                f"player 1's denominator-6 grid has 73644 points, over the limit of {limit}"
+                "player 1's denominator-6 grid has 73644 points, 220932 for its 3 "
+                f"strategies, over the limit of {limit}"
             )
         else:
             assert scans == [0, 1, 2]
