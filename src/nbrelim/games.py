@@ -412,6 +412,8 @@ class Restriction:
         kept, bits = list(self.kept), self.bits
         offsets, sizes = self.parent.offsets, self.parent.sizes
         for i, gone in removal.items():
+            if not (isinstance(i, int) and 0 <= i < len(kept)):
+                raise InputError(f"cannot remove strategies of player key {i!r}")
             gone, own, drop = tuple(gone), kept[i], 0
             mine = bits >> offsets[i] & (1 << sizes[i]) - 1
             for s in gone:

@@ -317,10 +317,13 @@ class OracleCache:
     inclusions, so a hit is the query's own answer and no entry goes stale.
 
     Sets are bit masks: restrictions and supports as `Restriction.bits`,
-    comparison sets as `ComparisonSet.bits`.  A witness entry is
-    `[certificate, support, beaten comparison set, tensor bases,
-    numerators]`; a comparison set outside the beaten one is re-checked in
-    integers and, if it passes, joins it.  A never-best entry is
+    comparison sets as `ComparisonSet.bits` with the strategy's own bit set.
+    A strategy ties with itself, so adding it changes no answer; and a
+    darrow query, whose comparison set (the target's kept set) lacks the
+    strategy, meets the facts a sweep proved against the kept set.  A
+    witness entry is `[certificate, support, beaten comparison set, tensor
+    bases, numerators]`; a comparison set outside the beaten one is
+    re-checked in integers and, if it passes, joins it.  A never-best entry is
     `(comparison set, restriction with the player's own strategies added,
     certificate)`.  Each (player, strategy) keeps its `DEPTH` newest entries
     of each type, and the newest match answers.  So a never-best proof
@@ -329,11 +332,11 @@ class OracleCache:
     the same `render()`, which shows the proof's kind only.
 
     Along one `iterate` run restrictions shrink and comparison sets never
-    grow (tilde: the full sets; arrow: the kept set; darrow: the kept set
-    minus the strategy), so an answer holds until a strategy it rests on is
-    removed: the residual supports of arc consistency (Lecoutre & Hemery,
-    IJCAI 2007) that `reductions.Frontier` watches; `support` is the last
-    witness's opponent mask.  A second game or belief kind is an `InputError`.
+    grow (tilde: the full sets; arrow and darrow: the kept set), so an
+    answer holds until a strategy it rests on is removed: the residual
+    supports of arc consistency (Lecoutre & Hemery, IJCAI 2007) that
+    `reductions.Frontier` watches; `support` is the last witness's opponent
+    mask.  A second game or belief kind is an `InputError`.
 
     `sweeps` is `iterate`'s sweep table: per (relation, resolution), a swept
     restriction's bits map to its removable mask shifted left once, bit 0 set
@@ -381,19 +384,20 @@ class OracleCache:
         """A remembered answer to the query, or None.  The query's opponent
         components must all be non-empty (an empty one is `EmptyBeliefSet`)."""
         key = (player, strategy)
+        cmp_bits = cmp.bits | 1 << strategy
         for entry in self.witnesses.get(key, ()):
             if entry[1] & ~restriction_bits:
                 continue
-            if cmp.bits & ~entry[2]:
+            if cmp_bits & ~entry[2]:
                 if not _int_witness_check(
                     self.game, player, strategy, entry[3], entry[4], cmp
                 ):
                     continue
-                entry[2] |= cmp.bits
+                entry[2] |= cmp_bits
             self.support = entry[1]
             return entry[0]
         for known_cmp, known_bits, cert in self.never_best.get(key, ()):
-            if not known_cmp & ~cmp.bits and not restriction_bits & ~known_bits:
+            if not known_cmp & ~cmp_bits and not restriction_bits & ~known_bits:
                 return cert
         return None
 
@@ -407,6 +411,7 @@ class OracleCache:
     ) -> None:
         game = self.game
         offsets = game.offsets
+        cmp_bits = cmp.bits | 1 << strategy
         if isinstance(cert, BestResponse):
             support = 0
             opps = game.opponents(player)
@@ -416,11 +421,11 @@ class OracleCache:
             self.support = support
             bases, nums, _ = integer_form(game, player, cert.witness)
             entries = self.witnesses.setdefault((player, strategy), [])
-            entries.insert(0, [cert, support, cmp.bits, bases, nums])
+            entries.insert(0, [cert, support, cmp_bits, bases, nums])
         elif isinstance(cert, NeverBest):
             own = ((1 << game.sizes[player]) - 1) << offsets[player]
             entries = self.never_best.setdefault((player, strategy), [])
-            entries.insert(0, (cmp.bits, restriction_bits | own, cert))
+            entries.insert(0, (cmp_bits, restriction_bits | own, cert))
         else:
             return
         del entries[self.DEPTH :]

@@ -303,7 +303,6 @@ def candidate_certificates(
     resolution: int = DEFAULT_GRID_RESOLUTION,
     cache: OracleCache | None = None,
     frontier: Frontier | None = None,
-    first: bool = False,
 ) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, int], Certificate], bool]:
     """Per-player certified never-best strategies, their certificates, and
     whether any answer was inconclusive.
@@ -314,9 +313,12 @@ def candidate_certificates(
     rest; the result is the same as without it.  `frontier` (with `cache`)
     carries one run's answers from sweep to sweep, and the certificates
     returned are its own dict, valid until its next sweep; without it, every
-    kept strategy is decided and nothing is kept.  With `first`, the sweep
-    stops at the first removable strategy: the sets then hold only what was
-    found before the stop.
+    kept strategy is decided and nothing is kept.
+
+    Each player's strategies face one comparison set; for arrow and darrow
+    alike it is the restriction's kept set.  Removing `s` alone, darrow
+    compares `s` against that set minus `s`, and `s` ties with itself, so
+    the verdicts and certificates are the same.
     """
     if restriction.parent != game:
         raise InputError("restriction does not belong to the game")
@@ -333,8 +335,6 @@ def candidate_certificates(
     degenerate = not all(kept)
     saw_inconclusive = False
     for player in range(game.players):
-        if first and frontier.removable:  # a removable strategy is already found
-            break
         if degenerate:  # every kept strategy's fact (if any) becomes vacuous
             frontier.certs.update(((player, s), EmptyBeliefSet()) for s in kept[player])
             frontier.sets[player] = kept[player]
@@ -342,26 +342,16 @@ def candidate_certificates(
             continue
         if not todo[player]:
             continue
-        offset, size = game.offsets[player], game.sizes[player]
-        cmp = bases = colmax = None
+        offset = game.offsets[player]
+        cmp = comparison_for(kind, game, restriction, restriction, player)
+        bases = colmax = None
         fresh = []  # strategies found removable in this sweep
-        if kind is ReductionKind.DARROW:
-            own = kept[player]
-            own_bits = bits >> offset & (1 << size) - 1
         for s in todo[player]:
-            if kind is ReductionKind.DARROW:
-                k = own.index(s)
-                cmp = ComparisonSet._trusted(
-                    player, own[:k] + own[k + 1 :], own_bits & ~(1 << s)
-                )
-            elif cmp is None:
-                cmp = comparison_for(kind, game, restriction, restriction, player)
             cert = cache.lookup(player, s, bits, cmp) if cache is not None else None
             if cert is None:
                 if bases is None:
                     bases = game.opponent_bases(player, kept)
-                    if kind is not ReductionKind.DARROW:
-                        colmax = _column_best(game, player, bases, cmp)
+                    colmax = _column_best(game, player, bases, cmp)
                 cert = _find_witness_fast(
                     game, kept, player, s, belief_kind, cmp, resolution, bases, colmax
                 )
@@ -372,8 +362,6 @@ def candidate_certificates(
                     frontier.removable |= 1 << offset + s
                     fresh.append(s)
                 frontier.certs[player, s] = cert
-                if first:
-                    break
                 continue
             saw_inconclusive |= isinstance(cert, Inconclusive)
             if run:

@@ -120,7 +120,7 @@ def is_closed(
     None means undecided (inconclusive oracle answers on an otherwise closed
     restriction)."""
     removable, _, inconclusive = candidate_certificates(
-        game, restriction, belief_kind, ReductionKind.TILDE, resolution, cache, first=True
+        game, restriction, belief_kind, ReductionKind.TILDE, resolution, cache
     )
     if any(removable):
         return False

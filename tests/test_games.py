@@ -25,6 +25,8 @@ from nbrelim.games import (
     restrict_by_labels,
 )
 from nbrelim import catalog, games
+from nbrelim.beliefs import BeliefKind
+from nbrelim.reductions import Policy, ReductionKind, iterate
 from nbrelim.catalog import bertrand_grid, gap_3x2, random_game
 
 from oracles import (
@@ -109,6 +111,17 @@ class TestRestriction:
         sub = restrict_by_labels(g3x2, [["M", "B"], ["L", "R"]])
         with pytest.raises(InputError, match=re.escape(f"absent strategies {bad}")):
             sub.remove(removal)
+
+    @pytest.mark.parametrize("player", [-1, -2, 2, "0", 1.0])
+    def test_removing_for_an_absent_player_is_an_input_error(self, g3x2, player):
+        # a negative key must not index from the end, a large one must not
+        # surface as an IndexError, and a user script meets the same check
+        sub = restrict_by_labels(g3x2, [["M", "B"], ["L", "R"]])
+        with pytest.raises(InputError, match="player key"):
+            sub.remove({player: [1]})
+        with pytest.raises(InputError, match="player key"):
+            iterate(g3x2, ReductionKind.ARROW, BeliefKind.PURE, Policy.USER_SCRIPT,
+                    script=[{player: [2]}])
 
     def test_restrict_examples(self, g3x2):
         sub = restrict_by_labels(g3x2, [["M", "B"], ["L", "R"]])

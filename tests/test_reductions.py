@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nbrelim import reductions
+from nbrelim import oracle, reductions
 from nbrelim.beliefs import BeliefKind, PurePoint
 from nbrelim.catalog import (
     bertrand_grid,
@@ -532,6 +533,105 @@ class TestResidualSupports:
             g, hollow, BeliefKind.CORRELATED, ReductionKind.TILDE, cache=cache
         )
         assert all(isinstance(certs[(0, s)], EmptyBeliefSet) for s in range(3))
+
+
+class TestDarrowReuse:
+    """Darrow decides `s` against the kept set minus `s`, and `s` ties with
+    itself, so one cache serves arrow's and darrow's queries alike."""
+
+    @staticmethod
+    def games():
+        return [random_game(2, [4, 5], 5, seed=700 + k) for k in range(30)]
+
+    @staticmethod
+    def counted_decisions(monkeypatch):
+        """Records (player, strategy) of every decision made afresh, by a
+        sweep or by `find_witness`."""
+        calls = []
+        decide = reductions._find_witness_fast
+
+        def counted(*args, **kwargs):
+            calls.append(args[2:4])
+            return decide(*args, **kwargs)
+
+        monkeypatch.setattr(reductions, "_find_witness_fast", counted)
+        monkeypatch.setattr(oracle, "_find_witness_fast", counted)
+        return calls
+
+    def test_a_darrow_sweep_after_an_arrow_one_decides_nothing(self, monkeypatch):
+        calls = self.counted_decisions(monkeypatch)
+        for game in self.games():
+            full = full_restriction(game)
+            for bk in BeliefKind:
+                cache = OracleCache(bk)
+                arrow = candidate_certificates(
+                    game, full, bk, ReductionKind.ARROW, cache=cache
+                )
+                calls.clear()
+                darrow = candidate_certificates(
+                    game, full, bk, ReductionKind.DARROW, cache=cache
+                )
+                assert calls == []
+                assert (darrow[0], darrow[2]) == (arrow[0], arrow[2])
+
+    def test_a_singleton_darrow_step_reads_the_sweep(self, monkeypatch):
+        # the step compares s against the target's kept set, which lacks s;
+        # the sweep proved its fact against the source's, which holds it
+        calls = self.counted_decisions(monkeypatch)
+        steps = 0
+        for game in self.games():
+            full = full_restriction(game)
+            for bk in BeliefKind:
+                cache = OracleCache(bk)
+                sets, certs, _ = candidate_certificates(
+                    game, full, bk, ReductionKind.DARROW, cache=cache
+                )
+                calls.clear()
+                for player, gone in enumerate(sets):
+                    for s in gone:
+                        step = validate_step(
+                            game, full, full.remove({player: [s]}),
+                            ReductionKind.DARROW, bk, cache=cache,
+                        )
+                        assert step.certificates == (((player, s), certs[player, s]),)
+                        steps += 1
+                assert calls == []
+        assert steps > 0
+
+    @given(
+        seed=st.integers(0, 10**6),
+        bk=st.sampled_from(list(BeliefKind)),
+        queries=st.lists(
+            st.tuples(
+                st.integers(0, 1),  # player
+                st.integers(0, 2),  # strategy
+                st.integers(0, (1 << 6) - 1),  # restriction mask
+                st.integers(0, (1 << 3) - 1),  # comparison set
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_queries_with_or_without_the_strategy_share_one_cache(
+        self, seed, bk, queries
+    ):
+        game = random_game(2, [3, 3], 2, seed=seed)
+        cache = OracleCache(bk)
+        for player, s, mask, cmp_mask in queries:
+            # the opponent keeps its strategies of the mask, and at least one
+            kept = [[t for t in range(3) if mask >> 3 * i + t & 1] for i in range(2)]
+            kept[1 - player] = kept[1 - player] or [s]
+            restriction = restrict(game, kept)
+            others = {c for c in range(3) if cmp_mask >> c & 1} - {s}
+            for candidates in (others | {s}, others):
+                cmp = ComparisonSet(player, tuple(candidates))
+                cert = find_witness(game, restriction, player, s, bk, cmp, cache=cache)
+                fresh = find_witness(game, restriction, player, s, bk, cmp)
+                assert type(cert) is type(fresh)
+                if isinstance(cert, BestResponse):
+                    assert narrowed_membership(bk, cert.witness, restriction, player)
+                    assert is_best_response(game, player, s, cert.witness, cmp)
 
 
 class TestFrontier:
