@@ -46,7 +46,7 @@ _RELATIONS = {k.value: k for k in ReductionKind}
 _POLICIES = {p.value: p for p in Policy if p is not Policy.USER_SCRIPT}
 
 # Smallest accepted value of each numeric flag (where the subcommand has it).
-_MINIMUMS = {"resolution": 1, "random": 0, "max_size": 1, "payoff_bound": 0, "orders": 1}
+_MINIMUMS = dict(resolution=1, random=0, max_size=1, payoff_bound=0, orders=1, players=1)
 
 _CAMPAIGNS = {
     "order-independence": lambda game, args: verification.check_order_independence(

@@ -33,7 +33,6 @@ from .games import (
     JointProfile,
     Restriction,
     full_restriction,
-    join,
 )
 from .oracle import (
     DEFAULT_GRID_RESOLUTION,
@@ -188,32 +187,6 @@ def _instance_name(game: FiniteGame) -> str:
     return f"{shape}:{game.digest()}"
 
 
-def _larger_candidates(
-    game: FiniteGame, outcome: Restriction, seed: int
-) -> Iterator[Restriction]:
-    """Restrictions outside `outcome` that could refute it being the largest
-    closed one: the whole lattice of a game with at most 12 strategies in
-    all (tested on bit masks before it is built); else 20 sampled supersets
-    of `outcome`, then the singletons of the pure equilibria (each closed)."""
-    if sum(game.sizes) <= 12:
-        kepts = [
-            [tuple(s for s in range(size) if m >> s & 1) for m in range(1 << size)]
-            for size in game.sizes
-        ]
-        masks = [
-            [m << off for m in range(1 << size)]
-            for size, off in zip(game.sizes, game.offsets)
-        ]
-        for kept, parts in zip(itertools.product(*kepts), itertools.product(*masks)):
-            if (bits := sum(parts)) & ~outcome.bits:
-                yield Restriction._trusted(game, kept, bits)
-        return
-    rng = random.Random(child_seed(seed, 999))
-    supersets = [join(outcome, random_restriction(game, rng, False)) for _ in range(20)]
-    singletons = [Restriction(game, tuple((s,) for s in p)) for p in pure_nash(game)]
-    yield from (c for c in supersets + singletons if not outcome.contains(c))
-
-
 def _fast_and_orders(
     game: FiniteGame,
     kind: ReductionKind,
@@ -235,6 +208,30 @@ def _fast_and_orders(
     )
 
 
+def _broken_induction(
+    game: FiniteGame, fast: Trace, belief_kind: BeliefKind, resolution: int
+) -> str | None:
+    """Why the fast trace fails to chain legal tilde steps from the full game
+    to its outcome, or None when it does."""
+    current = full_restriction(game)
+    for k, step in enumerate(fast.steps, start=1):
+        if step.source.bits != current.bits:
+            return f"step {k} does not start at {current.render()}"
+        verdict = validate_step(
+            game, current, step.target, ReductionKind.TILDE, belief_kind, resolution
+        )
+        if isinstance(verdict, Rejection):
+            label = game.label_of(verdict.player, verdict.strategy)
+            return (
+                f"step {k} removes player {verdict.player + 1} strategy {label}"
+                f" ({verdict.reason})"
+            )
+        current = step.target
+    if current.bits != fast.outcome.bits:
+        return f"the fast trace ends at {current.render()}, not at the outcome"
+    return None
+
+
 def check_order_independence(
     game: FiniteGame,
     belief_kind: BeliefKind,
@@ -244,7 +241,17 @@ def check_order_independence(
 ) -> list[TheoremReport]:
     """All maximal tilde reductions reach one outcome: the largest closed
     restriction.  Exact for pure and correlated beliefs and two-player mixed;
-    otherwise reported unknown rather than sampled into a verdict."""
+    otherwise reported unknown rather than sampled into a verdict.
+
+    The outcome is the largest closed restriction once it is closed and the
+    fast trace chains legal steps to it from the full game: a tilde step
+    from R removes only strategies never-best against every belief over R,
+    judged against the full strategy set, so it keeps every closed C inside
+    R (a strategy of C is best against a belief over C, also one over R).
+    Each step is re-validated with no cache, so each decision is fresh.
+    `NeverBest("lp")` carries no multipliers yet, so the oracle re-decides
+    those steps; a solver-free certificate check could replace that without
+    changing the walk."""
     instance = _instance_name(game)
     cache = OracleCache(belief_kind)
     traces = _fast_and_orders(
@@ -270,23 +277,13 @@ def check_order_independence(
     ]
 
     closed = is_closed(game, outcome, belief_kind, resolution, cache)
-    bad = None
-    if closed:
-        bad = next(
-            (
-                c for c in _larger_candidates(game, outcome, seed)
-                if is_closed(game, c, belief_kind, resolution, cache)
-            ),
-            None,
-        )
+    broken = _broken_induction(game, fast, belief_kind, resolution) if closed else None
     reports.append(
         _report(
-            "largest_closed", instance, seed, closed and bad is None,
+            "largest_closed", instance, seed, closed and broken is None,
             "outcome is closed and no larger closed restriction was found",
-            "outcome is not closed"
-            if bad is None
-            else f"closed restriction {bad.render()} escapes the outcome",
-            ((bad or outcome).render(),),
+            broken or "outcome is not closed",
+            (fast.render(),) if broken else (outcome.render(),),
             unknown="closedness of the outcome is undecided",
         )
     )

@@ -15,7 +15,10 @@ a line-by-line reader of game text that the bulk tokenizer must match error
 for error.
 Nothing imports the oracle or reduction machinery, except
 `iterate_reference`: the iteration loop with one stateless sweep per round,
-which the engine's watch-list frontier must match byte for byte.
+which the engine's watch-list frontier must match byte for byte; and
+`larger_closed_reference`: a sweep of every restriction outside an outcome
+with `verification.is_closed`, which the order-independence checker's
+induction must match verdict for verdict.
 """
 
 from __future__ import annotations
@@ -615,4 +618,38 @@ def iterate_reference(game, kind, belief_kind, policy, seed, cache, resolution=2
     return Trace(
         game, kind, belief_kind, policy, seed, tuple(steps), current, maximal,
         tuple(notes),
+    )
+
+
+def restrictions_outside(game, outcome):
+    """Every restriction of `game` that `outcome` does not contain: the whole
+    subset lattice, tested on bit masks before each restriction is built."""
+    from nbrelim.games import Restriction
+
+    kepts = [
+        [tuple(s for s in range(size) if m >> s & 1) for m in range(1 << size)]
+        for size in game.sizes
+    ]
+    masks = [
+        [m << off for m in range(1 << size)]
+        for size, off in zip(game.sizes, game.offsets)
+    ]
+    for kept, parts in zip(itertools.product(*kepts), itertools.product(*masks)):
+        if (bits := sum(parts)) & ~outcome.bits:
+            yield Restriction._trusted(game, kept, bits)
+
+
+def larger_closed_reference(game, outcome, belief_kind, resolution, cache=None):
+    """The first restriction outside `outcome` that `verification.is_closed`
+    finds closed, by a sweep of the whole lattice; None when there is none.
+    The verdict `check_order_independence` reads off the fast trace's
+    induction must match it."""
+    from nbrelim.verification import is_closed
+
+    return next(
+        (
+            c for c in restrictions_outside(game, outcome)
+            if is_closed(game, c, belief_kind, resolution, cache)
+        ),
+        None,
     )

@@ -2,8 +2,9 @@
 
 Each test implements one acceptance criterion at its stated tolerance (all
 checks here are exact; the only knobs are corpus sizes and runtime budgets)
-and prints one pass/fail line.  Run with `pytest tests/test_acceptance.py -v -s`
-to see the lines as they complete.
+and prints one pass/fail line; one more cross-checks criterion 2's
+`largest_closed` verdicts against the lattice reference.  Run with
+`pytest tests/test_acceptance.py -v -s` to see the lines as they complete.
 
 Expected values tagged as derived were computed by the independent
 brute-force oracles in tests/oracles.py (best-response tables replayed
@@ -26,7 +27,15 @@ from nbrelim.catalog import (
 )
 from nbrelim.cli import main
 from nbrelim.games import FiniteGame, full_restriction, restrict_by_labels
-from nbrelim.oracle import BestResponse, NeverBest, OracleCache, find_witness, full_comparison, is_best_response
+from nbrelim.oracle import (
+    DEFAULT_GRID_RESOLUTION,
+    BestResponse,
+    NeverBest,
+    OracleCache,
+    find_witness,
+    full_comparison,
+    is_best_response,
+)
 from nbrelim.reductions import (
     Policy,
     ReductionKind,
@@ -38,12 +47,19 @@ from nbrelim.reductions import (
     validate_step,
 )
 from nbrelim.verification import (
+    check_order_independence,
+    is_closed,
     pure_nash,
     random_order_traces,
     random_restriction,
 )
 
-from oracles import brute_pure_nash, grid_distributions, replay_fast_pure
+from oracles import (
+    brute_pure_nash,
+    grid_distributions,
+    larger_closed_reference,
+    replay_fast_pure,
+)
 
 RANDOM_2P_GAMES = 500
 RANDOM_3P_GAMES = 100
@@ -156,6 +172,34 @@ def test_criterion_2_order_independence(tilde_bundles):
         2, "order independence", failures,
         f"{ngames} games x {ORDERS_PER_GAME} orders x 2 belief kinds in {elapsed:.1f} s",
     )
+
+
+def test_largest_closed_matches_lattice_reference(corpus):
+    """Criterion 2's `largest_closed` verdict, read off the fast trace's
+    induction, equals a sweep of the whole lattice outside the outcome on
+    the random games, under pure and correlated beliefs, and on the
+    3-player ones under mixed beliefs too."""
+    failures, checked = [], 0
+    for name, game in corpus:
+        if not name.startswith("rand"):
+            continue
+        kinds = BOTH_KINDS + ((BeliefKind.INDEPENDENT_MIXED,) if game.players == 3 else ())
+        for bk in kinds:
+            got = check_order_independence(game, bk, num_orders=1, seed=1)[1].verdict
+            cache = OracleCache(bk)
+            outcome = iterate(game, ReductionKind.TILDE, bk, Policy.FAST, cache=cache).outcome
+            closed = is_closed(game, outcome, bk, DEFAULT_GRID_RESOLUTION, cache)
+            expected = {None: "unknown", False: "fail"}.get(closed)
+            if closed:
+                larger = larger_closed_reference(
+                    game, outcome, bk, DEFAULT_GRID_RESOLUTION, cache
+                )
+                expected = "pass" if larger is None else "fail"
+            checked += 1
+            if got != expected:
+                failures.append(f"{name}/{bk.value}: {got}, lattice {expected}")
+    assert not failures, failures[:5]
+    assert checked == 2 * RANDOM_2P_GAMES + 3 * RANDOM_3P_GAMES
 
 
 def test_criterion_3_fast_dominance(tilde_bundles):

@@ -265,8 +265,9 @@ class TestNumericFlags:
             ("verify", "nash", "--random", "2", "--max-size", "0"),
             ("verify", "nash", "--random", "2", "--payoff-bound", "-1"),
             ("verify", "order-independence", "--random", "1", "--orders", "0"),
+            ("verify", "nash", "--random", "1", "--players", "0"),
         ],
-        ids=["resolution", "random", "max-size", "payoff-bound", "orders"],
+        ids=["resolution", "random", "max-size", "payoff-bound", "orders", "players"],
     )
     def test_out_of_range_value_is_an_input_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -23,12 +23,18 @@ from nbrelim.games import (
     InputError,
     Restriction,
     full_restriction,
-    join,
     restrict,
     restrict_by_labels,
 )
 from nbrelim.oracle import BestResponse, NeverBest, full_comparison, is_best_response
-from nbrelim.reductions import Policy, ReductionKind, Rejection, Trace
+from nbrelim.reductions import (
+    Policy,
+    ReductionKind,
+    Rejection,
+    Step,
+    Trace,
+    validate_step,
+)
 from nbrelim.verification import (
     TheoremReport,
     check_equivalence,
@@ -42,7 +48,12 @@ from nbrelim.verification import (
     random_restriction,
 )
 
-from oracles import brute_pure_nash, grid_distributions, is_pure_best_to_some
+from oracles import (
+    brute_pure_nash,
+    grid_distributions,
+    is_pure_best_to_some,
+    restrictions_outside,
+)
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +124,7 @@ class TestLargerCandidates:
         # 7 strategies in all: the whole lattice, built from masks
         game = random_game(3, [2, 3, 2], 3, seed=4)
         outcome = restrict(game, [(0,), (1, 2), (0, 1)])
-        got = list(verification._larger_candidates(game, outcome, 0))
+        got = list(restrictions_outside(game, outcome))
         subsets = [
             [c for r in range(n + 1) for c in itertools.combinations(range(n), r)]
             for n in game.sizes
@@ -461,14 +472,16 @@ def _instance(game):
 
 def _fake_iterate(monkeypatch, pick):
     """Stand in for `verification.iterate`.  `pick(kind, policy)` gives the
-    kept sets and maximality of a stepless trace, or None for a real run.
-    Returns the traces handed out, in call order."""
+    kept sets and maximality of a stepless trace, a whole `Trace`, or None
+    for a real run.  Returns the traces handed out, in call order."""
     real = verification.iterate
     handed = []
 
     def fake(game, kind, belief_kind, policy, seed=0, resolution=8, cache=None):
         choice = pick(kind, policy)
-        if choice is None:
+        if isinstance(choice, Trace):
+            trace = choice
+        elif choice is None:
             trace = real(
                 game, kind, belief_kind, policy, seed=seed,
                 resolution=resolution, cache=cache,
@@ -483,13 +496,6 @@ def _fake_iterate(monkeypatch, pick):
 
     monkeypatch.setattr(verification, "iterate", fake)
     return handed
-
-
-def _coordination(n):
-    return FiniteGame.from_function(
-        [[f"a{s}" for s in range(n)], [f"b{s}" for s in range(n)]],
-        lambda p: (1, 1) if p[0] == p[1] else (0, 0),
-    )
 
 
 _ONLY_EQUILIBRIUM_00 = {  # a 2x2 game whose one pure equilibrium is (0, 0)
@@ -557,56 +563,49 @@ class TestFailPaths:
         assert [r.verdict for r in reports] == ["pass", verdict, "pass"]
 
     def test_largest_closed_lattice_escape(self, g, monkeypatch):
-        _fake_iterate(monkeypatch, lambda kind, policy: ([(0,), (0,)], True))
+        # the fake outcome {T}x{L} is closed, but the closed {T}x{R} escapes
+        # it; no step leads to it, so the chain is broken
+        handed = _fake_iterate(monkeypatch, lambda kind, policy: ([(0,), (0,)], True))
         reports = check_order_independence(g, BeliefKind.PURE, num_orders=2)
+        assert is_closed(g, handed[0].outcome, BeliefKind.PURE)
         assert reports[1] == TheoremReport(
             "largest_closed", _instance(g), 0, "fail",
-            "closed restriction {T}x{R} escapes the outcome", ("{T}x{R}",),
+            "the fast trace ends at {T,M,B}x{L,R}, not at the outcome",
+            (handed[0].render(),),
         )
 
-    def _sampled_supersets(self, game, outcome, seed):
-        rng = random.Random(verification.child_seed(seed, 999))
-        samples = [
-            join(outcome, random_restriction(game, rng, nondegenerate=False))
-            for _ in range(20)
-        ]
-        return [c for c in samples if c != outcome]
-
-    def test_largest_closed_sampled_supersets_then_equilibria(self, monkeypatch):
-        # 14 strategies: past the lattice, the sampled supersets of the
-        # forced outcome {a0}x{b0} are all unclosed, so the first equilibrium
-        # singleton outside the outcome is the counterexample
-        game = _coordination(7)
-        _fake_iterate(monkeypatch, lambda kind, policy: ([(0,), (0,)], True))
-        real = verification.is_closed
-        asked = []
-
-        def spy(game, restriction, *args):
-            asked.append(restriction)
-            return real(game, restriction, *args)
-
-        monkeypatch.setattr(verification, "is_closed", spy)
-        reports = check_order_independence(game, BeliefKind.PURE, num_orders=2, seed=3)
-        assert reports[1] == TheoremReport(
-            "largest_closed", _instance(game), 3, "fail",
-            "closed restriction {a1}x{b1} escapes the outcome", ("{a1}x{b1}",),
+    def _fake_fast(self, g, monkeypatch, steps):
+        outcome = restrict(g, [(0,), (0, 1)])  # the real, closed outcome
+        fake = Trace(
+            g, ReductionKind.TILDE, BeliefKind.PURE, Policy.FAST, 0, steps, outcome
         )
-        outcome = restrict(game, [(0,), (0,)])
-        expected = [outcome] + self._sampled_supersets(game, outcome, 3)
-        assert len(expected) > 10
-        assert asked[: len(expected)] == expected
-        assert all(len(r.kept[0]) == len(r.kept[1]) == 1 for r in asked[len(expected):])
+        _fake_iterate(monkeypatch, lambda kind, policy: fake if policy is Policy.FAST else None)
+        return fake, check_order_independence(g, BeliefKind.PURE, num_orders=2)[1]
 
-    def test_largest_closed_first_closed_sample(self, monkeypatch):
-        game = _coordination(7)
-        _fake_iterate(monkeypatch, lambda kind, policy: ([(0,), (0,)], True))
-        monkeypatch.setattr(verification, "is_closed", lambda *args: True)
-        reports = check_order_independence(game, BeliefKind.PURE, num_orders=2, seed=3)
-        first = self._sampled_supersets(game, restrict(game, [(0,), (0,)]), 3)[0]
-        assert reports[1] == TheoremReport(
-            "largest_closed", _instance(game), 3, "fail",
-            f"closed restriction {first.render()} escapes the outcome",
-            (first.render(),),
+    def test_largest_closed_illegal_step(self, g, monkeypatch):
+        # T is a best response to L, yet the fake step claims it never-best
+        full = full_restriction(g)
+        step = Step(
+            full, restrict(g, [(1, 2), (0, 1)]), ((0,), ()), ReductionKind.TILDE,
+            BeliefKind.PURE, (((0, 0), NeverBest("exhaustive")),),
+        )
+        fake, report = self._fake_fast(g, monkeypatch, (step,))
+        assert report == TheoremReport(
+            "largest_closed", _instance(g), 0, "fail",
+            "step 1 removes player 1 strategy T (witness)", (fake.render(),),
+        )
+
+    def test_largest_closed_steps_do_not_chain(self, g, monkeypatch):
+        # two legal steps, but step 2 starts at {T,M}, not at step 1's {T,B}
+        def tilde(source, target):
+            return validate_step(g, source, target, ReductionKind.TILDE, BeliefKind.PURE)
+
+        first = tilde(full_restriction(g), restrict(g, [(0, 2), (0, 1)]))
+        second = tilde(restrict(g, [(0, 1), (0, 1)]), restrict(g, [(0,), (0, 1)]))
+        fake, report = self._fake_fast(g, monkeypatch, (first, second))
+        assert report == TheoremReport(
+            "largest_closed", _instance(g), 0, "fail",
+            "step 2 does not start at {T,B}x{L,R}", (fake.render(),),
         )
 
     def test_degenerate_outcome(self, g, monkeypatch):
