@@ -101,12 +101,10 @@ def parse_restriction(game: FiniteGame, literal: str) -> Restriction:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beliefs", choices=sorted(_BELIEFS), default="pure")
     parser.add_argument("--relation", choices=sorted(_RELATIONS), default="tilde")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--resolution", type=int, default=DEFAULT_GRID_RESOLUTION,
         help="denominator bound for the mixed-belief grid search",
     )
-    parser.add_argument("--format", choices=["text", "records"], default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,6 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--payoff-bound", type=int, default=5)
     p_verify.add_argument("--orders", type=int, default=20)
     _add_common(p_verify)
+    for p_run in (p_solve, p_verify):  # check-step draws nothing and prints text
+        p_run.add_argument("--seed", type=int, default=0)
+        p_run.add_argument("--format", choices=["text", "records"], default="text")
 
     p_cat = sub.add_parser("catalog", help="list or emit built-in games")
     cat_sub = p_cat.add_subparsers(dest="catalog_command", required=True)

@@ -345,10 +345,9 @@ class OracleCache:
 
     `steps` is `iterate`'s transition table: per (relation, resolution),
     `(restriction bits, chosen pairs)` maps to the `Step` a run took there.
-    Verdicts are exact, so the removal a step makes (under darrow, what is
-    left of the chosen pairs once validation drops the rejected ones) is a
-    function of the key.  Only its never-best proofs are those of its first
-    build, which `render()` does not show.  An entry lives while the trace
+    Verdicts are exact, so the step a key names is a function of the key.
+    Only its never-best proofs are those of its first build, which
+    `render()` does not show.  An entry lives while the trace
     that first took it does: `iterate` adds a run's new steps once its
     `Trace` exists, and a finalizer on that trace drops them.  `full` is the
     bound game's full restriction, built at the first `bind`.

@@ -10,9 +10,17 @@ where better responses are drawn from:
 `candidate_certificates` is the one per-round sweep: it decides every kept
 strategy against the comparison set its relation picks.  `validate_step`
 certifies a single proposed reduction, `fast_step` removes the entire
-never-best set at once (tilde and arrow only; no fast variant of darrow
-exists), and `iterate` drives maximal sequences under several elimination
+never-best set at once (tilde and arrow only: the paper defines no fast
+darrow), and `iterate` drives maximal sequences under several elimination
 policies.  Traces record every removal with its certificate.
+
+On a finite game every non-empty subset of a sweep's removable set is a
+legal darrow step.  Take a belief over the opponents' kept sets: a best reply
+to it within the player's kept set is never-best to no belief, so no sweep
+lists it; it stays in every target and strictly beats each removed strategy
+at that belief.  So `iterate` validates a darrow step once, and a rejection
+is an unsound sweep, raised as `IllegalStepError`.  For the same reason no
+legal run from the full game empties a component.
 
 The one memo is the `OracleCache` a caller passes (`iterate` makes one when
 none is given); its docstring states why a remembered answer, a swept
@@ -68,6 +76,14 @@ class Policy(Enum):
 
 class UnsupportedOperationError(ValueError):
     """Requested a reduction variant that does not exist (fast darrow)."""
+
+
+def _refuse_fast_darrow(kind: ReductionKind) -> None:
+    if kind is ReductionKind.DARROW:
+        raise UnsupportedOperationError(
+            "the paper defines no fast darrow policy; on a finite game it would "
+            "remove what arrow's fast policy removes, a legal darrow step"
+        )
 
 
 @dataclass(frozen=True)
@@ -406,11 +422,7 @@ def fast_step(
     cache: OracleCache | None = None,
 ) -> Step | None:
     """Remove every certified never-best strategy at once; None at a fixed point."""
-    if kind is ReductionKind.DARROW:
-        raise UnsupportedOperationError(
-            "the darrow relation has no fast variant: removing all candidates "
-            "at once is not a legal darrow step in general"
-        )
+    _refuse_fast_darrow(kind)
     removable, certs, _ = candidate_certificates(
         game, source, belief_kind, kind, resolution, cache
     )
@@ -428,9 +440,8 @@ def legal_removal_candidates(
 ) -> tuple[tuple[int, ...], ...]:
     """Strategies whose individual removal is a legal step from `source`.
 
-    For tilde and arrow any subset of the result is jointly removable; for
-    darrow only singletons are guaranteed and joint removals must be
-    re-validated (the comparison set shrinks with the removal).
+    Any non-empty subset of the result is jointly removable, for darrow too:
+    a best reply to any belief stays in the target (see the module docstring).
     """
     return candidate_certificates(game, source, belief_kind, kind, resolution, cache)[0]
 
@@ -452,8 +463,8 @@ def iterate(
     subset; SINGLE_RANDOM removes one random candidate; USER_SCRIPT applies an
     explicit removal schedule.  Identical seeds reproduce identical traces.
     """
-    if policy is Policy.FAST and kind is ReductionKind.DARROW:
-        raise UnsupportedOperationError("fast policy is undefined for darrow")
+    if policy is Policy.FAST:
+        _refuse_fast_darrow(kind)
     if policy is Policy.USER_SCRIPT and script is None:
         raise InputError("user-script policy needs a schedule")
     if cache is None:
@@ -500,20 +511,24 @@ def iterate(
             flat = [pairs[b] for b in _bits(mask)]
             while not chosen:
                 chosen = [pair for pair in flat if rng.getrandbits(1)]
-        key = (current.bits, tuple(chosen))  # darrow: before the step shrinks it
+        key = (current.bits, tuple(chosen))
         step = shared.get(key)
         if step is None and kind is ReductionKind.DARROW:
-            step = built[key] = _joint_darrow_step(
-                game, current, chosen, belief_kind, resolution, cache
+            result = validate_step(
+                game, current, current.remove(_removal(chosen)), kind, belief_kind,
+                resolution, cache,
             )
+            if isinstance(result, Rejection):  # the sweep was unsound
+                raise IllegalStepError(result)
+            step = built[key] = result
         elif step is None:
             if certs is None:  # a hit keeps none: the cache has them unless evicted
                 certs = {}
-                for i, s in chosen:  # only the oracle answers an empty belief set
+                for i, s in chosen:
                     cmp = comparison_for(kind, game, current, current, i)
-                    certs[i, s] = all(current.kept) and cache.lookup(
-                        i, s, current.bits, cmp
-                    ) or find_witness(game, current, i, s, belief_kind, cmp, resolution, cache)
+                    certs[i, s] = cache.lookup(i, s, current.bits, cmp) or find_witness(
+                        game, current, i, s, belief_kind, cmp, resolution, cache
+                    )
             step = built[key] = _certified_step(current, chosen, kind, belief_kind, certs)
         steps.append(step)
         current = step.target
@@ -521,7 +536,7 @@ def iterate(
     notes = ["script ended before a fixed point"] if mask else []
     if saw_inconclusive:
         notes.append("inconclusive strategies kept; sound, possibly non-maximal")
-    maximal = not mask and (policy is Policy.USER_SCRIPT or not saw_inconclusive)
+    maximal = not mask and not saw_inconclusive
     trace = Trace(
         game, kind, belief_kind, policy, seed, tuple(steps), current, maximal,
         tuple(notes),
@@ -535,35 +550,3 @@ def iterate(
 def _unshare(shared: dict[tuple, Step], keys: tuple[tuple, ...]) -> None:
     for key in keys:
         del shared[key]
-
-
-def _joint_darrow_step(
-    game: FiniteGame,
-    current: Restriction,
-    chosen: list[tuple[int, int]],
-    belief_kind: BeliefKind,
-    resolution: int,
-    cache: OracleCache | None,
-) -> Step:
-    """Shrink a candidate set until it validates as one joint darrow step.
-
-    Dropping a rejected strategy only grows the target's comparison sets, so
-    previously certified removals stay certified; singletons from the
-    candidate sweep are always legal, so the loop terminates non-empty.
-    """
-    picked = list(chosen)
-    while True:
-        result = validate_step(
-            game,
-            current,
-            current.remove(_removal(picked)),
-            ReductionKind.DARROW,
-            belief_kind,
-            resolution,
-            cache,
-        )
-        if isinstance(result, Step):
-            return result
-        picked = [p for p in picked if p != (result.player, result.strategy)]
-        if not picked:
-            raise InputError("darrow candidate set collapsed; sweep was unsound")

@@ -580,12 +580,15 @@ def iterate_reference(game, kind, belief_kind, policy, seed, cache, resolution=2
     frontier and the sweep table, drawing the same random choices from the
     same sorted sets."""
     from nbrelim.reductions import (
+        IllegalStepError,
         Policy,
         ReductionKind,
+        Rejection,
         Trace,
         _certified_step,
-        _joint_darrow_step,
+        _removal,
         candidate_certificates,
+        validate_step,
     )
 
     rng = random.Random(seed)
@@ -610,7 +613,12 @@ def iterate_reference(game, kind, belief_kind, policy, seed, cache, resolution=2
             while not chosen:
                 chosen = [pair for pair in flat if rng.getrandbits(1)]
         if kind is ReductionKind.DARROW:
-            step = _joint_darrow_step(game, current, chosen, belief_kind, resolution, cache)
+            step = validate_step(
+                game, current, current.remove(_removal(chosen)), kind, belief_kind,
+                resolution, cache,
+            )
+            if isinstance(step, Rejection):
+                raise IllegalStepError(step)
         else:
             step = _certified_step(current, chosen, kind, belief_kind, certs)
         steps.append(step)

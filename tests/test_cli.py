@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from nbrelim import verification
 from nbrelim.catalog import gap_3x2
 from nbrelim.cli import _POLICIES, main
-from nbrelim.games import parse_game
+from nbrelim.games import parse_game, render_game
 
 
 def run(capsys, *argv):
@@ -147,15 +147,69 @@ class TestCheckStep:
         assert code == 2
 
     def test_empty_component_literal(self, capsys):
-        # removing a whole side is expressible and vacuously legal under tilde
+        # removing a whole side is expressible; L is still a best reply to M
         code, out, _ = run(
             capsys, "check-step", "--game", "catalog:gap3x2",
             "--from", "M,B;L,R", "--to", "M,B;",
         )
-        assert code in (0, 1)
+        assert code == 1
+        assert out == "illegal: player 2 strategy L (witness) witness=pure(M)\n"
+
+    def test_empty_opponent_component_is_vacuous(self, capsys):
+        # facing no opponent strategy, T is never-best to an empty belief set
+        code, out, _ = run(
+            capsys, "check-step", "--game", "catalog:gap3x2", "--from", "T;", "--to", ";",
+        )
+        assert code == 0
+        assert "cert p1 T NBR(vacuous)\n" in out
+
+    @pytest.mark.parametrize("flag", [["--format", "records"], ["--seed", "9"]])
+    def test_run_flags_are_refused(self, capsys, flag):
+        # check-step draws nothing and prints text only
+        with pytest.raises(SystemExit) as exc:
+            main(["check-step", "--game", "catalog:gap3x2",
+                  "--from", "M,B;L,R", "--to", "M;L,R", *flag])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("resolution, verdict", [
+        ("2", "(inconclusive)"), ("3", "(witness) witness=prod([H:1/3,T:2/3];[m:1])"),
+    ])
+    def test_pinched_window_at_two_resolutions(self, capsys, tmp_path, resolution, verdict):
+        # X is best only against the 1/3-2/3 mix of H and T
+        from test_reductions import TestFrontier
+
+        path = tmp_path / "pinched.game"
+        game = TestFrontier.pinched_window_with_a_dominated_strategy()
+        path.write_text(render_game(game), encoding="utf-8")
+        code, out, _ = run(
+            capsys, "check-step", "--game", str(path), "--from", "X,Y,Z,W;H,T;m",
+            "--to", "Y,Z,W;H,T;m", "--beliefs", "mixed", "--resolution", resolution,
+        )
+        assert code == 1
+        assert out == f"illegal: player 1 strategy X {verdict}\n"
 
 
 class TestVerify:
+    def test_a_fail_prints_each_counterexample_line(self, capsys, monkeypatch):
+        report = verification.TheoremReport(
+            "nash_preservation_i", "gap3x2", 0, "fail", "an equilibrium was lost",
+            ("step 1 removed=T\nkept=M,B",),
+        )
+        monkeypatch.setattr(
+            verification, "check_nash_preservation", lambda *args, **kwargs: [report]
+        )
+        argv = ["verify", "nash", "--game", "catalog:gap3x2"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert out == (
+            "nash_preservation_i gap3x2 seed=0: fail (an equilibrium was lost)\n"
+            "  | step 1 removed=T\n"
+            "  | kept=M,B\n"
+        )
+        code, out, _ = run(capsys, *argv, "--format", "records")
+        assert code == 1
+        assert json.loads(out)["counterexample"] == ["step 1 removed=T\nkept=M,B"]
+
     def test_nash_catalog_game(self, capsys):
         code, out, _ = run(
             capsys, "verify", "nash", "--game", "catalog:naturals5",

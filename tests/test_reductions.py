@@ -1,6 +1,7 @@
 """Reduction steps, fast variants, iteration policies, trace invariants."""
 
 import gc
+import itertools
 import random
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from nbrelim.oracle import (
     BestResponse,
     ComparisonSet,
     EmptyBeliefSet,
+    Inconclusive,
     NeverBest,
     OracleCache,
     find_witness,
@@ -170,25 +172,35 @@ class TestCandidates:
                 assert arrow == darrow
 
     def test_joint_removal_of_all_candidates_validates(self):
+        # Every non-empty subset of the candidates is one legal darrow step: a
+        # best reply to any belief is no candidate, so it stays in the target
+        # and beats each removed strategy at that belief.
         rng = random.Random(5)
-        checked = 0
-        for trial in range(30):
-            sizes = [rng.randint(2, 4), rng.randint(2, 4)]
-            game = random_game(2, sizes, 4, seed=1300 + trial)
-            source = full_restriction(game)
-            cands = legal_removal_candidates(
-                game, source, ReductionKind.DARROW, BeliefKind.PURE
-            )
-            removal = {i: list(gone) for i, gone in enumerate(cands) if gone}
-            if not removal:
-                continue
-            checked += 1
-            result = validate_step(
-                game, source, source.remove(removal),
-                ReductionKind.DARROW, BeliefKind.PURE,
-            )
-            assert isinstance(result, Step)
-        assert checked > 5
+        joint = set()  # (players, restricted, belief kind) of joint removals
+        for trial in range(400):
+            players, restricted = 2 + trial % 2, trial % 4 > 1
+            sizes = [rng.randint(2, 4) for _ in range(players)]
+            game = random_game(players, sizes, 4, seed=1300 + trial)
+            source = restrict(game, [
+                sorted(rng.sample(range(n), rng.randint(1, n))) if restricted
+                else range(n)
+                for n in sizes
+            ])
+            for bk in BeliefKind:
+                cands = legal_removal_candidates(
+                    game, source, ReductionKind.DARROW, bk, resolution=2
+                )
+                flat = [(i, s) for i, gone in enumerate(cands) for s in gone]
+                for size in range(1, min(len(flat), 4) + 1):
+                    for chosen in itertools.combinations(flat, size):
+                        result = validate_step(
+                            game, source, source.remove(reductions._removal(chosen)),
+                            ReductionKind.DARROW, bk, 2, OracleCache(bk),
+                        )
+                        assert isinstance(result, Step), (trial, bk, chosen)
+                        if size > 1:
+                            joint.add((players, restricted, bk))
+        assert len(joint) == 2 * 2 * len(BeliefKind)
 
 
 class TestIterate:
@@ -220,6 +232,26 @@ class TestIterate:
             # two strategies go, one at a time: every single-removal order
             # needs two steps, never fewer than the fast round count
             assert len(single.steps) == 2
+
+    def test_an_unsound_darrow_sweep_raises(self, monkeypatch):
+        # A darrow step is validated once, and a rejection means the sweep
+        # was unsound: it is raised, naming the rejected pair.
+        validate, rejected = reductions.validate_step, []
+
+        def reject_first_joint(game, source, target, *args):
+            step = validate(game, source, target, *args)
+            if not rejected and len(step.certificates) > 1:
+                rejected.append(step.certificates[0][0])
+                return Rejection(*rejected[0], Inconclusive(2), "inconclusive")
+            return step
+
+        monkeypatch.setattr(reductions, "validate_step", reject_first_joint)
+        game = random_game(2, [5, 5], 5, seed=11)
+        with pytest.raises(IllegalStepError) as exc:
+            iterate(game, ReductionKind.DARROW, BeliefKind.PURE, Policy.RANDOM_PARTIAL, 1)
+        assert rejected
+        rejection = exc.value.rejection
+        assert (rejection.player, rejection.strategy) == rejected[0]
 
     def test_fast_darrow_unsupported(self, g):
         with pytest.raises(UnsupportedOperationError):
@@ -405,6 +437,20 @@ class TestUserScript:
             )
         assert exc.value.rejection.player == 0
         assert exc.value.rejection.strategy == 0
+
+    def test_a_script_ending_beside_an_inconclusive_strategy_is_not_maximal(self):
+        # After W goes, nothing is removable, but X's mixed answer is
+        # inconclusive at resolution 2; at resolution 3 X has a witness.
+        game = TestFrontier.pinched_window_with_a_dominated_strategy()
+        note = "inconclusive strategies kept; sound, possibly non-maximal"
+        for resolution, maximal in ((2, False), (3, True)):
+            trace = iterate(
+                game, ReductionKind.TILDE, BeliefKind.INDEPENDENT_MIXED,
+                Policy.USER_SCRIPT, script=[{0: [3]}], resolution=resolution,
+            )
+            assert trace.outcome.kept == ((0, 1, 2), (0, 1), (0,))
+            assert trace.maximal is maximal
+            assert trace.notes == (() if maximal else (note,))
 
     def test_script_needs_schedule(self, g):
         with pytest.raises(InputError):
@@ -1019,7 +1065,7 @@ class TestSharedSteps:
 
     @pytest.mark.parametrize("kind", list(ReductionKind))
     def test_a_run_that_raises_shares_nothing(self, monkeypatch, kind):
-        name = "_joint_darrow_step" if kind is ReductionKind.DARROW else "_certified_step"
+        name = "validate_step" if kind is ReductionKind.DARROW else "_certified_step"
         build, built = getattr(reductions, name), []
 
         def failing(*args, **kwargs):
