@@ -48,29 +48,15 @@ _POLICIES = {p.value: p for p in Policy if p is not Policy.USER_SCRIPT}
 # Smallest accepted value of each numeric flag (where the subcommand has it).
 _MINIMUMS = dict(resolution=1, random=0, max_size=1, payoff_bound=0, orders=1, players=1)
 
+# Per campaign: its checker in `verification`, then the flags it reads besides
+# the game sources, --seed, --resolution and --format.  It accepts no other.
 _CAMPAIGNS = {
-    "order-independence": lambda game, args: verification.check_order_independence(
-        game, _BELIEFS[args.beliefs], num_orders=args.orders, seed=args.seed,
-        resolution=args.resolution,
-    ),
-    "fast-dominance": lambda game, args: verification.check_fast_dominance(
-        game, _BELIEFS[args.beliefs], seed=args.seed, num_orders=args.orders,
-        resolution=args.resolution,
-    ),
-    "equivalence": lambda game, args: verification.check_equivalence(
-        game, _BELIEFS[args.beliefs], seed=args.seed, num_orders=args.orders,
-        resolution=args.resolution,
-    ),
-    "nash": lambda game, args: verification.check_nash_preservation(
-        game, _RELATIONS[args.relation], seed=args.seed, num_orders=args.orders,
-        resolution=args.resolution,
-    ),
-    "oracle-agreement": lambda game, args: verification.check_oracle_agreement(
-        game, seed=args.seed, resolution=args.resolution,
-    ),
-    "kind-monotonicity": lambda game, args: verification.check_kind_monotonicity(
-        game, seed=args.seed, resolution=args.resolution,
-    ),
+    "order-independence": ("check_order_independence", "beliefs", "orders"),
+    "fast-dominance": ("check_fast_dominance", "beliefs", "orders"),
+    "equivalence": ("check_equivalence", "beliefs", "orders"),
+    "nash": ("check_nash_preservation", "relation", "orders"),
+    "oracle-agreement": ("check_oracle_agreement",),
+    "kind-monotonicity": ("check_kind_monotonicity",),
 }
 
 
@@ -98,15 +84,6 @@ def parse_restriction(game: FiniteGame, literal: str) -> Restriction:
     return restrict_by_labels(game, kept_labels)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--beliefs", choices=sorted(_BELIEFS), default="pure")
-    parser.add_argument("--relation", choices=sorted(_RELATIONS), default="tilde")
-    parser.add_argument(
-        "--resolution", type=int, default=DEFAULT_GRID_RESOLUTION,
-        help="denominator bound for the mixed-belief grid search",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nbrelim",
@@ -114,40 +91,52 @@ def build_parser() -> argparse.ArgumentParser:
         "with exact rational arithmetic",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # One parent parser per shared flag, so that each command (and each
+    # verify campaign) takes only the flags it reads.
+    flag = {name: argparse.ArgumentParser(add_help=False) for name in (
+        "beliefs", "relation", "resolution", "orders", "seed", "format")}
+    flag["beliefs"].add_argument("--beliefs", choices=sorted(_BELIEFS), default="pure")
+    flag["relation"].add_argument("--relation", choices=sorted(_RELATIONS), default="tilde")
+    flag["resolution"].add_argument(
+        "--resolution", type=int, default=DEFAULT_GRID_RESOLUTION,
+        help="denominator bound for the mixed-belief grid search",
+    )
+    flag["orders"].add_argument("--orders", type=int, default=20)
+    flag["seed"].add_argument("--seed", type=int, default=0)
+    flag["format"].add_argument("--format", choices=["text", "records"], default="text")
+    common = ["beliefs", "relation", "resolution"]
 
-    p_solve = sub.add_parser("solve", help="run a maximal elimination")
+    p_solve = sub.add_parser("solve", help="run a maximal elimination",
+                             parents=[*map(flag.get, common + ["seed", "format"])])
     p_solve.add_argument("--game", required=True, help="catalog:<name> or a file path")
     p_solve.add_argument("--policy", choices=sorted(_POLICIES), default="fast")
-    _add_common(p_solve)
 
-    p_step = sub.add_parser("check-step", help="validate one proposed reduction")
+    # check-step draws nothing and prints text
+    p_step = sub.add_parser("check-step", help="validate one proposed reduction",
+                            parents=[*map(flag.get, common)])
     p_step.add_argument("--game", required=True)
     p_step.add_argument("--from", dest="source_literal", required=True,
                         metavar="KEPT", help="restriction literal, e.g. 'M,B;L,R'")
     p_step.add_argument("--to", dest="target_literal", required=True, metavar="KEPT")
-    _add_common(p_step)
 
     p_verify = sub.add_parser(
         "verify", help="run a checker campaign",
-        description="Run a checker campaign. Every campaign reads --seed and "
-        "--resolution. order-independence, fast-dominance and equivalence read "
-        "--beliefs and --orders; nash reads --relation and --orders and always "
-        "uses pure beliefs; oracle-agreement and kind-monotonicity read none of "
-        "--beliefs, --relation and --orders.",
+        description="Run a checker campaign. Each reads the game flags, --seed, "
+        "--resolution and --format, and what it also reads; no other flag.",
     )
-    p_verify.add_argument("campaign", choices=sorted(_CAMPAIGNS))
-    p_verify.add_argument("--game", action="append", default=[],
-                          help="may be repeated; catalog:<name> or a file path")
-    p_verify.add_argument("--random", type=int, default=0, metavar="N",
-                          help="also check N seeded random games")
-    p_verify.add_argument("--players", type=int, default=2)
-    p_verify.add_argument("--max-size", type=int, default=4)
-    p_verify.add_argument("--payoff-bound", type=int, default=5)
-    p_verify.add_argument("--orders", type=int, default=20)
-    _add_common(p_verify)
-    for p_run in (p_solve, p_verify):  # check-step draws nothing and prints text
-        p_run.add_argument("--seed", type=int, default=0)
-        p_run.add_argument("--format", choices=["text", "records"], default="text")
+    campaigns = p_verify.add_subparsers(dest="campaign", required=True, metavar="campaign")
+    for name, (_, *reads) in _CAMPAIGNS.items():
+        p_run = campaigns.add_parser(
+            name, help="also reads " + (" ".join("--" + f for f in reads) or "nothing"),
+            parents=[*map(flag.get, ["seed", "format", "resolution", *reads])],
+        )
+        p_run.add_argument("--game", action="append", default=[],
+                           help="may be repeated; catalog:<name> or a file path")
+        p_run.add_argument("--random", type=int, default=0, metavar="N",
+                           help="also check N seeded random games")
+        p_run.add_argument("--players", type=int, default=2)
+        p_run.add_argument("--max-size", type=int, default=4)
+        p_run.add_argument("--payoff-bound", type=int, default=5)
 
     p_cat = sub.add_parser("catalog", help="list or emit built-in games")
     cat_sub = p_cat.add_subparsers(dest="catalog_command", required=True)
@@ -237,10 +226,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         games.append(random_game(args.players, sizes, args.payoff_bound, seed))
     if not games:
         raise InputError("verify needs --game and/or --random")
-    check = _CAMPAIGNS[args.campaign]
+    name, *reads = _CAMPAIGNS[args.campaign]
+    kind = [_BELIEFS[args.beliefs]] if "beliefs" in reads else []
+    kind += [_RELATIONS[args.relation]] if "relation" in reads else []
+    options = {"num_orders": args.orders} if "orders" in reads else {}
+    check = getattr(verification, name)
     reports = []
     for game in games:
-        reports.extend(check(game, args))
+        reports.extend(
+            check(game, *kind, seed=args.seed, resolution=args.resolution, **options)
+        )
     any_fail = any(r.verdict == "fail" for r in reports)
     any_unknown = any(r.verdict == "unknown" for r in reports)
     for r in reports:

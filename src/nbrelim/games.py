@@ -155,22 +155,15 @@ class FiniteGame:
         table: Mapping[JointProfile, Sequence[Rational]],
     ) -> None:
         self._shape(labels)
-        total = self.strides[0] * self.sizes[0]
-
-        # A total table keyed by exactly the profiles is read in one pass;
-        # anything else is checked key by key for a precise error.
-        profiles = itertools.product(*map(range, self.sizes))
-        flat = [table.get(profile) for profile in profiles]
-        if len(table) != total or any(row is None for row in flat):
-            flat = [None] * total
-            for profile, row in table.items():
-                idx = self.flat_index(profile)
-                if flat[idx] is not None:
-                    raise InputError(f"duplicate payoff entry for profile {profile}")
-                flat[idx] = row
-            missing = flat.count(None)
-            if missing:
-                raise InputError(f"payoff tensor incomplete: {missing} profiles missing")
+        flat = [None] * (self.strides[0] * self.sizes[0])
+        for profile, row in table.items():
+            idx = self.flat_index(profile)
+            if flat[idx] is not None:
+                raise InputError(f"duplicate payoff entry for profile {profile}")
+            flat[idx] = row
+        missing = flat.count(None)
+        if missing:
+            raise InputError(f"payoff tensor incomplete: {missing} profiles missing")
         self._fill(self._columns(flat))
 
     @classmethod

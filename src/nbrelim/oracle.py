@@ -331,12 +331,13 @@ class OracleCache:
     can carry another dominating strategy than a fresh `solve` gives, with
     the same `render()`, which shows the proof's kind only.
 
-    Along one `iterate` run restrictions shrink and comparison sets never
-    grow (tilde: the full sets; arrow and darrow: the kept set), so an
-    answer holds until a strategy it rests on is removed: the residual
-    supports of arc consistency (Lecoutre & Hemery, IJCAI 2007) that
-    `reductions.Frontier` watches; `support` is the last witness's opponent
-    mask.  A second game or belief kind is an `InputError`.
+    Along one `iterate` run restrictions shrink, so a witness holds until a
+    strategy of its support is removed: the residual supports of arc
+    consistency (Lecoutre & Hemery, IJCAI 2007) that `reductions.Frontier`
+    watches; `support` is the last witness's opponent mask.  A never-best
+    fact holds for the rest of the run under every relation (see the
+    `reductions` module docstring).  A second game or belief kind is an
+    `InputError`.
 
     `sweeps` is `iterate`'s sweep table: per (relation, resolution), a swept
     restriction's bits map to its removable mask shifted left once, bit 0 set
@@ -422,9 +423,8 @@ class OracleCache:
             entries = self.witnesses.setdefault((player, strategy), [])
             entries.insert(0, [cert, support, cmp_bits, bases, nums])
         elif isinstance(cert, NeverBest):
-            own = ((1 << game.sizes[player]) - 1) << offsets[player]
             entries = self.never_best.setdefault((player, strategy), [])
-            entries.insert(0, (cmp_bits, restriction_bits | own, cert))
+            entries.insert(0, (cmp_bits, restriction_bits | game.bit_masks[player], cert))
         else:
             return
         del entries[self.DEPTH :]

@@ -14,13 +14,24 @@ never-best set at once (tilde and arrow only: the paper defines no fast
 darrow), and `iterate` drives maximal sequences under several elimination
 policies.  Traces record every removal with its certificate.
 
-On a finite game every non-empty subset of a sweep's removable set is a
-legal darrow step.  Take a belief over the opponents' kept sets: a best reply
-to it within the player's kept set is never-best to no belief, so no sweep
-lists it; it stays in every target and strictly beats each removed strategy
-at that belief.  So `iterate` validates a darrow step once, and a rejection
-is an unsound sweep, raised as `IllegalStepError`.  For the same reason no
-legal run from the full game empties a component.
+One lemma on finite games serves all three relations: a best reply, within
+the player's kept set, to a belief over the opponents' kept sets is
+never-best to no belief, so no legal step removes it.  So every non-empty
+subset of a sweep's removable set is a legal darrow step (the best reply
+stays in every target and strictly beats each removed strategy at that
+belief), and no legal run from the full game empties a component.  So too
+a never-best fact holds for the rest of a run: let s be never-best at R
+against R_i, and R' follow R by legal steps (darrow steps are arrow steps).
+A belief over R'_{-i} is one over each restriction between; its best reply
+t within R_i is never removed and stays best within each smaller kept set,
+so t lies in R'_i, and t strictly beats s at that belief, as some strategy
+of R_i does.  Under tilde the comparison set is fixed.  Every removal
+carries an exact proof, a mixed one correlated (so for mixed beliefs the
+argument runs over correlated ones), and scripted steps come before a
+run's `Frontier`.  So a `Frontier` fact watches nothing, and `iterate`
+validates each new arrow or darrow transition once, proving its
+certificates against the step's own comparison sets; a rejection is an
+unsound sweep, raised as `IllegalStepError`.
 
 The one memo is the `OracleCache` a caller passes (`iterate` makes one when
 none is given); its docstring states why a remembered answer, a swept
@@ -250,55 +261,46 @@ def _kth_bit(mask: int, k: int) -> int:
 
 
 class Frontier:
-    """The standing answers of one `iterate` run.  An answer holds while
-    what it watches is kept: a witness its opponent support
-    (`OracleCache.support`); a tilde never-best fact nothing, its
-    comparison set being fixed and a smaller restriction keeping it a fact;
-    an arrow or darrow one its player's kept set, the comparison set it was
-    proved against.  A sweep re-decides what a removal touched, and every
-    `Inconclusive` answer.
+    """The standing answers of one `iterate` run.  A witness holds while its
+    opponent support (`OracleCache.support`) is kept, so it watches those
+    bits; a never-best fact holds for the rest of the run under every
+    relation (see the module docstring), so it watches nothing and stays
+    until its strategy goes.  A sweep re-decides what a removal touched, and
+    every `Inconclusive` answer.
 
     The removable strategies are held in the forms a sweep returns and a
     draw reads, updated only where facts change: `removable` as a bit mask
     laid out as `Restriction.bits`, `sets` as per-player ascending tuples and
     `certs` as one (player, strategy) -> certificate dict."""
 
-    def __init__(self, game: FiniteGame, kind: ReductionKind) -> None:
-        self.kind, self.bits, self.inconclusive, self.removable = kind, None, 0, 0
+    def __init__(self, game: FiniteGame) -> None:
+        self.bits, self.inconclusive, self.removable = None, 0, 0
         self.watchers = [0] * len(game.bit_pairs)  # bit -> mask of witnesses on it
         self.sets: list[tuple[int, ...]] = [()] * game.players
         self.certs: dict[tuple[int, int], Certificate] = {}
-        self.pairs, self.fulls = game.bit_pairs, game.bit_masks
+        self.pairs = game.bit_pairs
 
     def stale(self, restriction: Restriction) -> Sequence[Sequence[int]]:
         """Per player, the kept strategies a sweep of `restriction` decides."""
         previous, self.bits = self.bits, restriction.bits
         if previous is None:
             return restriction.kept
-        gone = previous & ~self.bits
         dirty, self.inconclusive = self.inconclusive, 0
-        for bit in _bits(gone):
+        for bit in _bits(previous & ~self.bits):
             dirty |= self.watchers[bit]
             self.watchers[bit] = 0
-            if self.removable >> bit & 1:
-                self.drop(*self.pairs[bit], bit)
-        if self.kind is not ReductionKind.TILDE:
-            for full in self.fulls:
-                if gone & full:
-                    dirty |= self.removable & full
-        todo: list[list[int]] = [[] for _ in self.fulls]
-        for bit in _bits(dirty & self.bits):
+            if self.removable >> bit & 1:  # a fact whose strategy is gone
+                self.removable ^= 1 << bit
+                player, s = self.pairs[bit]
+                own = self.sets[player]
+                k = own.index(s)
+                self.sets[player] = own[:k] + own[k + 1 :]
+                del self.certs[player, s]
+        todo: list[list[int]] = [[] for _ in self.sets]
+        for bit in _bits(dirty & self.bits & ~self.removable):
             player, s = self.pairs[bit]
             todo[player].append(s)
         return todo
-
-    def drop(self, player: int, s: int, bit: int) -> None:
-        """`s`, removable until now, is not."""
-        self.removable ^= 1 << bit
-        own = self.sets[player]
-        k = own.index(s)
-        self.sets[player] = own[:k] + own[k + 1 :]
-        del self.certs[player, s]
 
     def record(self, bit: int, cert: Certificate, support: int) -> None:
         """`cert` is a witness, which watches `support`, or `Inconclusive`."""
@@ -327,9 +329,10 @@ def candidate_certificates(
     under-approximation; strategies facing an empty opponent component are
     vacuously never-best.  `cache` answers what it can and remembers the
     rest; the result is the same as without it.  `frontier` (with `cache`)
-    carries one run's answers from sweep to sweep, and the certificates
-    returned are its own dict, valid until its next sweep; without it, every
-    kept strategy is decided and nothing is kept.
+    carries one run's answers from sweep to sweep, along that run's legal
+    steps, and the certificates returned are its own dict, valid until its
+    next sweep; without it, every kept strategy is decided and nothing is
+    kept.
 
     Each player's strategies face one comparison set; for arrow and darrow
     alike it is the restriction's kept set.  Removing `s` alone, darrow
@@ -344,7 +347,7 @@ def candidate_certificates(
     bits = restriction.bits
     run = frontier is not None
     if not run:
-        frontier = Frontier(game, kind)
+        frontier = Frontier(game)
     todo = frontier.stale(restriction)
     # With a component empty, every player faces an empty opponent component
     # or keeps nothing itself.
@@ -373,16 +376,13 @@ def candidate_certificates(
                 )
                 if cache is not None:
                     cache.remember(player, s, bits, cmp, cert)
-            if isinstance(cert, NeverBest):
-                if not frontier.removable >> offset + s & 1:
-                    frontier.removable |= 1 << offset + s
-                    fresh.append(s)
+            if isinstance(cert, NeverBest):  # `stale` lists no removable one
+                frontier.removable |= 1 << offset + s
                 frontier.certs[player, s] = cert
+                fresh.append(s)
                 continue
             saw_inconclusive |= isinstance(cert, Inconclusive)
             if run:
-                if frontier.removable >> offset + s & 1:
-                    frontier.drop(player, s, offset + s)
                 frontier.record(offset + s, cert, cache.support)
         if fresh:  # one merge keeps the tuple ascending
             frontier.sets[player] = tuple(sorted(frontier.sets[player] + tuple(fresh)))
@@ -485,7 +485,7 @@ def iterate(
         steps.append(result)
         current = result.target
 
-    frontier = Frontier(game, kind)
+    frontier = Frontier(game)
     pairs = game.bit_pairs
     while True:
         swept = table.get(current.bits)
@@ -513,7 +513,7 @@ def iterate(
                 chosen = [pair for pair in flat if rng.getrandbits(1)]
         key = (current.bits, tuple(chosen))
         step = shared.get(key)
-        if step is None and kind is ReductionKind.DARROW:
+        if step is None and kind is not ReductionKind.TILDE:
             result = validate_step(
                 game, current, current.remove(_removal(chosen)), kind, belief_kind,
                 resolution, cache,

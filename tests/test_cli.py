@@ -272,6 +272,23 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "nash")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("order-independence", "--relation", "darrow"),
+            ("nash", "--beliefs", "correlated"),
+            ("oracle-agreement",
+             "--orders", "3", "--beliefs", "mixed", "--relation", "arrow"),
+        ],
+        ids=["order-independence", "nash", "oracle-agreement"],
+    )
+    def test_a_flag_the_campaign_does_not_read_is_refused(self, capsys, argv):
+        # a campaign that ignored the flag would check something else and pass
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", argv[0], "--game", "catalog:gap3x2", *argv[1:]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
+
     def test_deterministic_output(self, capsys):
         args = (
             "verify", "order-independence", "--random", "3", "--max-size", "3",

@@ -233,9 +233,10 @@ class TestIterate:
             # needs two steps, never fewer than the fast round count
             assert len(single.steps) == 2
 
-    def test_an_unsound_darrow_sweep_raises(self, monkeypatch):
-        # A darrow step is validated once, and a rejection means the sweep
-        # was unsound: it is raised, naming the rejected pair.
+    @pytest.mark.parametrize("kind", [ReductionKind.ARROW, ReductionKind.DARROW])
+    def test_an_unsound_sweep_raises(self, monkeypatch, kind):
+        # An arrow or darrow step is validated once, and a rejection means
+        # the sweep was unsound: it is raised, naming the rejected pair.
         validate, rejected = reductions.validate_step, []
 
         def reject_first_joint(game, source, target, *args):
@@ -248,7 +249,7 @@ class TestIterate:
         monkeypatch.setattr(reductions, "validate_step", reject_first_joint)
         game = random_game(2, [5, 5], 5, seed=11)
         with pytest.raises(IllegalStepError) as exc:
-            iterate(game, ReductionKind.DARROW, BeliefKind.PURE, Policy.RANDOM_PARTIAL, 1)
+            iterate(game, kind, BeliefKind.PURE, Policy.RANDOM_PARTIAL, 1)
         assert rejected
         rejection = exc.value.rejection
         assert (rejection.player, rejection.strategy) == rejected[0]
@@ -682,7 +683,7 @@ class TestDarrowReuse:
 
 class TestFrontier:
     """A run re-decides only the answers a removal touched, and ends where a
-    run with one stateless sweep per round ends, cache and all."""
+    run with one stateless sweep per round ends, cache witnesses and all."""
 
     @staticmethod
     def pinched_window_with_a_dominated_strategy():
@@ -718,23 +719,49 @@ class TestFrontier:
                             assert trace.render() == reference.render()
                             runs += 1
                 assert cache.witnesses == reference_cache.witnesses
-                assert cache.never_best == reference_cache.never_best
+                # The reference re-decides every round, so it holds more
+                # never-best entries; each of the engine's is a fact.
+                for (player, s), entries in cache.never_best.items():
+                    for cmp_bits, known_bits, _ in entries:
+                        kept = [
+                            [t for t in range(size) if known_bits >> offset + t & 1]
+                            for offset, size in zip(game.offsets, game.sizes)
+                        ]
+                        cmp = ComparisonSet(player, [
+                            t for t in range(game.sizes[player]) if cmp_bits >> t & 1
+                        ])
+                        fact = find_witness(game, restrict(game, kept), player, s, bk, cmp)
+                        assert isinstance(fact, NeverBest)
         assert runs == len(games) * 3 * 8 * 2
 
     @pytest.mark.parametrize("kind", list(ReductionKind))
-    def test_an_own_removal_redecides_arrow_and_darrow_facts(self, g, kind):
-        # M and B are never-best beside T under every relation; once T is
-        # gone (not a legal step) they are best responses within {M,B}
-        # under arrow and darrow, so the sweep must not list them.
-        cache = OracleCache(BeliefKind.PURE)
-        frontier = Frontier(g, kind)
-        sub = restrict(g, [(1, 2), (0, 1)])
-        expected = ((1, 2), ()) if kind is ReductionKind.TILDE else ((), ())
-        for source, sets in ((full_restriction(g), ((1, 2), ())), (sub, expected)):
-            got, _, _ = candidate_certificates(
-                g, source, BeliefKind.PURE, kind, cache=cache, frontier=frontier
-            )
-            assert got == sets
+    def test_a_never_best_fact_is_decided_once_per_run(self, monkeypatch, kind):
+        # A never-best fact holds for the rest of a run under every relation,
+        # so no sweep decides its strategy again.
+        decided = []
+        decide = reductions._find_witness_fast
+
+        def recorded(game, kept, player, s, *args):
+            cert = decide(game, kept, player, s, *args)
+            decided.append(((player, s), cert))
+            return cert
+
+        monkeypatch.setattr(reductions, "_find_witness_fast", recorded)
+        redecided = facts = 0
+        for game in (bertrand_grid(12), random_game(2, [6, 6], 2, seed=4)):
+            for bk in (BeliefKind.PURE, BeliefKind.CORRELATED):
+                for policy in (Policy.SINGLE_RANDOM, Policy.RANDOM_PARTIAL):
+                    for seed in range(3):
+                        decided.clear()
+                        iterate(game, kind, bk, policy, seed, cache=OracleCache(bk))
+                        known = set()
+                        for pair, cert in decided:
+                            redecided += pair in known
+                            if isinstance(cert, NeverBest):
+                                known.add(pair)
+                        facts += len(known)
+        assert facts > 0
+        assert redecided == 0
 
     @pytest.mark.parametrize("kind", list(ReductionKind))
     @pytest.mark.parametrize("policy", [Policy.SINGLE_RANDOM, Policy.RANDOM_PARTIAL])
@@ -761,7 +788,7 @@ class TestFrontier:
         # With the columns gone, every kept row is removable vacuously, and no
         # certificate may be a never-best fact kept from the earlier sweep.
         cache = OracleCache(BeliefKind.CORRELATED)
-        frontier = Frontier(g, kind)
+        frontier = Frontier(g)
         full = full_restriction(g)
         sets, certs, _ = candidate_certificates(
             g, full, BeliefKind.CORRELATED, kind, cache=cache, frontier=frontier
@@ -902,15 +929,9 @@ class TestSweepTable:
 
     @staticmethod
     def counted_oracle_calls(monkeypatch):
-        calls = []
-        oracle_call = reductions.find_witness
-
-        def counted(*args, **kwargs):
-            calls.append(args[2:4])  # (player, strategy)
-            return oracle_call(*args, **kwargs)
-
-        monkeypatch.setattr(reductions, "find_witness", counted)
-        return calls
+        """(player, strategy) of every decision made afresh: an arrow re-run
+        validates its steps through `find_witness`, which the cache answers."""
+        return TestDarrowReuse.counted_decisions(monkeypatch)
 
     @staticmethod
     def rerun_corpus():
@@ -1065,7 +1086,7 @@ class TestSharedSteps:
 
     @pytest.mark.parametrize("kind", list(ReductionKind))
     def test_a_run_that_raises_shares_nothing(self, monkeypatch, kind):
-        name = "validate_step" if kind is ReductionKind.DARROW else "_certified_step"
+        name = "_certified_step" if kind is ReductionKind.TILDE else "validate_step"
         build, built = getattr(reductions, name), []
 
         def failing(*args, **kwargs):
