@@ -48,15 +48,17 @@ _POLICIES = {p.value: p for p in Policy if p is not Policy.USER_SCRIPT}
 # Smallest accepted value of each numeric flag (where the subcommand has it).
 _MINIMUMS = dict(resolution=1, random=0, max_size=1, payoff_bound=0, orders=1, players=1)
 
-# Per campaign: its checker in `verification`, then the flags it reads besides
-# the game sources, --seed, --resolution and --format.  It accepts no other.
+# Per campaign: its checker in `verification` (looked up at call time), the
+# flag whose value is the checker's one positional argument after the game
+# (or None), and whether it reads --orders.  Each campaign also reads the game
+# flags, --seed, --resolution and --format, and accepts no other flag.
 _CAMPAIGNS = {
-    "order-independence": ("check_order_independence", "beliefs", "orders"),
-    "fast-dominance": ("check_fast_dominance", "beliefs", "orders"),
-    "equivalence": ("check_equivalence", "beliefs", "orders"),
-    "nash": ("check_nash_preservation", "relation", "orders"),
-    "oracle-agreement": ("check_oracle_agreement",),
-    "kind-monotonicity": ("check_kind_monotonicity",),
+    "order-independence": ("check_order_independence", "beliefs", True),
+    "fast-dominance": ("check_fast_dominance", "beliefs", True),
+    "equivalence": ("check_equivalence", "beliefs", True),
+    "nash": ("check_nash_preservation", "relation", True),
+    "oracle-agreement": ("check_oracle_agreement", None, False),
+    "kind-monotonicity": ("check_kind_monotonicity", None, False),
 }
 
 
@@ -125,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--resolution and --format, and what it also reads; no other flag.",
     )
     campaigns = p_verify.add_subparsers(dest="campaign", required=True, metavar="campaign")
-    for name, (_, *reads) in _CAMPAIGNS.items():
+    for name, (_, positional, orders) in _CAMPAIGNS.items():
+        reads = ([positional] if positional else []) + ["orders"] * orders
         p_run = campaigns.add_parser(
             name, help="also reads " + (" ".join("--" + f for f in reads) or "nothing"),
             parents=[*map(flag.get, ["seed", "format", "resolution", *reads])],
@@ -226,15 +229,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         games.append(random_game(args.players, sizes, args.payoff_bound, seed))
     if not games:
         raise InputError("verify needs --game and/or --random")
-    name, *reads = _CAMPAIGNS[args.campaign]
-    kind = [_BELIEFS[args.beliefs]] if "beliefs" in reads else []
-    kind += [_RELATIONS[args.relation]] if "relation" in reads else []
-    options = {"num_orders": args.orders} if "orders" in reads else {}
+    name, positional, orders = _CAMPAIGNS[args.campaign]
+    values = {"beliefs": _BELIEFS, "relation": _RELATIONS}
+    lead = [values[positional][vars(args)[positional]]] if positional else []
+    options = {"num_orders": args.orders} if orders else {}
     check = getattr(verification, name)
     reports = []
     for game in games:
         reports.extend(
-            check(game, *kind, seed=args.seed, resolution=args.resolution, **options)
+            check(game, *lead, seed=args.seed, resolution=args.resolution, **options)
         )
     any_fail = any(r.verdict == "fail" for r in reports)
     any_unknown = any(r.verdict == "unknown" for r in reports)

@@ -513,6 +513,11 @@ def iterate(
                 chosen = [pair for pair in flat if rng.getrandbits(1)]
         key = (current.bits, tuple(chosen))
         step = shared.get(key)
+        # An arrow or darrow fact may rest on an earlier, larger kept set, so
+        # each new transition is validated once.  A tilde fact rests on the
+        # full sets and certifies the step as it stands; validating it again
+        # (a cache read per removed strategy) costs tilde grid orders about a
+        # tenth of their throughput (perfbench grid-orders).
         if step is None and kind is not ReductionKind.TILDE:
             result = validate_step(
                 game, current, current.remove(_removal(chosen)), kind, belief_kind,

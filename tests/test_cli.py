@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from nbrelim import verification
 from nbrelim.catalog import gap_3x2
-from nbrelim.cli import _POLICIES, main
+from nbrelim.cli import _CAMPAIGNS, _POLICIES, main
 from nbrelim.games import parse_game, render_game
 
 
@@ -436,23 +436,30 @@ LITERALS = ("T,M,B;L,R", "M,B;L,R", "M;L,R", "T;L", "M,B;", "X;L", "T", ";;", ""
 def cli_argv(draw, sources):
     command = draw(st.sampled_from(("solve", "check-step", "verify")))
     argv = [command]
+    flags = list(CHOICE_FLAGS) + ["--resolution", "--seed"]
+    foreign = []
     if command == "verify":
-        argv.append(draw(st.sampled_from(
-            ("nash", "order-independence", "fast-dominance", "equivalence",
-             "oracle-agreement", "kind-monotonicity", "bogus")
-        )))
+        campaign = draw(st.sampled_from(sorted(_CAMPAIGNS) + ["bogus"]))
+        argv.append(campaign)
+        if campaign in _CAMPAIGNS:
+            # The flags the campaign reads, and sometimes one it refuses.
+            _, positional, orders = _CAMPAIGNS[campaign]
+            reads = ([f"--{positional}"] if positional else []) + ["--orders"] * orders
+            flags = ["--seed", "--format", "--resolution", "--random", "--max-size",
+                     "--payoff-bound", "--players", *reads]
+            if draw(st.integers(0, 3)) == 3:
+                foreign = [draw(st.sampled_from(
+                    [f for f in (*CHOICE_FLAGS, "--orders") if f not in flags]
+                ))]
+        else:
+            flags += list(INT_FLAGS) + ["--players"]
     for _ in range(draw(st.integers(0 if command == "verify" else 1, 2))):
         argv += ["--game", draw(st.sampled_from(sources))]
     if command == "check-step":
         for flag in ("--from", "--to"):
             if draw(st.booleans()) or draw(st.booleans()):
                 argv += [flag, draw(st.sampled_from(LITERALS))]
-    flags = list(CHOICE_FLAGS) + ["--resolution"]
-    if command == "verify":
-        flags += list(INT_FLAGS) + ["--players"]
-    else:
-        flags.append("--seed")
-    for flag in draw(st.lists(st.sampled_from(flags), max_size=5, unique=True)):
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=5, unique=True)) + foreign:
         if flag in CHOICE_FLAGS:
             value = draw(st.sampled_from(CHOICE_FLAGS[flag]))
         elif flag == "--resolution":

@@ -928,12 +928,6 @@ class TestSweepTable:
                     assert len(first.steps) > 0
 
     @staticmethod
-    def counted_oracle_calls(monkeypatch):
-        """(player, strategy) of every decision made afresh: an arrow re-run
-        validates its steps through `find_witness`, which the cache answers."""
-        return TestDarrowReuse.counted_decisions(monkeypatch)
-
-    @staticmethod
     def rerun_corpus():
         """(game index, game, belief kind, relation, policy, seed) of seeded
         orders, tilde and arrow, over the residual-support corpus."""
@@ -949,8 +943,10 @@ class TestSweepTable:
 
     def test_a_rerun_reads_certificates_from_the_cache(self, monkeypatch):
         # A re-run hits the table every round; each chosen strategy's
-        # certificate is the cache's, and the oracle is not asked again.
-        calls = self.counted_oracle_calls(monkeypatch)
+        # certificate is the cache's, and nothing is decided afresh (an arrow
+        # re-run validates its steps through `find_witness`, which the cache
+        # answers).
+        calls = TestDarrowReuse.counted_decisions(monkeypatch)
         hits = 0
         for n, game, bk, kind, policy, seed in self.rerun_corpus():
             cache = OracleCache(bk)
@@ -967,19 +963,23 @@ class TestSweepTable:
 
     def test_an_evicted_certificate_falls_back_to_the_oracle(self, monkeypatch):
         # With one entry per (player, strategy), the other runs on a shared
-        # cache push out most certificates before a re-run reads them.
+        # cache push out most certificates before a re-run reads them.  A
+        # re-run sweeps nothing, so each decision it makes afresh is one that
+        # was evicted.
         monkeypatch.setattr(OracleCache, "DEPTH", 1)
-        calls = self.counted_oracle_calls(monkeypatch)
-        runs = {}
+        decided = TestDarrowReuse.counted_decisions(monkeypatch)
+        runs, evicted = {}, 0
         for n, game, bk, kind, policy, seed in self.rerun_corpus():
             runs.setdefault((n, bk), []).append((game, kind, policy, seed))
         for (n, bk), group in runs.items():
             cache = OracleCache(bk)
-            for game, kind, policy, seed in group + group:
+            for k, (game, kind, policy, seed) in enumerate(group + group):
+                decided.clear()
                 trace = iterate(game, kind, bk, policy, seed, resolution=2, cache=cache)
+                evicted += len(decided) * (k >= len(group))
                 fresh = iterate(game, kind, bk, policy, seed, resolution=2)
                 assert trace.render() == fresh.render()
-        assert calls  # some certificate was evicted and asked again
+        assert evicted  # some certificate was evicted and decided again
 
     def test_each_relation_sweeps_for_itself(self, monkeypatch):
         # `check_equivalence` compares the relations' runs on one cache, so no
