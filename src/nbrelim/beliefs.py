@@ -118,21 +118,6 @@ def as_product(mu: Belief) -> ProductBelief:
     raise InputError("a correlated belief has no product form in general")
 
 
-def integer_form(
-    game: FiniteGame, player: int, mu: Belief
-) -> tuple[list[int], list[int], int]:
-    """`mu` on the integer tensor: the tensor bases of its atoms, their
-    probabilities as numerators over the common denominator, and that
-    denominator.  `profile_base` range- and arity-checks every atom."""
-    if isinstance(mu, PurePoint):
-        return [game.profile_base(player, mu.profile)], [1], 1
-    atoms = list(mu.atoms()) if isinstance(mu, ProductBelief) else mu.mass
-    den = lcm(*(prob.denominator for _, prob in atoms))
-    bases = [game.profile_base(player, profile) for profile, _ in atoms]
-    numerators = [prob.numerator * (den // prob.denominator) for _, prob in atoms]
-    return bases, numerators, den
-
-
 def expected_payoff(
     game: FiniteGame, player: int, strategy: int, mu: Belief
 ) -> Rational:
@@ -146,10 +131,19 @@ def expected_payoff(
         raise InputError(f"player index {player} out of range")
     if not 0 <= strategy < game.sizes[player]:
         raise InputError(f"strategy index {strategy} out of range")
-    bases, numerators, den = integer_form(game, player, mu)
     ip = game.ipay[player]
     off = strategy * game.strides[player]
-    total = sum(n * ip[b + off] for b, n in zip(bases, numerators))
+    # `profile_base` range- and arity-checks every atom.
+    if isinstance(mu, PurePoint):
+        base = game.profile_base(player, mu.profile)
+        return Fraction(ip[base + off], game.scales[player])
+    atoms = list(mu.atoms()) if isinstance(mu, ProductBelief) else mu.mass
+    den = lcm(*(prob.denominator for _, prob in atoms))
+    total = sum(
+        prob.numerator * (den // prob.denominator)
+        * ip[game.profile_base(player, profile) + off]
+        for profile, prob in atoms
+    )
     return Fraction(total, den * game.scales[player])
 
 

@@ -32,7 +32,6 @@ from .beliefs import (
     PurePoint,
     as_product,
     expected_payoff,
-    integer_form,
     point_distribution,
     render_belief,
 )
@@ -124,34 +123,6 @@ def is_best_response(
     return all(
         own >= expected_payoff(game, player, other, mu) for other in cmp.candidates
     )
-
-
-def _int_witness_check(
-    game: FiniteGame,
-    player: int,
-    strategy: int,
-    bases: Sequence[int],
-    numerators: Sequence[int],
-    cmp: ComparisonSet,
-) -> bool:
-    """Integer-scaled version of is_best_response for a sparse distribution."""
-    ip = game.ipay[player]
-    stride = game.strides[player]
-    own = sum(n * ip[b + strategy * stride] for b, n in zip(bases, numerators))
-    if len(cmp.candidates) == game.sizes[player]:
-        # Against the full comparison set the column-best table gives an upper
-        # bound on every competitor; exact for single-atom beliefs.
-        col = game.colmax[player]
-        bound = sum(n * col[b] for b, n in zip(bases, numerators))
-        if own >= bound:
-            return True
-        if len(bases) == 1:
-            return False
-    for other in cmp.candidates:
-        off = other * stride
-        if sum(n * ip[b + off] for b, n in zip(bases, numerators)) > own:
-            return False
-    return True
 
 
 def _column_best(
@@ -311,9 +282,10 @@ class OracleCache:
 
     Soundness: both answers are monotone in the query.  A witness belief
     answers any query whose belief set still contains it (its support is
-    kept) and whose comparison set it beats, in particular any comparison set
-    inside one it beat.  A never-best fact answers any query with a larger
-    comparison set and a smaller restriction.  A lookup tests exactly these
+    kept) and whose comparison set lies inside the one it was proved
+    against, never a larger one, even where it would still win.  A
+    never-best fact answers any query with a larger comparison set and a
+    smaller restriction.  A lookup is two mask tests per entry, exactly these
     inclusions, so a hit is the query's own answer and no entry goes stale.
 
     Sets are bit masks: restrictions and supports as `Restriction.bits`,
@@ -321,23 +293,22 @@ class OracleCache:
     A strategy ties with itself, so adding it changes no answer; and a
     darrow query, whose comparison set (the target's kept set) lacks the
     strategy, meets the facts a sweep proved against the kept set.  A
-    witness entry is `[certificate, support, beaten comparison set, tensor
-    bases, numerators]`; a comparison set outside the beaten one is
-    re-checked in integers and, if it passes, joins it.  A never-best entry is
-    `(comparison set, restriction with the player's own strategies added,
-    certificate)`.  Each (player, strategy) keeps its `DEPTH` newest entries
-    of each type, and the newest match answers.  So a never-best proof
-    depends on the cache's history: a step of a campaign sharing one cache
-    can carry another dominating strategy than a fresh `solve` gives, with
-    the same `render()`, which shows the proof's kind only.
+    witness entry is `(certificate, support, proved comparison set)`, a
+    never-best entry `(comparison set, restriction with the player's own
+    strategies added, certificate)`; neither changes once stored.  Each
+    (player, strategy) keeps its `DEPTH` newest entries of each type, and the
+    newest match answers.  So a never-best proof depends on the cache's
+    history: a step of a campaign sharing one cache can carry another
+    dominating strategy than a fresh `solve` gives, with the same `render()`,
+    which shows the proof's kind only.
 
-    Along one `iterate` run restrictions shrink, so a witness holds until a
-    strategy of its support is removed: the residual supports of arc
-    consistency (Lecoutre & Hemery, IJCAI 2007) that `reductions.Frontier`
-    watches; `support` is the last witness's opponent mask.  A never-best
-    fact holds for the rest of the run under every relation (see the
-    `reductions` module docstring).  A second game or belief kind is an
-    `InputError`.
+    Along one `iterate` run restrictions shrink, and under arrow and darrow
+    comparison sets too, so a witness holds until a strategy of its support
+    is removed: the residual supports of arc consistency (Lecoutre &
+    Hemery, IJCAI 2007) that `reductions.Frontier` watches; `support` is the
+    last witness's opponent mask.  A never-best fact holds for the rest of
+    the run under every relation (see the `reductions` module docstring).  A
+    second game or belief kind is an `InputError`.
 
     `sweeps` is `iterate`'s sweep table: per (relation, resolution), a swept
     restriction's bits map to its removable mask shifted left once, bit 0 set
@@ -364,7 +335,7 @@ class OracleCache:
         self.kind = kind
         self.game: FiniteGame | None = None
         self.full: Restriction | None = None
-        self.witnesses: dict[tuple[int, int], list[list]] = {}
+        self.witnesses: dict[tuple[int, int], list[tuple]] = {}
         self.never_best: dict[tuple[int, int], list[tuple]] = {}
         self.support = 0
         self.sweeps: dict[tuple, dict[int, int]] = {}
@@ -385,17 +356,10 @@ class OracleCache:
         components must all be non-empty (an empty one is `EmptyBeliefSet`)."""
         key = (player, strategy)
         cmp_bits = cmp.bits | 1 << strategy
-        for entry in self.witnesses.get(key, ()):
-            if entry[1] & ~restriction_bits:
-                continue
-            if cmp_bits & ~entry[2]:
-                if not _int_witness_check(
-                    self.game, player, strategy, entry[3], entry[4], cmp
-                ):
-                    continue
-                entry[2] |= cmp_bits
-            self.support = entry[1]
-            return entry[0]
+        for cert, support, proved in self.witnesses.get(key, ()):
+            if not support & ~restriction_bits and not cmp_bits & ~proved:
+                self.support = support
+                return cert
         for known_cmp, known_bits, cert in self.never_best.get(key, ()):
             if not known_cmp & ~cmp_bits and not restriction_bits & ~known_bits:
                 return cert
@@ -419,9 +383,8 @@ class OracleCache:
                 for j, t in zip(opps, profile):
                     support |= 1 << (offsets[j] + t)
             self.support = support
-            bases, nums, _ = integer_form(game, player, cert.witness)
             entries = self.witnesses.setdefault((player, strategy), [])
-            entries.insert(0, [cert, support, cmp_bits, bases, nums])
+            entries.insert(0, (cert, support, cmp_bits))
         elif isinstance(cert, NeverBest):
             entries = self.never_best.setdefault((player, strategy), [])
             entries.insert(0, (cmp_bits, restriction_bits | game.bit_masks[player], cert))

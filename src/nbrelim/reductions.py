@@ -341,11 +341,13 @@ def candidate_certificates(
     """
     if restriction.parent != game:
         raise InputError("restriction does not belong to the game")
+    run = frontier is not None
+    if run and cache is None:  # the frontier reads each witness's support there
+        raise InputError("a frontier needs a cache")
     if cache is not None:
         cache.bind(game, belief_kind)
     kept = restriction.kept
     bits = restriction.bits
-    run = frontier is not None
     if not run:
         frontier = Frontier(game)
     todo = frontier.stale(restriction)
@@ -460,13 +462,14 @@ def iterate(
 
     Policies: FAST removes the whole never-best set each round (tilde/arrow
     only); RANDOM_PARTIAL removes a uniformly random non-empty certified
-    subset; SINGLE_RANDOM removes one random candidate; USER_SCRIPT applies an
-    explicit removal schedule.  Identical seeds reproduce identical traces.
+    subset; SINGLE_RANDOM removes one random candidate; USER_SCRIPT applies
+    `script`, which no other policy takes.  Identical seeds reproduce
+    identical traces.
     """
     if policy is Policy.FAST:
         _refuse_fast_darrow(kind)
-    if policy is Policy.USER_SCRIPT and script is None:
-        raise InputError("user-script policy needs a schedule")
+    if (policy is Policy.USER_SCRIPT) != (script is not None):
+        raise InputError("a schedule goes with the user-script policy, which needs one")
     if cache is None:
         cache = OracleCache(belief_kind)
     cache.bind(game, belief_kind)  # before the tables answer for `game`

@@ -669,9 +669,18 @@ class TestSoundnessAndDeterminism:
         again = iterate(gap_3x2(), ReductionKind.TILDE, BeliefKind.PURE, cache=cache)
         assert again.render() == first.render()
 
-    def test_cache_recheck_widens_only_by_the_set_checked(self, g):
-        # B's witness L beats {B}, then passes the re-check against {M,B};
-        # T still beats it there, so the full set must miss and say never-best.
+    def test_a_witness_never_answers_a_larger_comparison_set(self, g, monkeypatch):
+        # B's witness is proved against {B} alone.  It also beats M, and T
+        # beats it, but a lookup only tests set inclusion: each larger
+        # comparison set is decided afresh.
+        fresh = []
+        decide = oracle._find_witness_fast
+
+        def counted(*args):
+            fresh.append(args)
+            return decide(*args)
+
+        monkeypatch.setattr(oracle, "_find_witness_fast", counted)
         cache = OracleCache(BeliefKind.PURE)
         full = full_restriction(g)
         for candidates, expected in (
@@ -680,6 +689,7 @@ class TestSoundnessAndDeterminism:
             cmp = ComparisonSet(0, candidates)
             cert = find_witness(g, full, 0, 2, BeliefKind.PURE, cmp, cache=cache)
             assert isinstance(cert, expected)
+        assert len(fresh) == 3
 
     def test_cache_hit_keeps_never_best_evidence(self, g):
         full = full_restriction(g)

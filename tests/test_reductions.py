@@ -457,6 +457,14 @@ class TestUserScript:
         with pytest.raises(InputError):
             iterate(g, ReductionKind.TILDE, BeliefKind.PURE, Policy.USER_SCRIPT)
 
+    @pytest.mark.parametrize(
+        "policy", [Policy.FAST, Policy.RANDOM_PARTIAL, Policy.SINGLE_RANDOM]
+    )
+    def test_a_schedule_needs_the_user_script_policy(self, g, policy):
+        # The schedule removes T, a best response; no policy may drop it.
+        with pytest.raises(InputError):
+            iterate(g, ReductionKind.TILDE, BeliefKind.PURE, policy, script=[{0: [0]}])
+
 
 class TestTraceRendering:
     def test_render_shape(self, g):
@@ -805,6 +813,14 @@ class TestFrontier:
             )
             assert step.certificates == (((0, 2), EmptyBeliefSet()),)
             assert "NBR(vacuous)" in render_certificate(step.certificates[0][1], g, 0)
+
+    def test_a_frontier_needs_a_cache(self, g):
+        # The frontier reads each witness's support from the cache.
+        with pytest.raises(InputError):
+            candidate_certificates(
+                g, full_restriction(g), BeliefKind.PURE, ReductionKind.TILDE,
+                frontier=Frontier(g),
+            )
 
     def test_lookups_stay_near_the_strategy_count(self, monkeypatch):
         # A stateless sweep per round looks up every kept strategy: 1,829
