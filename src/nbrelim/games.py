@@ -38,6 +38,9 @@ class FormatError(InputError):
 # ASCII digits only: `\d` and `str.isdigit` also accept other scripts' digits.
 _COUNT_RE = re.compile(r"[0-9]+")
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+#: Rows the text layer holds at once: payoff lines parsed, profiles evaluated
+#: by `from_function`, and lines joined for the digest or by `render_game`.
+_CHUNK = 4096
 
 
 def _numeral(token: str) -> int | Fraction:
@@ -68,13 +71,14 @@ def render_rational(q: Rational) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _numerals(values: Sequence[int], scale: int) -> list[str]:
-    """Canonical text of each `value / scale`, as `render_rational` writes it."""
+def _numerals(values: Sequence[int], scale: int) -> Iterator[str]:
+    """Canonical text of each `value / scale`, as `render_rational` writes it,
+    read lazily; equal values share one string."""
     text = {}
     for v in set(values):
         g = math.gcd(v, scale)
         text[v] = str(v // g) if g == scale else f"{v // g}/{scale // g}"
-    return list(map(text.__getitem__, values))
+    return map(text.__getitem__, values)
 
 
 def _scaled(values: Sequence[object]) -> tuple[Sequence[int], int]:
@@ -176,7 +180,12 @@ class FiniteGame:
         game = cls.__new__(cls)
         game._shape(labels)
         profiles = itertools.product(*map(range, game.sizes))
-        game._fill(game._columns(list(map(payoff, profiles))))
+        columns = [[] for _ in game.sizes]
+        for start in range(0, game.strides[0] * game.sizes[0], _CHUNK):
+            rows = list(map(payoff, itertools.islice(profiles, _CHUNK)))
+            for col, part in zip(columns, game._columns(rows, start)):
+                col += part
+        game._fill(columns)
         return game
 
     def _shape(self, labels: Sequence[Sequence[str]]) -> None:
@@ -195,15 +204,16 @@ class FiniteGame:
         self.bit_pairs = tuple((i, s) for i, n in enumerate(sizes) for s in range(n))
         self._opponents = tuple(tuple(j for j in range(n) if j != i) for i in range(n))
 
-    def _columns(self, rows: Sequence[Sequence[Rational]]) -> list[tuple]:
-        """Per-player columns of payoff rows in row-major order."""
+    def _columns(self, rows: Sequence[Sequence[Rational]], start: int = 0) -> list[tuple]:
+        """Per-player columns of payoff rows in row-major order, the first row
+        at flat index `start`."""
         n = self.players
         try:
             columns = list(zip(*rows, strict=True))
         except ValueError:  # rows of different lengths
             columns = []
         if len(columns) != n:
-            k = next(k for k, row in enumerate(rows) if len(row) != n)
+            k = next(k for k, row in enumerate(rows, start) if len(row) != n)
             profile = tuple(k // st % sz for st, sz in zip(self.strides, self.sizes))
             raise InputError(f"profile {profile}: expected {n} payoffs")
         return columns
@@ -212,8 +222,9 @@ class FiniteGame:
         """The tensor builder: scaled integers, `colmax` and the digest from
         one row-major payoff column per player.  Entries are ints, Fractions
         or anything `Fraction()` reads, such as the parser's checked numeral
-        tokens; each distinct entry is converted once."""
-        ipay, scales, colmax, texts = [], [], [], []
+        tokens; each distinct entry is converted once.  The digest's line of
+        canonical rationals per profile goes to sha256 one chunk at a time."""
+        ipay, scales, colmax = [], [], []
         for i, col in enumerate(columns):
             col, scale = _scaled(col)
             span, step = self.sizes[i] * self.strides[i], self.strides[i]
@@ -221,16 +232,15 @@ class FiniteGame:
             colmax.append({b: max(col[b : b + span : step]) for b in bases})
             ipay.append(tuple(col))
             scales.append(scale)
-            texts.append(_numerals(col, scale))
         self.ipay = tuple(ipay)
         self.scales = tuple(scales)
         self.colmax = tuple(colmax)
 
-        blob = "\n".join(
-            [";".join(",".join(labs) for labs in self.labels)]
-            + list(map(",".join, zip(*texts)))
-        )
-        self._digest = hashlib.sha256(blob.encode()).hexdigest()
+        rows = map(",".join, zip(*map(_numerals, ipay, scales)))
+        digest = hashlib.sha256(";".join(",".join(labs) for labs in self.labels).encode())
+        while chunk := "\n".join(itertools.islice(rows, _CHUNK)):
+            digest.update(("\n" + chunk).encode())
+        self._digest = digest.hexdigest()
         self._hash = hash(self._digest)
 
     def flat_index(self, profile: Sequence[int]) -> int:
@@ -486,8 +496,8 @@ def join(a: Restriction, b: Restriction) -> Restriction:
 
 _STRATEGIES_RE = re.compile(r"^strategies\s+([0-9]+)\s*:\s*(.*)$")
 _PAYOFF_RE = re.compile(r"^payoff\s+(.*?)\s*:\s*(.*)$")
-#: Payoff lines tokenized at once; bounds the memory of one token list.
-_CHUNK = 4096
+#: Characters of game text split into lines at once, rounded up to a line end.
+_SPAN = 1 << 16
 
 
 def _count(token: str, lineno: int) -> int:
@@ -500,27 +510,41 @@ def _count(token: str, lineno: int) -> int:
         ) from None
 
 
-def _nonblank(lines: list[str], start: int = 0) -> Iterator[tuple[int, str]]:
-    """(line number, stripped text) of each non-blank line from `lines[start]` on."""
-    numbered = enumerate(lines[start:], start=start + 1)
-    return ((k, s) for k, raw in numbered if (s := raw.strip()))
+def _lines(text: str) -> Iterator[str]:
+    """The lines of `text` as `text.split("\n")` gives them, comments cut,
+    split one span of whole lines of about `_SPAN` characters at a time."""
+    start = 0
+    while True:
+        end = text.find("\n", start + _SPAN)
+        span = text[start:] if end < 0 else text[start:end]
+        lines = span.split("\n")
+        if "#" in span:
+            lines = [line.split("#", 1)[0] for line in lines]
+        yield from lines
+        if end < 0:
+            return
+        start = end + 1
+
+
+def _nonblank(lines: Iterable[str], start: int = 0) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each non-blank line, the first of
+    `lines` numbered `start + 1`."""
+    return ((k, s) for k, raw in enumerate(lines, start + 1) if (s := raw.strip()))
 
 
 def parse_game(text: str) -> FiniteGame:
     """Read the game text format; a `FormatError` names the first bad line.
 
-    The header is read line by line.  The payoff lines are read in bulk by
-    `_payoff_columns`: chunks of `_CHUNK` lines, each tokenized by one
-    `str.split()` and checked with strided slices.  Its per-player columns
-    go straight to the tensor builder.  When a bulk check fails,
+    Lines end at `\n` only, and `_lines` splits the text lazily, one span at
+    a time.  The header is read line by line.  The payoff lines are read in
+    bulk by `_payoff_columns`: chunks of `_CHUNK` lines, each tokenized by
+    one `str.split()` and checked with strided slices.  Its per-player
+    columns go straight to the tensor builder.  When a bulk check fails,
     `_reject_payoff_lines` walks the payoff lines one by one and raises the
     first bad line's error.  It never returns a game, so the bulk path is
     the only one that accepts.
     """
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
-    numbered = _nonblank(lines)
+    numbered = _nonblank(_lines(text))
     lineno, head = next(numbered, (0, ""))
     if not head:
         raise FormatError("empty game text")
@@ -546,9 +570,10 @@ def parse_game(text: str) -> FiniteGame:
             raise FormatError(f"line {lineno}: duplicate labels for player {i + 1}")
         labels.append(labs)
 
-    columns = _payoff_columns(lines[lineno:], labels)
+    columns = _payoff_columns((line for _, line in numbered), labels)
     if columns is None:
-        _reject_payoff_lines(_nonblank(lines, lineno), labels)
+        body = itertools.islice(_lines(text), lineno, None)
+        _reject_payoff_lines(_nonblank(body, lineno), labels)
     game = FiniteGame.__new__(FiniteGame)
     try:
         game._shape(labels)
@@ -559,18 +584,19 @@ def parse_game(text: str) -> FiniteGame:
 
 
 def _payoff_columns(
-    lines: list[str], labels: Sequence[Sequence[str]]
+    lines: Iterator[str], labels: Sequence[Sequence[str]]
 ) -> list[list[str]] | None:
     """Each player's numeral tokens in row-major order, or None when a check fails.
 
-    The non-blank lines are tokenized in chunks of `_CHUNK`: a chunk is
+    The non-blank `lines` are tokenized in chunks of `_CHUNK`: a chunk is
     joined with a `;` token at each line end (no valid payoff line holds a
     `;`), spaced around every `:` and split once.  Strided slices check that
     each record is one line `payoff <n labels> : <n numerals>`.  Per-player
-    dicts map labels to tensor offsets already multiplied by the strides;
-    records land by offset, so lines may come in any order, and a repeated
-    or missing profile shows in the offsets.  Each distinct numeral token is
-    checked once, and equal tokens share one string.
+    dicts map labels to tensor offsets already multiplied by the strides.
+    Offsets are kept from the first record out of row-major order on; then
+    records land by offset, and a repeated profile shows in the offsets.
+    Each distinct numeral token is checked once, and equal tokens share one
+    string.
     """
     n = len(labels)
     sizes = [len(labs) for labs in labels]
@@ -583,12 +609,11 @@ def _payoff_columns(
         for labs, st in zip(labels, strides)
     ]
     width = 2 * n + 3  # payoff, n labels, `:`, n numerals, `;`
-    body = list(filter(str.strip, lines))
-    offsets: list[int] = []
+    done = 0  # records read
+    offsets: list[int] | None = None  # every record's, once one is out of order
     columns: list[list[str]] = [[] for _ in range(n)]
     distinct: dict[str, str] = {}
-    for start in range(0, len(body), _CHUNK):
-        chunk = body[start : start + _CHUNK]
+    while chunk := list(itertools.islice(lines, _CHUNK)):
         records = len(chunk)
         toks = " ; ".join(chunk).replace(":", " : ").split()
         if not (
@@ -602,9 +627,14 @@ def _payoff_columns(
         for i in range(1, n):
             flat = map(operator.add, flat, map(index[i].__getitem__, toks[1 + i :: width]))
         try:
-            offsets += flat
+            flat = list(flat)
         except KeyError:  # an unknown label
             return None
+        if offsets is None and flat != list(range(done, done + records)):
+            offsets = list(range(done))
+        if offsets is not None:
+            offsets += flat
+        done += records
         for i, col in enumerate(columns):
             vals = toks[n + 2 + i :: width]
             col += map(distinct.setdefault, vals, vals)
@@ -613,9 +643,9 @@ def _payoff_columns(
             _numeral(token)
     except FormatError:
         return None
-    if len(offsets) != total:
+    if done != total:
         return None  # a profile missing or repeated
-    if offsets != list(range(total)):  # lines out of row-major order
+    if offsets is not None:  # lines out of row-major order
         if len(set(offsets)) != total:
             return None  # a profile repeated
         order = sorted(range(total), key=offsets.__getitem__)
@@ -677,8 +707,10 @@ def render_game(game: FiniteGame, header_comment: str | None = None) -> str:
     out.append(f"players {game.players}")
     for i, labs in enumerate(game.labels):
         out.append(f"strategies {i + 1}: " + " ".join(labs))
-    texts = [_numerals(ip, scale) for ip, scale in zip(game.ipay, game.scales)]
+    rows = zip(*map(_numerals, game.ipay, game.scales))
     # itertools.product over the labels walks the tensor in flat order
-    for labs, vals in zip(itertools.product(*game.labels), zip(*texts)):
-        out.append(f"payoff {' '.join(labs)} : {' '.join(vals)}")
+    profiles = itertools.product(*game.labels)
+    lines = (f"payoff {' '.join(p)} : {' '.join(v)}" for p, v in zip(profiles, rows))
+    while chunk := "\n".join(itertools.islice(lines, _CHUNK)):
+        out.append(chunk)
     return "\n".join(out) + "\n"

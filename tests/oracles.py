@@ -450,7 +450,7 @@ def parse_game_reference(text):
     Returns (labels, {profile: payoffs}); labels are found by list search and
     every numeral becomes a `Fraction`, with no memo or integer form.
     """
-    lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
+    lines = [raw.split("#", 1)[0].strip() for raw in text.split("\n")]
     lines = [line for line in lines if line]
     n = int(re.fullmatch(r"players ([0-9]+)", lines[0]).group(1))
     labels = [lines[1 + i].partition(":")[2].split() for i in range(n)]
@@ -468,10 +468,11 @@ def parse_game_lines_reference(text):
     in line order, then the table handed to `FiniteGame(labels, table)`.
 
     It raises the same `FormatError` messages `parse_game` must raise, and
-    on valid text returns an equal game.
+    on valid text returns an equal game.  Lines end at `\n` only; `strip()`
+    drops the `\r` of a `\r\n`.
     """
     numbered = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
             numbered.append((lineno, stripped))

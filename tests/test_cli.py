@@ -102,6 +102,18 @@ class TestSolve:
         assert err.startswith("error: line 1: expected 'players <n>'")
         assert len(err.splitlines()) == 1
 
+    def test_a_line_separator_in_a_comment_ends_no_line(self, capsys, tmp_path):
+        # `Path.read_text` leaves U+2028 in place; only `\n` ends a line
+        text = render_game(gap_3x2())
+        outs = []
+        for name, body in [("plain", text), ("sep", text.replace("\n", "\n# a\u2028b\n", 1))]:
+            path = tmp_path / f"{name}.game"
+            path.write_text(body, encoding="utf-8")
+            code, out, err = run(capsys, "solve", "--game", str(path))
+            assert (code, err) == (0, "")
+            outs.append(out.replace(name, "?"))
+        assert outs[0] == outs[1]
+
     def test_seeded_solve_deterministic(self, capsys):
         args = (
             "solve", "--game", "catalog:gap3x2", "--policy", "single",

@@ -1,8 +1,10 @@
 """game layer: rationals, games, restrictions, lattice algebra, text format."""
 
+import gc
 import itertools
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -424,6 +426,11 @@ MUTATIONS = [
         THREE_PLAYER_TEXT.splitlines()[:4] + THREE_PLAYER_TEXT.splitlines()[:3:-1]), True),
     ("three players, short label",
      lambda t: THREE_PLAYER_TEXT.replace("s1 s2 s1 :", "s1 s2 :"), False),
+    # lines end at `\n` only; other line breaks are whitespace
+    ("line separator in a comment", _sub("# the relation-gap game", "# the\u2028gap"), True),
+    ("next line ending a payoff line", _sub("payoff T L : 2 0", "payoff T L : 2 0\x85"), True),
+    ("form feed between payoffs", _sub("payoff T R : 2 0", "payoff T R :\x0c2 0"), True),
+    ("bare carriage returns", _sub("\n", "\r"), False),
 ]
 
 
@@ -497,11 +504,139 @@ class TestParserParity:
             else:
                 text = text[:at] + text[at + data.draw(st.integers(1, 3)) :]
         chunk = data.draw(st.sampled_from([1, 2, 3, games._CHUNK]), label="chunk")
-        saved, games._CHUNK = games._CHUNK, chunk
+        span = data.draw(st.sampled_from([1, 5, 16, games._SPAN]), label="span")
+        saved = games._CHUNK, games._SPAN
+        games._CHUNK, games._SPAN = chunk, span
         try:
             _assert_parity(text)
         finally:
-            games._CHUNK = saved
+            games._CHUNK, games._SPAN = saved
+
+
+class TestLineEnds:
+    """Lines end at `\n` only: `str.strip` and `str.split` treat every other
+    line break as whitespace."""
+
+    def test_a_next_line_at_a_line_end_shifts_no_line_number(self):
+        lines = GOOD_TEXT.split("\n")
+        lines[4] += "\x85"  # line 5, the first payoff line
+        lines[5] = lines[5].replace("payoff T R", "payoff T X")
+        outcome = _assert_parity("\n".join(lines))
+        assert outcome == "FormatError: line 6: unknown label 'X' for player 2"
+
+    def test_a_line_separator_stays_inside_its_comment(self, g3x2):
+        text = GOOD_TEXT.replace("players 2\n", "players 2\n# author\u2028note\n")
+        assert parse_game(text) == g3x2
+        text = text.replace("strategies 1", "strategies 9")
+        assert _assert_parity(text).startswith("FormatError: line 4: expected 'strategies 1")
+
+    @given(
+        text=st.text(alphabet="ab #\n\r\x85\u2028", max_size=40),
+        span=st.integers(0, 12),
+    )
+    def test_spans_split_as_text_split(self, text, span):
+        saved, games._SPAN = games._SPAN, span
+        try:
+            got = list(games._lines(text))
+        finally:
+            games._SPAN = saved
+        assert got == [line.split("#", 1)[0] for line in text.split("\n")]
+
+
+def _parse_at(monkeypatch, text, span, chunk):
+    """`_outcome` of `parse_game` with `_SPAN` and `_CHUNK` shrunk."""
+    with monkeypatch.context() as m:
+        m.setattr(games, "_SPAN", span)
+        m.setattr(games, "_CHUNK", chunk)
+        return _assert_parity(text)
+
+
+class TestChunkBoundaries:
+    """Spans of text and chunks of rows cut anywhere read the same game."""
+
+    def test_crlf_text(self, monkeypatch):
+        game = random_game(2, (4, 3), 5, seed=8)
+        text = render_game(game).replace("\n", "\r\n")
+        for span in range(1, 40, 3):
+            for chunk in (1, 2, 5):
+                assert _parse_at(monkeypatch, text, span, chunk) == game.digest()
+
+    def test_comments_and_blank_lines_at_every_cut(self, monkeypatch):
+        text = GOOD_TEXT.replace("\npayoff M", "\n\n # note: ; \n\t\npayoff M")
+        text = text.replace("payoff B L : 1 0", "payoff B L : 1 0 # x") + "\n\n"
+        want = _outcome(parse_game, text)
+        assert want == gap_3x2().digest()
+        for span in range(1, len(text) + 2):
+            assert _parse_at(monkeypatch, text, span, 2) == want
+
+    @pytest.mark.parametrize("bad,message", [
+        (("players 2", "players 2 3"), "line 5: expected 'players <n>'"),
+        (("strategies 2: L R", "strategies 3: L R"), "line 7: expected 'strategies 2: ...'"),
+        (("strategies 2: L R", "strategies 2:"), "line 7: player 2 has no strategies"),
+        (("payoff M L : 0 0", "payoff M L : 0"), "line 10: expected 2 payoffs"),
+    ])
+    def test_errors_after_a_cut_name_their_line(self, monkeypatch, bad, message):
+        text = "\n# preamble\n\n" + GOOD_TEXT.replace(*bad)
+        assert _outcome(parse_game, text) == f"FormatError: {message}"
+        for span in range(1, len(text) + 2, 2):
+            for chunk in (1, 3):
+                assert _parse_at(monkeypatch, text, span, chunk) == f"FormatError: {message}"
+
+    def test_a_short_row_past_the_first_chunk_names_its_profile(self, monkeypatch):
+        monkeypatch.setattr(games, "_CHUNK", 3)
+        labels = [["a", "b", "c"], ["x", "y", "z"]]
+
+        def pay(profile):
+            return (1,) if profile == (2, 1) else (1, 2)
+
+        message = "^" + re.escape("profile (2, 1): expected 2 payoffs") + "$"
+        with pytest.raises(InputError, match=message):
+            FiniteGame.from_function(labels, pay)
+
+    @pytest.mark.parametrize("chunk", [3, 64, games._CHUNK])
+    def test_digest_and_text_over_several_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(games, "_CHUNK", chunk)
+        game = random_game(2, (70, 70), 5, seed=9)  # 4,900 profiles
+        assert game.sizes[0] * game.sizes[1] > chunk  # two chunks or more
+        table = {p: tuple(map(Fraction, r)) for p, r in _rows(game, True).items()}
+        assert game.digest() == digest_reference(game.labels, table)
+        assert render_game(game) == render_game_reference(game.labels, table)
+        assert FiniteGame.from_function(game.labels, table.__getitem__) == game
+
+
+def _peak_mb(fn, *args):
+    """Peak traced memory of `fn(*args)` in MB, its result included."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """Parse, build and render hold one `_CHUNK` of rows beside the game.
+
+    On the 200-wide Bertrand grid (40,000 profiles, ten chunks) a build
+    peaks near 5.0 MB, a render near 2.8 MB and a parse near 3.6 MB.  Each
+    bound sits below the peak of a layer that holds the whole text split
+    into lines, or every row and digest line at once: 7.9, 5.8 and 9.1 MB.
+    """
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        game = bertrand_grid(200)
+        return game, render_game(game)
+
+    def test_build(self):
+        assert _peak_mb(bertrand_grid, 200) < 6.5
+
+    def test_render(self, grid):
+        assert _peak_mb(render_game, grid[0]) < 4.3
+
+    def test_parse(self, grid):
+        assert _peak_mb(parse_game, grid[1]) < 6.0
 
 
 def _rows(game, native):
