@@ -24,10 +24,7 @@ from .games import (
     JointProfile,
     Rational,
     Restriction,
-    RestrictionClass,
     full_restriction,
-    join,
-    meet,
     parse_game,
     parse_rational,
     render_game,
@@ -55,7 +52,6 @@ from .reductions import (
     Step,
     Trace,
     UnsupportedOperationError,
-    fast_step,
     iterate,
     legal_removal_candidates,
     validate_step,

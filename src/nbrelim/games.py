@@ -1,10 +1,10 @@
 """Finite strategic games over exact rationals.
 
-Games, restrictions, the subset lattice on restrictions, and the plain-text
-game format.  Payoffs are stored once, as integers: player i's payoffs times
-the lcm of their denominators.  They come back as `fractions.Fraction` at
-the API; there is no floating point anywhere in the engine.  Every value is
-immutable after construction and can be shared freely between threads.
+Games, restrictions, and the plain-text game format.  Payoffs are stored
+once, as integers: player i's payoffs times the lcm of their denominators.
+They come back as `fractions.Fraction` at the API; there is no floating
+point anywhere in the engine.  Every value is immutable after construction
+and can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
@@ -281,17 +280,6 @@ class FiniteGame:
             return axes[0]
         return [sum(combo) for combo in itertools.product(*axes)]
 
-    def opponent_profiles(
-        self, player: int, kept: Sequence[Sequence[int]] | None = None
-    ) -> Iterator[JointProfile]:
-        """Opponent index tuples, lexicographic; parallel to opponent_bases."""
-        axes = []
-        for j in range(self.players):
-            if j == player:
-                continue
-            axes.append(range(self.sizes[j]) if kept is None else kept[j])
-        return itertools.product(*axes)
-
     def profile_base(self, player: int, opp_profile: Sequence[int]) -> int:
         """Tensor offset of an opponent profile (player's own component absent)."""
         opps = self.opponents(player)
@@ -332,12 +320,6 @@ class FiniteGame:
         return f"FiniteGame({shape}, {self.digest()})"
 
 
-class RestrictionClass(Enum):
-    NONDEGENERATE = "non-degenerate"
-    DEGENERATE = "degenerate"
-    EMPTY = "empty"
-
-
 def _unchecked(cls: type, *values: object):
     """An instance of the frozen dataclass `cls` from its field values in
     declaration order, built without `__init__`: the caller vouches for them."""
@@ -351,9 +333,8 @@ class Restriction:
     """Per-player subsets of a parent game's strategy sets.
 
     Payoffs are inherited from the parent, never copied.  Empty components are
-    allowed; `classify` distinguishes the degenerate cases.  `bits` holds the
-    kept strategies as one integer, player after player: strategy s of player
-    i is bit `parent.offsets[i] + s`.
+    allowed.  `bits` holds the kept strategies as one integer, player after
+    player: strategy s of player i is bit `parent.offsets[i] + s`.
     """
 
     parent: FiniteGame
@@ -377,34 +358,14 @@ class Restriction:
     # (parent, kept, bits), no checks: `kept` sorted, duplicate-free, in range.
     _trusted = classmethod(_unchecked)
 
-    def classify(self) -> RestrictionClass:
-        if all(not ks for ks in self.kept):
-            return RestrictionClass.EMPTY
-        if any(not ks for ks in self.kept):
-            return RestrictionClass.DEGENERATE
-        return RestrictionClass.NONDEGENERATE
-
     def is_nondegenerate(self) -> bool:
-        return self.classify() is RestrictionClass.NONDEGENERATE
+        return all(self.kept)
 
     def contains(self, other: "Restriction") -> bool:
-        """Componentwise superset test (the lattice order)."""
-        _check_same_parent(self, other)
+        """Componentwise superset test."""
+        if self.parent != other.parent:
+            raise InputError("restrictions have different parent games")
         return not other.bits & ~self.bits
-
-    def __le__(self, other: "Restriction") -> bool:
-        return other.contains(self)
-
-    def payoff(self, profile: Sequence[int], player: int) -> Rational:
-        """Payoff through the restriction; profiles outside the kept sets are errors."""
-        if len(profile) != self.parent.players:
-            raise InputError("profile has wrong arity")
-        for i, s in enumerate(profile):
-            if s not in self.kept[i]:
-                raise InputError(
-                    f"profile {tuple(profile)} leaves the restriction at player {i + 1}"
-                )
-        return self.parent.payoff(profile, player)
 
     def remove(self, removal: Mapping[int, Iterable[int]]) -> "Restriction":
         """New restriction with `removal[player]` dropped from each kept set.
@@ -443,11 +404,6 @@ class Restriction:
         return f"Restriction({self.render()})"
 
 
-def _check_same_parent(a: Restriction, b: Restriction) -> None:
-    if a.parent != b.parent:
-        raise InputError("restrictions have different parent games")
-
-
 def full_restriction(game: FiniteGame) -> Restriction:
     kept = tuple(tuple(range(s)) for s in game.sizes)
     return Restriction._trusted(game, kept, (1 << sum(game.sizes)) - 1)
@@ -463,24 +419,6 @@ def restrict_by_labels(game: FiniteGame, kept_labels: Sequence[Iterable[str]]) -
         tuple(game.index_of(i, lab) for lab in labs) for i, labs in enumerate(kept_labels)
     )
     return Restriction(game, kept)
-
-
-def meet(a: Restriction, b: Restriction) -> Restriction:
-    """Componentwise intersection (lattice meet)."""
-    _check_same_parent(a, b)
-    return Restriction(
-        a.parent,
-        tuple(tuple(sorted(set(x) & set(y))) for x, y in zip(a.kept, b.kept)),
-    )
-
-
-def join(a: Restriction, b: Restriction) -> Restriction:
-    """Componentwise union (lattice join)."""
-    _check_same_parent(a, b)
-    return Restriction(
-        a.parent,
-        tuple(tuple(sorted(set(x) | set(y))) for x, y in zip(a.kept, b.kept)),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,9 @@ where better responses are drawn from:
 
 `candidate_certificates` is the one per-round sweep: it decides every kept
 strategy against the comparison set its relation picks.  `validate_step`
-certifies a single proposed reduction, `fast_step` removes the entire
-never-best set at once (tilde and arrow only: the paper defines no fast
-darrow), and `iterate` drives maximal sequences under several elimination
-policies.  Traces record every removal with its certificate.
+certifies a single proposed reduction, and `iterate` drives maximal
+sequences under several elimination policies.  Traces record every removal
+with its certificate.
 
 One lemma on finite games serves all three relations: a best reply, within
 the player's kept set, to a belief over the opponents' kept sets is
@@ -89,14 +88,6 @@ class UnsupportedOperationError(ValueError):
     """Requested a reduction variant that does not exist (fast darrow)."""
 
 
-def _refuse_fast_darrow(kind: ReductionKind) -> None:
-    if kind is ReductionKind.DARROW:
-        raise UnsupportedOperationError(
-            "the paper defines no fast darrow policy; on a finite game it would "
-            "remove what arrow's fast policy removes, a legal darrow step"
-        )
-
-
 @dataclass(frozen=True)
 class Step:
     source: Restriction
@@ -107,12 +98,6 @@ class Step:
     certificates: tuple[tuple[tuple[int, int], Certificate], ...]
 
     _trusted = classmethod(_unchecked)  # the fields in order, no checks
-
-    def certificate_for(self, player: int, strategy: int) -> Certificate:
-        for key, cert in self.certificates:
-            if key == (player, strategy):
-                return cert
-        raise KeyError((player, strategy))
 
 
 @dataclass(frozen=True)
@@ -415,23 +400,6 @@ def _certified_step(
     )
 
 
-def fast_step(
-    game: FiniteGame,
-    source: Restriction,
-    kind: ReductionKind,
-    belief_kind: BeliefKind,
-    resolution: int = DEFAULT_GRID_RESOLUTION,
-    cache: OracleCache | None = None,
-) -> Step | None:
-    """Remove every certified never-best strategy at once; None at a fixed point."""
-    _refuse_fast_darrow(kind)
-    removable, certs, _ = candidate_certificates(
-        game, source, belief_kind, kind, resolution, cache
-    )
-    flat = [(i, s) for i, gone in enumerate(removable) for s in gone]
-    return _certified_step(source, flat, kind, belief_kind, certs) if flat else None
-
-
 def legal_removal_candidates(
     game: FiniteGame,
     source: Restriction,
@@ -466,8 +434,11 @@ def iterate(
     `script`, which no other policy takes.  Identical seeds reproduce
     identical traces.
     """
-    if policy is Policy.FAST:
-        _refuse_fast_darrow(kind)
+    if policy is Policy.FAST and kind is ReductionKind.DARROW:
+        raise UnsupportedOperationError(
+            "the paper defines no fast darrow policy; on a finite game it would "
+            "remove what arrow's fast policy removes, a legal darrow step"
+        )
     if (policy is Policy.USER_SCRIPT) != (script is not None):
         raise InputError("a schedule goes with the user-script policy, which needs one")
     if cache is None:

@@ -172,6 +172,8 @@ def random_order_traces(
     cache: OracleCache | None = None,
 ) -> list[Trace]:
     """Maximal traces under alternating random-partial / single-random policies."""
+    if num_orders < 1:  # a checker that samples nothing would pass unchecked
+        raise InputError(f"num_orders must be at least 1, got {num_orders}")
     return [
         iterate(
             game, kind, belief_kind,
@@ -198,8 +200,6 @@ def _fast_and_orders(
 ) -> list[Trace]:
     """The fast trace (none under darrow, which has no fast variant), then
     `num_orders` random-order traces, all sharing `cache`."""
-    if num_orders < 1:  # a checker that samples nothing would pass unchecked
-        raise InputError(f"num_orders must be at least 1, got {num_orders}")
     fast = [] if kind is ReductionKind.DARROW else [
         iterate(game, kind, belief_kind, Policy.FAST, resolution=resolution, cache=cache)
     ]
@@ -402,8 +402,6 @@ def check_equivalence(
     """On finite games the arrow and darrow relations coincide step-by-step,
     and all three relations' maximal sequences share one non-degenerate
     outcome."""
-    if num_orders < 1:  # a checker that samples nothing would pass unchecked
-        raise InputError(f"num_orders must be at least 1, got {num_orders}")
     instance = _instance_name(game)
     cache = OracleCache(belief_kind)
     counter = next(_step_rejections(game, belief_kind, seed, resolution, cache), None)

@@ -1,11 +1,12 @@
 """Brute-force reference computations, independent of the elimination engine.
 
 Everything here is computed straight from `FiniteGame.payoff` lookups with
-plain loops: best-response tables, fast-elimination replays, pure equilibrium
-scans, an exact vertex-enumeration feasibility oracle for cross-checking
-the simplex, and a plain-`Fraction` phase-1 simplex with a dense lazy-row
-loop that the engine's integer pivots and support-only scan must follow
-step for step, with a plain pure-domination scan beside it.  It also holds
+plain loops: best-response tables, opponent profiles, fast-elimination
+replays, pure equilibrium scans, an exact vertex-enumeration feasibility
+oracle for cross-checking the simplex, and a plain-`Fraction` phase-1
+simplex with a dense lazy-row loop that the engine's integer pivots and
+support-only scan must follow step for step, with a plain pure-domination
+scan beside it.  It also holds
 the belief grids of the grid searches in plain `Fraction` (correlated
 beliefs of bounded denominator and the first witness of the product-grid
 search), the belief-set definitions the tests check against (kinds,
@@ -62,6 +63,18 @@ def br_table(game: FiniteGame, player: int) -> dict:
         opp: best_response_set(game, player, opp)
         for opp in itertools.product(*opps)
     }
+
+
+def opponent_profiles(game: FiniteGame, player: int, kept=None):
+    """Opponent index tuples, lexicographic; parallel to
+    `FiniteGame.opponent_bases`.  `kept` optionally restricts each player's
+    strategy set; the player's own entry is ignored."""
+    axes = []
+    for j in range(game.players):
+        if j == player:
+            continue
+        axes.append(range(game.sizes[j]) if kept is None else kept[j])
+    return itertools.product(*axes)
 
 
 def replay_fast_pure(game: FiniteGame):

@@ -58,6 +58,7 @@ from oracles import (
     brute_pure_nash,
     grid_distributions,
     larger_closed_reference,
+    opponent_profiles,
     replay_fast_pure,
 )
 
@@ -340,7 +341,7 @@ def test_criterion_7_oracle_cross_check(small_oracle_corpus):
         cache = OracleCache(BeliefKind.CORRELATED)
         for player in range(2):
             cmp = full_comparison(game, player)
-            profiles = list(game.opponent_profiles(player))
+            profiles = list(opponent_profiles(game, player))
             for s in range(game.sizes[player]):
                 cert = find_witness(
                     game, full, player, s, BeliefKind.CORRELATED, cmp, cache=cache

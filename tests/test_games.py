@@ -1,4 +1,4 @@
-"""game layer: rationals, games, restrictions, lattice algebra, text format."""
+"""game layer: rationals, games, restrictions, text format."""
 
 import gc
 import itertools
@@ -15,10 +15,7 @@ from nbrelim.games import (
     FormatError,
     InputError,
     Restriction,
-    RestrictionClass,
     full_restriction,
-    join,
-    meet,
     parse_game,
     parse_rational,
     render_game,
@@ -132,7 +129,7 @@ class TestRestriction:
         assert sub.bits == 0b11110
         assert full_restriction(g3x2).kept == ((0, 1, 2), (0, 1))
         empty = restrict(g3x2, [(), ()])
-        assert empty.classify() is RestrictionClass.EMPTY
+        assert empty.kept == ((), ()) and empty.bits == 0
         with pytest.raises(InputError):
             sub.remove({0: [0]})
         # remove filters the kept sets and clears bits without a rebuild: on
@@ -178,50 +175,18 @@ class TestRestriction:
         assert full == whole
 
     def test_classify(self, g3x2):
-        assert full_restriction(g3x2).classify() is RestrictionClass.NONDEGENERATE
-        assert restrict(g3x2, [(), (0,)]).classify() is RestrictionClass.DEGENERATE
-        assert restrict(g3x2, [(), ()]).classify() is RestrictionClass.EMPTY
+        assert full_restriction(g3x2).is_nondegenerate()
+        assert not restrict(g3x2, [(), (0,)]).is_nondegenerate()
+        assert not restrict(g3x2, [(), ()]).is_nondegenerate()
 
     def test_out_of_range(self, g3x2):
         with pytest.raises(InputError):
             restrict(g3x2, [(0, 5), (0,)])
 
-    def test_payoffs_inherited_never_copied(self, g3x2):
-        sub = restrict_by_labels(g3x2, [["M", "B"], ["L", "R"]])
-        for profile in [(1, 0), (1, 1), (2, 0), (2, 1)]:
-            assert sub.payoff(profile, 0) == g3x2.payoff(profile, 0)
-
-    def test_payoff_outside_restriction_is_error(self, g3x2):
-        sub = restrict_by_labels(g3x2, [["M"], ["L"]])
-        with pytest.raises(InputError):
-            sub.payoff((0, 0), 0)
-
-    def test_meet_join_examples(self, g3x2):
-        sub = restrict_by_labels(g3x2, [["M", "B"], ["L", "R"]])
-        assert meet(sub, sub).kept == sub.kept
-        a = restrict_by_labels(g3x2, [["T"], ["L"]])
-        b = restrict_by_labels(g3x2, [["M"], ["L", "R"]])
-        assert meet(a, b).kept == ((), (0,))
-        assert join(a, b).kept == ((0, 1), (0, 1))
-
-    def test_join_of_halves_covers_grid(self):
-        g = bertrand_grid(10)
-        lo = restrict(g, [range(0, 5), range(0, 5)])
-        hi = restrict(g, [range(4, 10), range(4, 10)])
-        assert join(lo, hi).kept == full_restriction(g).kept
-
     def test_mismatched_parents(self, g3x2):
         other = bertrand_grid(3)
-        with pytest.raises(InputError):
-            meet(full_restriction(g3x2), full_restriction(other))
-
-
-subset_pairs = st.integers(0, 7).flatmap(
-    lambda _: st.tuples(
-        st.sets(st.integers(0, 2), max_size=3),
-        st.sets(st.integers(0, 1), max_size=2),
-    )
-)
+        with pytest.raises(InputError, match="different parent games"):
+            full_restriction(g3x2).contains(full_restriction(other))
 
 
 @st.composite
@@ -232,19 +197,6 @@ def restriction_of_3x2(draw):
 
 
 class TestLatticeLaws:
-    @given(a=restriction_of_3x2(), b=restriction_of_3x2())
-    @settings(max_examples=80)
-    def test_meet_join_are_lattice_ops(self, a, b):
-        g = gap_3x2()
-        ra, rb = Restriction(g, a), Restriction(g, b)
-        lo, hi = meet(ra, rb), join(ra, rb)
-        assert ra.contains(lo) and rb.contains(lo)
-        assert hi.contains(ra) and hi.contains(rb)
-        # meet is the greatest lower bound: anything below both sits below it
-        assert lo.kept == tuple(
-            tuple(sorted(set(x) & set(y))) for x, y in zip(a, b)
-        )
-
     @given(a=restriction_of_3x2(), b=restriction_of_3x2())
     @settings(max_examples=80)
     def test_subset_order_matches_containment(self, a, b):

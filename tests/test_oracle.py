@@ -46,6 +46,7 @@ from oracles import (
     grid_product_witness_reference,
     is_pure_best_to_some,
     lp_feasible_reference,
+    opponent_profiles,
     replay_fast_pure,
 )
 
@@ -185,7 +186,7 @@ class TestFindWitness:
         )
         assert is_best_response(game, 0, 0, uniform, cmp)
         assert is_best_response(game, 0, 1, uniform, cmp)
-        profiles = list(game.opponent_profiles(0))
+        profiles = list(opponent_profiles(game, 0))
         for s in (0, 1):
             assert any(
                 is_best_response(game, 0, s, mu, cmp)
@@ -379,7 +380,7 @@ class TestWholeRowScans:
         dominated = decoys = 0
         for game, r, player, cmp in self.cases(range(8)):
             kept = r.kept
-            opps = list(game.opponent_profiles(player, kept))
+            opps = list(opponent_profiles(game, player, kept))
             for s in kept[player]:
                 cert = find_witness(game, r, player, s, BeliefKind.CORRELATED, cmp)
                 first = first_pure_dominator(game, player, s, kept, cmp.candidates)
@@ -411,7 +412,7 @@ class TestWholeRowScans:
                     game.payoff((c, *o) if player == 0 else (*o, c), player) * scale
                     for c in cmp.candidates
                 )
-                for o in game.opponent_profiles(player, r.kept)
+                for o in opponent_profiles(game, player, r.kept)
             ]
             assert oracle._column_best(game, player, bases, cmp) == want
             assert oracle._column_best(game, player, bases[:1], cmp) == want[:1]

@@ -45,7 +45,6 @@ from nbrelim.reductions import (
     Step,
     UnsupportedOperationError,
     candidate_certificates,
-    fast_step,
     iterate,
     legal_removal_candidates,
     validate_step,
@@ -111,33 +110,36 @@ class TestValidateStep:
         assert isinstance(result, Step)
         from nbrelim.oracle import EmptyBeliefSet
 
-        assert result.certificate_for(0, 1) == EmptyBeliefSet()
+        assert dict(result.certificates)[0, 1] == EmptyBeliefSet()
 
 
 class TestFastStep:
+    """The first step of a fast trace removes the whole never-best set."""
+
     def test_gap_game_first_step(self, g):
-        step = fast_step(g, full_restriction(g), ReductionKind.TILDE, BeliefKind.PURE)
-        assert step is not None
+        step = iterate(g, ReductionKind.TILDE, BeliefKind.PURE, Policy.FAST).steps[0]
+        assert step.source == full_restriction(g)
         assert step.removed == ((1, 2), ())
         assert step.target.kept == ((0,), (0, 1))
 
     def test_fixed_point_returns_none(self, g):
         outcome = restrict_by_labels(g, [["T"], ["L", "R"]])
-        assert fast_step(g, outcome, ReductionKind.TILDE, BeliefKind.PURE) is None
+        sets, certs, inconclusive = candidate_certificates(
+            g, outcome, BeliefKind.PURE, ReductionKind.TILDE
+        )
+        assert sets == ((), ()) and not certs and not inconclusive
 
     def test_hotelling_first_step_matches_oracle(self):
         game = hotelling_grid(99)
         history, _ = replay_fast_pure(game)
-        step = fast_step(
-            game, full_restriction(game), ReductionKind.TILDE, BeliefKind.PURE
-        )
-        assert step is not None
+        trace = iterate(game, ReductionKind.TILDE, BeliefKind.PURE, Policy.FAST)
+        step = trace.steps[0]
         assert step.target.kept == history[0]
         assert step.target.kept[0] == tuple(range(1, 98))  # positions 2..98
 
     def test_no_fast_darrow(self, g):
-        with pytest.raises(UnsupportedOperationError):
-            fast_step(g, full_restriction(g), ReductionKind.DARROW, BeliefKind.PURE)
+        with pytest.raises(UnsupportedOperationError, match="no fast darrow"):
+            iterate(g, ReductionKind.DARROW, BeliefKind.PURE, Policy.FAST)
 
 
 class TestCandidates:
@@ -399,9 +401,10 @@ class TestFastRefinement:
             game = random_game(2, sizes, 5, seed=2000 + trial)
             source = full_restriction(game)
             for kind in (ReductionKind.TILDE, ReductionKind.ARROW):
-                full_fast = fast_step(game, source, kind, BeliefKind.PURE)
-                if full_fast is None:
+                fast = iterate(game, kind, BeliefKind.PURE, Policy.FAST).steps
+                if not fast:
                     continue
+                full_fast = fast[0]
                 cands = legal_removal_candidates(game, source, kind, BeliefKind.PURE)
                 flat = [(i, s) for i, gone in enumerate(cands) for s in gone]
                 chosen = [p for p in flat if rng.random() < 0.5] or [flat[0]]

@@ -52,6 +52,7 @@ from oracles import (
     brute_pure_nash,
     grid_distributions,
     is_pure_best_to_some,
+    opponent_profiles,
     restrictions_outside,
 )
 
@@ -392,7 +393,7 @@ class TestGridScans:
     def test_cross_check_mask_is_every_grid_best_response(self, game):
         for player in range(game.players):
             cmp = full_comparison(game, player)
-            profiles = list(game.opponent_profiles(player))
+            profiles = list(opponent_profiles(game, player))
             for den in range(1, 7):
                 grid = list(grid_distributions(profiles, den))
                 expected = sum(
