@@ -43,7 +43,7 @@ EXIT_UNKNOWN = 4
 
 _BELIEFS = {k.value: k for k in BeliefKind}
 _RELATIONS = {k.value: k for k in ReductionKind}
-_POLICIES = {p.value: p for p in Policy if p is not Policy.USER_SCRIPT}
+_POLICIES = {p.value: p for p in Policy}
 
 # Smallest accepted value of each numeric flag (where the subcommand has it).
 _MINIMUMS = dict(resolution=1, random=0, max_size=1, payoff_bound=0, orders=1, players=1)

@@ -482,7 +482,8 @@ def parse_game(text: str) -> FiniteGame:
     first bad line's error.  It never returns a game, so the bulk path is
     the only one that accepts.
     """
-    numbered = _nonblank(_lines(text))
+    lines = _lines(text)
+    numbered = _nonblank(lines)
     lineno, head = next(numbered, (0, ""))
     if not head:
         raise FormatError("empty game text")
@@ -492,12 +493,14 @@ def parse_game(text: str) -> FiniteGame:
     n = _count(parts[1], lineno)
     if n < 1:
         raise FormatError(f"line {lineno}: need at least one player")
-    header = list(itertools.islice(numbered, n))
+    # (index, numbered line) pairs; `range` takes any count, where `islice`
+    # refuses one past `sys.maxsize`
+    header = list(zip(range(n), numbered))
     if len(header) < n:
         raise FormatError("missing strategies lines")
 
     labels: list[tuple[str, ...]] = []
-    for i, (lineno, line) in enumerate(header):
+    for i, (lineno, line) in header:
         m = _STRATEGIES_RE.match(line)
         if not m or _count(m.group(1), lineno) != i + 1:
             raise FormatError(f"line {lineno}: expected 'strategies {i + 1}: ...'")
@@ -508,7 +511,7 @@ def parse_game(text: str) -> FiniteGame:
             raise FormatError(f"line {lineno}: duplicate labels for player {i + 1}")
         labels.append(labs)
 
-    columns = _payoff_columns((line for _, line in numbered), labels)
+    columns = _payoff_columns(filter(None, map(str.strip, lines)), labels)
     if columns is None:
         body = itertools.islice(_lines(text), lineno, None)
         _reject_payoff_lines(_nonblank(body, lineno), labels)

@@ -26,11 +26,10 @@ t within R_i is never removed and stays best within each smaller kept set,
 so t lies in R'_i, and t strictly beats s at that belief, as some strategy
 of R_i does.  Under tilde the comparison set is fixed.  Every removal
 carries an exact proof, a mixed one correlated (so for mixed beliefs the
-argument runs over correlated ones), and scripted steps come before a
-run's `Frontier`.  So a `Frontier` fact watches nothing, and `iterate`
-validates each new arrow or darrow transition once, proving its
-certificates against the step's own comparison sets; a rejection is an
-unsound sweep, raised as `IllegalStepError`.
+argument runs over correlated ones).  So a `Frontier` fact watches
+nothing, and `iterate` validates each new arrow or darrow transition once,
+proving its certificates against the step's own comparison sets; a
+rejection is an unsound sweep, raised as `IllegalStepError`.
 
 The one memo is the `OracleCache` a caller passes (`iterate` makes one when
 none is given); its docstring states why a remembered answer, a swept
@@ -81,7 +80,6 @@ class Policy(Enum):
     FAST = "fast"
     RANDOM_PARTIAL = "random"
     SINGLE_RANDOM = "single"
-    USER_SCRIPT = "script"
 
 
 class UnsupportedOperationError(ValueError):
@@ -422,7 +420,6 @@ def iterate(
     belief_kind: BeliefKind,
     policy: Policy = Policy.FAST,
     seed: int = 0,
-    script: Sequence[Mapping[int, Sequence[int]]] | None = None,
     resolution: int = DEFAULT_GRID_RESOLUTION,
     cache: OracleCache | None = None,
 ) -> Trace:
@@ -430,17 +427,15 @@ def iterate(
 
     Policies: FAST removes the whole never-best set each round (tilde/arrow
     only); RANDOM_PARTIAL removes a uniformly random non-empty certified
-    subset; SINGLE_RANDOM removes one random candidate; USER_SCRIPT applies
-    `script`, which no other policy takes.  Identical seeds reproduce
-    identical traces.
+    subset; SINGLE_RANDOM removes one random candidate.  Identical seeds
+    reproduce identical traces.  A trace is maximal unless an inconclusive
+    oracle answer kept a strategy, which its note says.
     """
     if policy is Policy.FAST and kind is ReductionKind.DARROW:
         raise UnsupportedOperationError(
             "the paper defines no fast darrow policy; on a finite game it would "
             "remove what arrow's fast policy removes, a legal darrow step"
         )
-    if (policy is Policy.USER_SCRIPT) != (script is not None):
-        raise InputError("a schedule goes with the user-script policy, which needs one")
     if cache is None:
         cache = OracleCache(belief_kind)
     cache.bind(game, belief_kind)  # before the tables answer for `game`
@@ -450,15 +445,6 @@ def iterate(
     current = cache.full
     steps: list[Step] = []
     built: dict[tuple, Step] = {}  # the transitions this run took first
-    for removal in script if policy is Policy.USER_SCRIPT else ():
-        result = validate_step(
-            game, current, current.remove(removal), kind, belief_kind, resolution, cache
-        )
-        if isinstance(result, Rejection):
-            raise IllegalStepError(result)
-        steps.append(result)
-        current = result.target
-
     frontier = Frontier(game)
     pairs = game.bit_pairs
     while True:
@@ -471,7 +457,7 @@ def iterate(
             table[current.bits] = mask << 1 | saw_inconclusive  # bit 0: inconclusive
         else:  # swept before: the same mask
             certs, mask, saw_inconclusive = None, swept >> 1, bool(swept & 1)
-        if not mask or policy is Policy.USER_SCRIPT:
+        if not mask:
             break
         # The draws of a walk over the pairs in ascending bit order, as the
         # sets of a sweep list them.
@@ -512,13 +498,11 @@ def iterate(
         steps.append(step)
         current = step.target
 
-    notes = ["script ended before a fixed point"] if mask else []
-    if saw_inconclusive:
-        notes.append("inconclusive strategies kept; sound, possibly non-maximal")
-    maximal = not mask and not saw_inconclusive
+    note = "inconclusive strategies kept; sound, possibly non-maximal"
+    notes = (note,) if saw_inconclusive else ()
     trace = Trace(
-        game, kind, belief_kind, policy, seed, tuple(steps), current, maximal,
-        tuple(notes),
+        game, kind, belief_kind, policy, seed, tuple(steps), current,
+        not saw_inconclusive, notes,
     )
     if built:  # shared while `trace` lives; a run that raised shares nothing
         shared.update(built)

@@ -503,6 +503,8 @@ def check_nash_preservation(
 # grid at denominator 6 has 73,644 points, 294,576 units of work; a
 # 100-strategy opponent's has about 1.7 * 10**9 points.
 MAX_GRID_WORK = 3_000_000
+# The largest denominator of the beliefs `check_oracle_agreement` scans.
+GRID_DENOMINATOR = 6
 
 
 def _grid_best_responses(game: FiniteGame, player: int, max_denominator: int) -> int:
@@ -534,23 +536,22 @@ def _grid_best_responses(game: FiniteGame, player: int, max_denominator: int) ->
 def check_oracle_agreement(
     game: FiniteGame,
     seed: int = 0,
-    max_denominator: int = 6,
     resolution: int = DEFAULT_GRID_RESOLUTION,
 ) -> list[TheoremReport]:
     """Cross-check the correlated LP verdicts against grid enumeration.
 
     Every witness the oracle returns must be confirmed as a best response,
-    and whenever the LP says never-best no grid point may be a witness: one
-    integer scan per player, at its first never-best verdict, finds them all.
+    and whenever the LP says never-best no grid point may be a witness: the
+    grid holds the correlated beliefs with denominator at most
+    `GRID_DENOMINATOR`, and one integer scan per player, at its first
+    never-best verdict, finds them all.
     A grid that would take more than `MAX_GRID_WORK` (points times the
     player's strategies) is not scanned: the report is unknown and names
     the points and the work.
     """
-    if max_denominator < 1:
-        raise InputError(f"max_denominator must be at least 1, got {max_denominator}")
     cache = OracleCache(BeliefKind.CORRELATED)
     full = full_restriction(game)
-    dens = range(max_denominator // 2 + 1, max_denominator + 1)
+    dens = range(GRID_DENOMINATOR // 2 + 1, GRID_DENOMINATOR + 1)
 
     def disagreements() -> Iterator[tuple[str, ...] | str]:
         """Counterexamples, or the reason the scan stopped undecided."""
@@ -568,13 +569,13 @@ def check_oracle_agreement(
                         work = points * game.sizes[player]
                         if work > MAX_GRID_WORK:
                             yield (
-                                f"player {player + 1}'s denominator-{max_denominator} "
+                                f"player {player + 1}'s denominator-{GRID_DENOMINATOR} "
                                 f"grid has {points} points, {work} for its "
                                 f"{game.sizes[player]} strategies, over the limit "
                                 f"of {MAX_GRID_WORK}"
                             )
                             return
-                        grid_best = _grid_best_responses(game, player, max_denominator)
+                        grid_best = _grid_best_responses(game, player, GRID_DENOMINATOR)
                     if grid_best >> s & 1:
                         yield (
                             f"player {player + 1} strategy {s}: LP says never-best "
@@ -594,7 +595,7 @@ def check_oracle_agreement(
     return [
         _report(
             "oracle_agreement", _instance_name(game), seed, counter is None,
-            f"LP verdicts consistent with denominator-{max_denominator} grid",
+            f"LP verdicts consistent with denominator-{GRID_DENOMINATOR} grid",
             "LP and grid enumeration disagree",
             counter,
         )

@@ -424,6 +424,7 @@ def fuzz_sources(tmp_path_factory):
         "short.game": good.replace("payoff B R : 0 0\n", ""),
         "huge.game": good.replace("payoff M R : 1 0", "payoff M R : " + "9" * 4400 + " 0"),
         "empty.game": "",
+        "players.game": "players 99999999999999999999\n",  # past `sys.maxsize`
     }
     sources = ["catalog:gap3x2", "catalog:nope", str(root / "missing.game"), str(root)]
     for name, text in files.items():

@@ -24,8 +24,6 @@ from nbrelim.games import (
     restrict_by_labels,
 )
 from nbrelim import catalog, games
-from nbrelim.beliefs import BeliefKind
-from nbrelim.reductions import Policy, ReductionKind, iterate
 from nbrelim.catalog import bertrand_grid, gap_3x2, random_game
 
 from oracles import (
@@ -114,13 +112,10 @@ class TestRestriction:
     @pytest.mark.parametrize("player", [-1, -2, 2, "0", 1.0])
     def test_removing_for_an_absent_player_is_an_input_error(self, g3x2, player):
         # a negative key must not index from the end, a large one must not
-        # surface as an IndexError, and a user script meets the same check
+        # surface as an IndexError
         sub = restrict_by_labels(g3x2, [["M", "B"], ["L", "R"]])
         with pytest.raises(InputError, match="player key"):
             sub.remove({player: [1]})
-        with pytest.raises(InputError, match="player key"):
-            iterate(g3x2, ReductionKind.ARROW, BeliefKind.PURE, Policy.USER_SCRIPT,
-                    script=[{player: [2]}])
 
     def test_restrict_examples(self, g3x2):
         sub = restrict_by_labels(g3x2, [["M", "B"], ["L", "R"]])
@@ -365,6 +360,7 @@ MUTATIONS = [
         "payoff M L : 0 0\npayoff M R : 1 0", "payoff M L : 0 0 0\npayoff M R : 1"), False),
     ("zero denominator", _sub("payoff M R : 1 0", "payoff M R : 1/0 0"), False),
     ("no payoff lines", lambda t: "\n".join(t.splitlines()[:4]), False),
+    ("players past sys.maxsize", _sub("players 2", "players 99999999999999999999"), False),
     ("semicolon label", _sub(" R", " ;"), False),
     ("colon label", _sub(" R", " R:"), False),
     ("comma label", _sub(" R", " R,S"), False),

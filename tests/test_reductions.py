@@ -80,6 +80,18 @@ class TestValidateStep:
         assert isinstance(result, Step)
         assert result.removed == ((2,), ())
 
+    def test_legal_steps_chain(self, g):
+        full = full_restriction(g)
+        first = validate_step(g, full, full.remove({0: [2]}), ReductionKind.TILDE,
+                              BeliefKind.PURE)
+        assert isinstance(first, Step)
+        source = first.target
+        second = validate_step(g, source, source.remove({0: [1]}), ReductionKind.TILDE,
+                               BeliefKind.PURE)
+        assert isinstance(second, Step)
+        assert [s.removed for s in (first, second)] == [((2,), ()), ((1,), ())]
+        assert second.target.kept == ((0,), (0, 1))
+
     def test_illegal_under_current_reference(self, g, sub_G, sub_Gp):
         result = validate_step(g, sub_G, sub_Gp, ReductionKind.ARROW, BeliefKind.PURE)
         assert isinstance(result, Rejection)
@@ -234,6 +246,21 @@ class TestIterate:
             # two strategies go, one at a time: every single-removal order
             # needs two steps, never fewer than the fast round count
             assert len(single.steps) == 2
+
+    def test_a_run_ending_beside_an_inconclusive_strategy_is_not_maximal(self):
+        # After W goes, nothing is removable, but X's mixed answer is
+        # inconclusive at resolution 2; at resolution 3 X has a witness.
+        game = TestFrontier.pinched_window_with_a_dominated_strategy()
+        note = "inconclusive strategies kept; sound, possibly non-maximal"
+        for resolution, maximal in ((2, False), (3, True)):
+            trace = iterate(
+                game, ReductionKind.TILDE, BeliefKind.INDEPENDENT_MIXED,
+                Policy.FAST, resolution=resolution,
+            )
+            assert [s.removed for s in trace.steps] == [((3,), (), ())]
+            assert trace.outcome.kept == ((0, 1, 2), (0, 1), (0,))
+            assert trace.maximal is maximal
+            assert trace.notes == (() if maximal else (note,))
 
     @pytest.mark.parametrize("kind", [ReductionKind.ARROW, ReductionKind.DARROW])
     def test_an_unsound_sweep_raises(self, monkeypatch, kind):
@@ -413,60 +440,6 @@ class TestFastRefinement:
                     removal.setdefault(i, []).append(s)
                 partial_target = source.remove(removal)
                 assert partial_target.contains(full_fast.target)
-
-
-class TestUserScript:
-    def test_legal_schedule_applies(self, g):
-        trace = iterate(
-            g, ReductionKind.TILDE, BeliefKind.PURE, Policy.USER_SCRIPT,
-            script=[{0: [2]}, {0: [1]}],
-        )
-        assert [s.removed for s in trace.steps] == [((2,), ()), ((1,), ())]
-        assert trace.outcome.kept == ((0,), (0, 1))
-        assert trace.maximal
-
-    def test_early_stop_is_not_maximal(self, g):
-        trace = iterate(
-            g, ReductionKind.TILDE, BeliefKind.PURE, Policy.USER_SCRIPT,
-            script=[{0: [2]}],
-        )
-        assert not trace.maximal
-        assert "before a fixed point" in " ".join(trace.notes)
-
-    def test_illegal_schedule_raises_with_rejection(self, g):
-        with pytest.raises(IllegalStepError) as exc:
-            iterate(
-                g, ReductionKind.ARROW, BeliefKind.PURE, Policy.USER_SCRIPT,
-                script=[{0: [0]}],  # the top row is a best response everywhere
-            )
-        assert exc.value.rejection.player == 0
-        assert exc.value.rejection.strategy == 0
-
-    def test_a_script_ending_beside_an_inconclusive_strategy_is_not_maximal(self):
-        # After W goes, nothing is removable, but X's mixed answer is
-        # inconclusive at resolution 2; at resolution 3 X has a witness.
-        game = TestFrontier.pinched_window_with_a_dominated_strategy()
-        note = "inconclusive strategies kept; sound, possibly non-maximal"
-        for resolution, maximal in ((2, False), (3, True)):
-            trace = iterate(
-                game, ReductionKind.TILDE, BeliefKind.INDEPENDENT_MIXED,
-                Policy.USER_SCRIPT, script=[{0: [3]}], resolution=resolution,
-            )
-            assert trace.outcome.kept == ((0, 1, 2), (0, 1), (0,))
-            assert trace.maximal is maximal
-            assert trace.notes == (() if maximal else (note,))
-
-    def test_script_needs_schedule(self, g):
-        with pytest.raises(InputError):
-            iterate(g, ReductionKind.TILDE, BeliefKind.PURE, Policy.USER_SCRIPT)
-
-    @pytest.mark.parametrize(
-        "policy", [Policy.FAST, Policy.RANDOM_PARTIAL, Policy.SINGLE_RANDOM]
-    )
-    def test_a_schedule_needs_the_user_script_policy(self, g, policy):
-        # The schedule removes T, a best response; no policy may drop it.
-        with pytest.raises(InputError):
-            iterate(g, ReductionKind.TILDE, BeliefKind.PURE, policy, script=[{0: [0]}])
 
 
 class TestTraceRendering:
