@@ -495,21 +495,26 @@ def parse_game(text: str) -> FiniteGame:
         raise FormatError(f"line {lineno}: need at least one player")
     # (index, numbered line) pairs; `range` takes any count, where `islice`
     # refuses one past `sys.maxsize`
-    header = list(zip(range(n), numbered))
-    if len(header) < n:
-        raise FormatError("missing strategies lines")
-
+    header = zip(range(n), numbered)
     labels: list[tuple[str, ...]] = []
-    for i, (lineno, line) in header:
-        m = _STRATEGIES_RE.match(line)
-        if not m or _count(m.group(1), lineno) != i + 1:
-            raise FormatError(f"line {lineno}: expected 'strategies {i + 1}: ...'")
-        labs = tuple(m.group(2).split())
-        if not labs:
-            raise FormatError(f"line {lineno}: player {i + 1} has no strategies")
-        if len(set(labs)) != len(labs):
-            raise FormatError(f"line {lineno}: duplicate labels for player {i + 1}")
-        labels.append(labs)
+    try:
+        for i, (lineno, line) in header:
+            m = _STRATEGIES_RE.match(line)
+            if not m or _count(m.group(1), lineno) != i + 1:
+                raise FormatError(f"line {lineno}: expected 'strategies {i + 1}: ...'")
+            labs = tuple(m.group(2).split())
+            if not labs:
+                raise FormatError(f"line {lineno}: player {i + 1} has no strategies")
+            if len(set(labs)) != len(labs):
+                raise FormatError(f"line {lineno}: duplicate labels for player {i + 1}")
+            labels.append(labs)
+    except FormatError:
+        # A missing line is reported before a bad one: count the rest, keep none.
+        if len(labels) + 1 + sum(1 for _ in header) < n:
+            raise FormatError("missing strategies lines") from None
+        raise
+    if len(labels) < n:
+        raise FormatError("missing strategies lines")
 
     columns = _payoff_columns(filter(None, map(str.strip, lines)), labels)
     if columns is None:

@@ -10,8 +10,10 @@ a correlated never-best proof, else a product-grid search on the integer
 tensor (three or more).
 
 Every `BestResponse` certificate carries a witness belief that re-verifies by
-direct expected-payoff comparison.  `NeverBest` is only ever returned with an
-exact proof; grid searches that find nothing surface `Inconclusive` instead.
+direct expected-payoff comparison.  A scan's or an LP's witness is built when
+it is first read: a sweep reads only its support, which the cache takes from
+the scan positions.  `NeverBest` is only ever returned with an exact proof;
+grid searches that find nothing surface `Inconclusive` instead.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ from .beliefs import (
     PurePoint,
     as_product,
     expected_payoff,
-    point_distribution,
     render_belief,
 )
 from .games import FiniteGame, InputError, Restriction, _unchecked, full_restriction
 from .simplex import lp_feasible
 
 DEFAULT_GRID_RESOLUTION = 8
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -74,9 +76,51 @@ def _full_comparison(player: int, size: int) -> ComparisonSet:
     return ComparisonSet(player, tuple(range(size)))
 
 
-@dataclass(frozen=True)
 class BestResponse:
-    witness: Belief
+    """A belief against which the strategy is a weak best response.
+
+    The oracle's answers keep where the scan found it: the kept sets, the
+    player, the belief kind and `(position, probability)` atoms over the
+    opponents' kept profiles.  `witness` builds the belief on first read.
+    Certificates compare and hash by their belief.
+    """
+
+    __slots__ = ("_witness", "_scan")
+
+    def __init__(self, witness: Belief) -> None:
+        self._witness, self._scan = witness, None
+
+    @classmethod
+    def _at(cls, kept, player: int, kind: BeliefKind, atoms) -> BestResponse:
+        cert = cls.__new__(cls)
+        cert._witness, cert._scan = None, (kept, player, kind, atoms)
+        return cert
+
+    @property
+    def witness(self) -> Belief:
+        if self._witness is None:
+            kept, player, kind, atoms = self._scan
+            mass = tuple((_nth_opponent_profile(kept, player, pos), p) for pos, p in atoms)
+            if kind is BeliefKind.CORRELATED:
+                self._witness = DistributionBelief(mass)
+            elif kind is BeliefKind.PURE:
+                self._witness = PurePoint(mass[0][0])
+            elif len(mass) == 1:
+                self._witness = as_product(PurePoint(mass[0][0]))
+            else:  # an LP vertex lifted to a two-player mixed belief
+                self._witness = ProductBelief((tuple((pr[0], p) for pr, p in mass),))
+        return self._witness
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BestResponse):
+            return NotImplemented
+        return self.witness == other.witness
+
+    def __hash__(self) -> int:
+        return hash(self.witness)
+
+    def __repr__(self) -> str:
+        return f"BestResponse(witness={self.witness!r})"
 
 
 @dataclass(frozen=True)
@@ -139,27 +183,14 @@ def _column_best(
 
 
 def _nth_opponent_profile(
-    game: FiniteGame, player: int, kept: Sequence[Sequence[int]], pos: int
+    kept: Sequence[Sequence[int]], player: int, pos: int
 ) -> tuple[int, ...]:
-    axes = [kept[j] for j in range(game.players) if j != player]
     profile = []
-    for axis in reversed(axes):
-        pos, r = divmod(pos, len(axis))
-        profile.append(axis[r])
+    for j in range(len(kept) - 1, -1, -1):
+        if j != player:
+            pos, r = divmod(pos, len(kept[j]))
+            profile.append(kept[j][r])
     return tuple(reversed(profile))
-
-
-def _pure_witness(
-    game: FiniteGame, player: int, kept: Sequence[Sequence[int]], pos: int,
-    kind: BeliefKind,
-) -> BestResponse:
-    """The pure belief at scan position `pos`, in the belief form of `kind`."""
-    profile = _nth_opponent_profile(game, player, kept, pos)
-    if kind is BeliefKind.PURE:
-        return BestResponse(PurePoint(profile))
-    if kind is BeliefKind.CORRELATED:
-        return BestResponse(point_distribution(profile))
-    return BestResponse(as_product(PurePoint(profile)))
 
 
 def _correlated_certificate(
@@ -208,14 +239,7 @@ def _correlated_certificate(
         )
         peak = max(totals)
         if peak <= own_val:
-            return BestResponse(
-                DistributionBelief(
-                    tuple(
-                        (_nth_opponent_profile(game, player, kept, pos), p)
-                        for pos, p in support
-                    )
-                )
-            )
+            return BestResponse._at(kept, player, BeliefKind.CORRELATED, tuple(support))
         off = offs[totals.index(peak)]
         ineqs.append((list(map(sub, own, [ip[b + off] for b in bases])), 0))
         solution = lp_feasible(ineqs, ([1] * n, 1), num_vars=n)
@@ -293,8 +317,10 @@ class OracleCache:
     A strategy ties with itself, so adding it changes no answer; and a
     darrow query, whose comparison set (the target's kept set) lacks the
     strategy, meets the facts a sweep proved against the kept set.  A
-    witness entry is `(certificate, support, proved comparison set)`, a
-    never-best entry `(comparison set, restriction with the player's own
+    witness entry is `(certificate, support, proved comparison set)`, its
+    support taken from the certificate's scan positions without building
+    its belief (from the belief of a `BestResponse(belief)`), a never-best
+    entry `(comparison set, restriction with the player's own
     strategies added, certificate)`; neither changes once stored.  Each
     (player, strategy) keeps its `DEPTH` newest entries of each type, and the
     newest match answers.  So a never-best proof depends on the cache's
@@ -378,10 +404,17 @@ class OracleCache:
         cmp_bits = cmp.bits | 1 << strategy
         if isinstance(cert, BestResponse):
             support = 0
-            opps = game.opponents(player)
-            for profile in cert.witness.support():
-                for j, t in zip(opps, profile):
-                    support |= 1 << (offsets[j] + t)
+            if cert._scan is None:
+                for profile in cert.witness.support():
+                    for j, t in zip(game.opponents(player), profile):
+                        support |= 1 << (offsets[j] + t)
+            else:  # `_nth_opponent_profile`'s walk, inline: no belief, no tuples
+                kept, atoms = cert._scan[0], cert._scan[3]
+                for pos, _ in atoms:
+                    for j in range(len(kept) - 1, -1, -1):
+                        if j != player:
+                            pos, r = divmod(pos, len(kept[j]))
+                            support |= 1 << (offsets[j] + kept[j][r])
             self.support = support
             entries = self.witnesses.setdefault((player, strategy), [])
             entries.insert(0, (cert, support, cmp_bits))
@@ -461,14 +494,14 @@ def _find_witness_fast(
     covers the mixed beliefs and anything else falls to the grid search.
     """
     if not cmp.candidates:
-        return _pure_witness(game, player, kept, 0, kind)
+        return BestResponse._at(kept, player, kind, ((0, _ONE),))
     ip = game.ipay[player]
     own_off = strategy * game.strides[player]
     own = [ip[b + own_off] for b in bases]
     best = colmax if colmax is not None else _column_best(game, player, bases, cmp)
     hits = list(map(ge, own, best))
     if True in hits:
-        return _pure_witness(game, player, kept, hits.index(True), kind)
+        return BestResponse._at(kept, player, kind, ((hits.index(True), _ONE),))
     if kind is BeliefKind.PURE:
         return NeverBest("exhaustive")
 
@@ -476,7 +509,6 @@ def _find_witness_fast(
     if kind is BeliefKind.CORRELATED or isinstance(cert, NeverBest):
         return cert
     if game.players == 2:
-        atoms = tuple((profile[0], p) for profile, p in cert.witness.mass)
-        return BestResponse(ProductBelief((atoms,)))
+        return BestResponse._at(kept, player, kind, cert._scan[3])
     witness = _grid_product_witness(game, player, strategy, kept, cmp, resolution)
     return BestResponse(witness) if witness is not None else Inconclusive(resolution)

@@ -586,6 +586,16 @@ class TestBoundedMemory:
     def test_parse(self, grid):
         assert _peak_mb(parse_game, grid[1]) < 6.0
 
+    def test_parse_player_count_past_the_lines(self, grid):
+        """A header read to the end of the text counts its lines, not holds them."""
+        text = grid[1].replace("players 2", "players 99999999999999999999", 1)
+
+        def parse():
+            with pytest.raises(FormatError, match="^missing strategies lines$"):
+                parse_game(text)
+
+        assert _peak_mb(parse) < 6.0
+
 
 def _rows(game, native):
     """Each profile's payoffs: as `Fraction`, or as `int` where integral."""

@@ -705,6 +705,81 @@ class TestSoundnessAndDeterminism:
             ) == fresh
 
 
+def _support_mask(game, player, belief):
+    return sum(
+        {1 << (game.offsets[j] + t) for profile in belief.support()
+         for j, t in zip(game.opponents(player), profile)}
+    )
+
+
+class TestLazyWitness:
+    """An oracle answer builds its witness belief when it is first read."""
+
+    @pytest.mark.parametrize("kind", list(BeliefKind))
+    def test_a_campaign_builds_no_belief(self, kind, monkeypatch):
+        from nbrelim.verification import check_equivalence
+
+        built, answers = [], []
+        for cls in (oracle.PurePoint, oracle.DistributionBelief, oracle.ProductBelief):
+            def init(self, *args, _init=cls.__init__, **kwargs):
+                built.append(self)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", init)
+        decide = oracle._find_witness_fast
+
+        def recorded(*args):
+            answers.append(decide(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(oracle, "_find_witness_fast", recorded)
+        monkeypatch.setattr(reductions, "_find_witness_fast", recorded)
+        game = random_game(2, (4, 5), 5, seed=23)
+        reports = check_equivalence(game, kind, seed=1)
+        assert all(r.verdict == "pass" for r in reports)
+        assert any(isinstance(cert, BestResponse) for cert in answers)
+        assert built == []
+
+    def test_certificates_equal_their_eager_twins(self):
+        from nbrelim.verification import random_restriction
+
+        rng = random.Random(57)
+        seen = set()
+        for trial in range(30):
+            players = 2 + trial % 2
+            sizes = [rng.randint(2, 6 - players) for _ in range(players)]
+            game = random_game(players, sizes, 5, seed=900 + trial)
+            for kind in BeliefKind:
+                cache = OracleCache(kind)
+                for restriction, player in itertools.product(
+                    (full_restriction(game), random_restriction(game, rng)), range(players)
+                ):
+                    kept = restriction.kept
+                    for candidates, s in itertools.product(
+                        (range(sizes[player]), kept[player], ()), kept[player]
+                    ):
+                        cmp = ComparisonSet(player, tuple(candidates))
+                        cert = find_witness(
+                            game, restriction, player, s, kind, cmp,
+                            resolution=2, cache=cache,
+                        )
+                        if not isinstance(cert, BestResponse):
+                            continue
+                        seen.add((players, kind, len(cert.witness.support()) > 1))
+                        assert type(cert) is BestResponse
+                        assert cert.witness is cert.witness
+                        twin = BestResponse(cert.witness)
+                        assert cert == twin and hash(cert) == hash(twin)
+                        with pytest.raises(AttributeError):
+                            cert.witness = cert.witness
+                for (player, _), entries in cache.witnesses.items():
+                    for cert, support, _ in entries:
+                        assert support == _support_mask(game, player, cert.witness)
+        # pure hits, LP vertices and grid points, under every kind they reach
+        every = {(n, kind, many) for n in (2, 3) for kind in BeliefKind for many in (False, True)}
+        assert seen == every - {(2, BeliefKind.PURE, True), (3, BeliefKind.PURE, True)}
+
+
 class TestRendering:
     def test_certificate_text(self, g):
         full = full_restriction(g)
