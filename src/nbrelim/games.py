@@ -37,8 +37,9 @@ class FormatError(InputError):
 # ASCII digits only: `\d` and `str.isdigit` also accept other scripts' digits.
 _COUNT_RE = re.compile(r"[0-9]+")
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-#: Rows the text layer holds at once: payoff lines parsed, profiles evaluated
-#: by `from_function`, and lines joined for the digest or by `render_game`.
+#: Rows the text layer holds at once: profiles evaluated by `from_function`,
+#: lines joined for the digest or by `render_game`, and half the longest
+#: row-major label period the parser precomputes.
 _CHUNK = 4096
 
 
@@ -80,24 +81,28 @@ def _numerals(values: Sequence[int], scale: int) -> Iterator[str]:
     return map(text.__getitem__, values)
 
 
-def _scaled(values: Sequence[object]) -> tuple[Sequence[int], int]:
-    """`values` as integers on their least common denominator, and that
-    denominator."""
+def _extend_scaled(ints: list, scale: int, shared: dict, values: Sequence) -> tuple[list, int]:
+    """`ints`, integers on `scale`, extended by `values` on the lcm of `scale`
+    and their denominators, and that lcm.  A new denominator multiplies the
+    stored ints up once; equal ints share the one object kept in `shared`."""
     types = set(map(type, values))
     if types == {int}:
-        return values, 1
-    if types <= {int, Fraction}:
+        new = values if scale == 1 else list(map(scale.__mul__, values))
+    else:
+        if not types <= {int, Fraction}:
+            values = list(map(Fraction, values))  # floats, numeral strings: read exactly
         # A Fraction hashes slowly, so each entry is scaled on its own.
         dens = list(map(operator.attrgetter("denominator"), values))
-        scale = math.lcm(*set(dens))
+        lcm = math.lcm(scale, *set(dens))
+        if lcm != scale:
+            up = {v: v * (lcm // scale) for v in shared}
+            ints, scale = list(map(up.__getitem__, ints)), lcm
+            shared.clear()
+            shared.update(zip(up.values(), up.values()))
         nums = map(operator.attrgetter("numerator"), values)
-        return list(map(operator.mul, nums, map(scale.__floordiv__, dens))), scale
-    # Other entries, such as the parser's numeral tokens, are read once per
-    # distinct value.
-    exact = {q: q if isinstance(q, (int, Fraction)) else Fraction(q) for q in set(values)}
-    scale = math.lcm(*{q.denominator for q in exact.values()})
-    ints = {q: f.numerator * (scale // f.denominator) for q, f in exact.items()}
-    return list(map(ints.__getitem__, values)), scale
+        new = list(map(operator.mul, nums, map(scale.__floordiv__, dens)))
+    ints += map(shared.setdefault, new, new)
+    return ints, scale
 
 
 def _check_labels(labels: Sequence[Sequence[str]]) -> None:
@@ -130,10 +135,11 @@ class FiniteGame:
     `offsets[i]` is player i's first bit in `Restriction.bits`, `bit_masks[i]`
     the mask of its bits, and `bit_pairs[b]` the (player, strategy) of bit b.
 
-    One builder, `_fill`, turns per-player payoff columns in row-major order
-    into the integer tensor, `colmax` and the digest.  `__init__` checks and
-    flattens a profile-keyed table into those columns; `from_function` and
-    `parse_game` produce the columns directly.
+    One builder, `_fill`, stores per-player integer columns in row-major
+    order with `colmax` and the digest.  `__init__` checks and flattens a
+    profile-keyed table, and `from_function` evaluates its rows one chunk at
+    a time; both scale the rows through `_build`.  `parse_game` scales its
+    columns of numeral tokens from a table of the distinct tokens.
     """
 
     __slots__ = (
@@ -167,7 +173,7 @@ class FiniteGame:
         missing = flat.count(None)
         if missing:
             raise InputError(f"payoff tensor incomplete: {missing} profiles missing")
-        self._fill(self._columns(flat))
+        self._build([(flat, 0)])
 
     @classmethod
     def from_function(
@@ -175,16 +181,13 @@ class FiniteGame:
         labels: Sequence[Sequence[str]],
         payoff: Callable[[JointProfile], Sequence[Rational]],
     ) -> "FiniteGame":
-        """Build the dense tensor by evaluating `payoff` at every joint profile."""
+        """Build the dense tensor by evaluating `payoff` at every joint profile,
+        one `_CHUNK` of profiles at a time."""
         game = cls.__new__(cls)
         game._shape(labels)
         profiles = itertools.product(*map(range, game.sizes))
-        columns = [[] for _ in game.sizes]
-        for start in range(0, game.strides[0] * game.sizes[0], _CHUNK):
-            rows = list(map(payoff, itertools.islice(profiles, _CHUNK)))
-            for col, part in zip(columns, game._columns(rows, start)):
-                col += part
-        game._fill(columns)
+        starts = range(0, game.strides[0] * game.sizes[0], _CHUNK)
+        game._build((list(map(payoff, itertools.islice(profiles, _CHUNK))), k) for k in starts)
         return game
 
     def _shape(self, labels: Sequence[Sequence[str]]) -> None:
@@ -203,39 +206,45 @@ class FiniteGame:
         self.bit_pairs = tuple((i, s) for i, n in enumerate(sizes) for s in range(n))
         self._opponents = tuple(tuple(j for j in range(n) if j != i) for i in range(n))
 
-    def _columns(self, rows: Sequence[Sequence[Rational]], start: int = 0) -> list[tuple]:
-        """Per-player columns of payoff rows in row-major order, the first row
-        at flat index `start`."""
+    def _build(self, chunks: Iterable[tuple[Sequence[Sequence[Rational]], int]]) -> None:
+        """The tensor from chunks of payoff rows in row-major order, each with
+        the flat index of its first row.  Each chunk is cut into per-player
+        columns and scaled as it arrives, so no raw column outlives it."""
         n = self.players
-        try:
-            columns = list(zip(*rows, strict=True))
-        except ValueError:  # rows of different lengths
-            columns = []
-        if len(columns) != n:
-            k = next(k for k, row in enumerate(rows, start) if len(row) != n)
-            profile = tuple(k // st % sz for st, sz in zip(self.strides, self.sizes))
-            raise InputError(f"profile {profile}: expected {n} payoffs")
-        return columns
+        ipay, scales, shared = [[] for _ in range(n)], [1] * n, [{} for _ in range(n)]
+        for rows, start in chunks:
+            try:
+                columns = list(zip(*rows, strict=True))
+            except ValueError:  # rows of different lengths
+                columns = []
+            if len(columns) != n:
+                k = next(k for k, row in enumerate(rows, start) if len(row) != n)
+                profile = tuple(k // st % sz for st, sz in zip(self.strides, self.sizes))
+                raise InputError(f"profile {profile}: expected {n} payoffs")
+            for i, part in enumerate(columns):
+                ipay[i], scales[i] = _extend_scaled(ipay[i], scales[i], shared[i], part)
+        self._fill(ipay, scales)
 
-    def _fill(self, columns: Iterable[Sequence[object]]) -> None:
-        """The tensor builder: scaled integers, `colmax` and the digest from
-        one row-major payoff column per player.  Entries are ints, Fractions
-        or anything `Fraction()` reads, such as the parser's checked numeral
-        tokens; each distinct entry is converted once.  The digest's line of
-        canonical rationals per profile goes to sha256 one chunk at a time."""
-        ipay, scales, colmax = [], [], []
-        for i, col in enumerate(columns):
-            col, scale = _scaled(col)
+    def _fill(self, ipay: list, scales: Sequence[int], numerals: Iterable | None = None) -> None:
+        """Store the integer tensor, one row-major column per player on its
+        scale, with `colmax` and the digest; each column of `ipay` is turned
+        into a tuple in place.  The digest's line of canonical rationals per
+        profile goes to sha256 one chunk at a time.  Its text comes from
+        `numerals`, one column of canonical numeral strings per player, when
+        the caller has them, and from the ints otherwise."""
+        colmax = []
+        for i, col in enumerate(ipay):
+            ipay[i] = col = tuple(col)
             span, step = self.sizes[i] * self.strides[i], self.strides[i]
             bases = self.opponent_bases(i)
             colmax.append({b: max(col[b : b + span : step]) for b in bases})
-            ipay.append(tuple(col))
-            scales.append(scale)
         self.ipay = tuple(ipay)
         self.scales = tuple(scales)
         self.colmax = tuple(colmax)
 
-        rows = map(",".join, zip(*map(_numerals, ipay, scales)))
+        if numerals is None:
+            numerals = map(_numerals, self.ipay, self.scales)
+        rows = map(",".join, zip(*numerals))
         digest = hashlib.sha256(";".join(",".join(labs) for labs in self.labels).encode())
         while chunk := "\n".join(itertools.islice(rows, _CHUNK)):
             digest.update(("\n" + chunk).encode())
@@ -434,7 +443,7 @@ def restrict_by_labels(game: FiniteGame, kept_labels: Sequence[Iterable[str]]) -
 
 _STRATEGIES_RE = re.compile(r"^strategies\s+([0-9]+)\s*:\s*(.*)$")
 _PAYOFF_RE = re.compile(r"^payoff\s+(.*?)\s*:\s*(.*)$")
-#: Characters of game text split into lines at once, rounded up to a line end.
+#: Characters of game text split or tokenized at once, rounded up to a line end.
 _SPAN = 1 << 16
 
 
@@ -448,20 +457,23 @@ def _count(token: str, lineno: int) -> int:
         ) from None
 
 
+def _spans(text: str, start: int = 0) -> Iterator[str]:
+    """`text[start:]` in spans of whole lines of about `_SPAN` characters; the
+    `\n` between two spans belongs to neither."""
+    while (end := text.find("\n", start + _SPAN)) >= 0:
+        yield text[start:end]
+        start = end + 1
+    yield text[start:]
+
+
 def _lines(text: str) -> Iterator[str]:
     """The lines of `text` as `text.split("\n")` gives them, comments cut,
-    split one span of whole lines of about `_SPAN` characters at a time."""
-    start = 0
-    while True:
-        end = text.find("\n", start + _SPAN)
-        span = text[start:] if end < 0 else text[start:end]
+    split one span at a time."""
+    for span in _spans(text):
         lines = span.split("\n")
         if "#" in span:
             lines = [line.split("#", 1)[0] for line in lines]
         yield from lines
-        if end < 0:
-            return
-        start = end + 1
 
 
 def _nonblank(lines: Iterable[str], start: int = 0) -> Iterator[tuple[int, str]]:
@@ -473,17 +485,18 @@ def _nonblank(lines: Iterable[str], start: int = 0) -> Iterator[tuple[int, str]]
 def parse_game(text: str) -> FiniteGame:
     """Read the game text format; a `FormatError` names the first bad line.
 
-    Lines end at `\n` only, and `_lines` splits the text lazily, one span at
-    a time.  The header is read line by line.  The payoff lines are read in
-    bulk by `_payoff_columns`: chunks of `_CHUNK` lines, each tokenized by
-    one `str.split()` and checked with strided slices.  Its per-player
-    columns go straight to the tensor builder.  When a bulk check fails,
+    Lines end at `\n` only.  The header is read line by line; the payoff
+    lines in bulk by `_payoff_columns`, one span at a time: a span is
+    tokenized whole by one `str.split()` and its label columns are checked
+    by list comparison with the row-major labels.  Its table of distinct
+    numeral tokens gives one dict from token to scaled int, so each column
+    is scaled by one `map`, and when every distinct token is canonical the
+    token columns are the digest's text.  When a bulk check fails,
     `_reject_payoff_lines` walks the payoff lines one by one and raises the
     first bad line's error.  It never returns a game, so the bulk path is
     the only one that accepts.
     """
-    lines = _lines(text)
-    numbered = _nonblank(lines)
+    numbered = _nonblank(_lines(text))
     lineno, head = next(numbered, (0, ""))
     if not head:
         raise FormatError("empty game text")
@@ -516,87 +529,138 @@ def parse_game(text: str) -> FiniteGame:
     if len(labels) < n:
         raise FormatError("missing strategies lines")
 
-    columns = _payoff_columns(filter(None, map(str.strip, lines)), labels)
-    if columns is None:
+    start = 0  # of the line after the header
+    for _ in range(lineno):
+        start = text.find("\n", start) + 1 or len(text)
+    read = _payoff_columns(_spans(text, start), labels)
+    if read is None:
         body = itertools.islice(_lines(text), lineno, None)
         _reject_payoff_lines(_nonblank(body, lineno), labels)
+    columns, tables = read
     game = FiniteGame.__new__(FiniteGame)
     try:
         game._shape(labels)
     except InputError as exc:
         raise FormatError(str(exc)) from None
-    game._fill(columns)
+    ipay, scales = [], []
+    for col, table in zip(columns, tables):
+        scale = math.lcm(*{q.denominator for q in table.values()})
+        ints = {t: q.numerator * (scale // q.denominator) for t, q in table.items()}
+        ipay.append(tuple(map(ints.__getitem__, col)))
+        scales.append(scale)
+    canonical = all(render_rational(q) == t for table in tables for t, q in table.items())
+    game._fill(ipay, scales, columns if canonical else None)
     return game
 
 
 def _payoff_columns(
-    lines: Iterator[str], labels: Sequence[Sequence[str]]
-) -> list[list[str]] | None:
-    """Each player's numeral tokens in row-major order, or None when a check fails.
+    spans: Iterable[str], labels: Sequence[Sequence[str]]
+) -> tuple[list[list[str]], list[dict[str, int | Fraction]]] | None:
+    """Each player's numeral tokens in row-major order and a table of their
+    distinct tokens' values, or None when a check fails.
 
-    The non-blank `lines` are tokenized in chunks of `_CHUNK`: a chunk is
-    joined with a `;` token at each line end (no valid payoff line holds a
-    `;`), spaced around every `:` and split once.  Strided slices check that
-    each record is one line `payoff <n labels> : <n numerals>`.  Per-player
-    dicts map labels to tensor offsets already multiplied by the strides.
-    Offsets are kept from the first record out of row-major order on; then
-    records land by offset, and a repeated profile shows in the offsets.
-    Each distinct numeral token is checked once, and equal tokens share one
-    string.
+    A span with no `#` is tokenized whole: each `\n` becomes a `;` token
+    (no valid payoff line holds a `;`), each `:` is spaced, and one
+    `split()` gives the tokens.  Strided slices check that each record is
+    one line `payoff <n labels> : <n numerals>`.  A span with a comment, a
+    blank line or any other failure of that check is read again line by
+    line: comments cut, lines stripped, blank ones dropped, the rest joined
+    by `;`.  Only when that fails too is the file rejected.
+
+    Each player's label column is compared, as one list, with its labels in
+    row-major order: a slice of a precomputed period of at most two
+    `_CHUNK`s, or runs built for the span.  A span that differs is read
+    through per-player dicts from labels to tensor offsets: an unknown
+    label fails there, and from then on every record's offset is kept, so
+    records land by offset and a repeated profile shows.  Equal numeral
+    tokens of a player share one string; each distinct one is checked once.
     """
     n = len(labels)
     sizes = [len(labs) for labs in labels]
     strides = [math.prod(sizes[i + 1 :]) for i in range(n)]
     total = strides[0] * sizes[0]
-    # A label that is a separator token (a bad label) is left out, so the
-    # slot checks below also place every `:` and `;`.
+    # A label that is a separator token (a bad label) matches no token, so
+    # the slot checks also place every `:` and `;`.
+    names = [[lab if lab not in (":", ";") else None for lab in labs] for labs in labels]
     index = [
-        {lab: k * st for k, lab in enumerate(labs) if lab not in (":", ";")}
-        for labs, st in zip(labels, strides)
+        {lab: k * st for k, lab in enumerate(labs) if lab is not None}
+        for labs, st in zip(names, strides)
     ]
+    periods = [
+        [lab for lab in labs for _ in range(st)] if len(labs) * st <= 2 * _CHUNK else None
+        for labs, st in zip(names, strides)
+    ]
+
+    def expected(i: int, first: int, count: int) -> list[str | None]:
+        """Player i's labels of the `count` profiles from flat index `first`."""
+        period = periods[i]
+        if period is not None:
+            at = first % len(period)
+            return (period * ((at + count) // len(period) + 1))[at : at + count]
+        labs, st, out, end = names[i], strides[i], [], first + count
+        while first < end:
+            run = min(end, (first // st + 1) * st) - first
+            out += [labs[first // st % sizes[i]]] * run
+            first += run
+        return out
+
     width = 2 * n + 3  # payoff, n labels, `:`, n numerals, `;`
+
+    def fits(toks: list[str], count: int) -> bool:
+        """Whether `toks` are `count` records, as the `payoff`, `:` and `;` slots show."""
+        return (
+            len(toks) == count * width - 1
+            and toks[::width].count("payoff") == count
+            and toks[n + 1 :: width].count(":") == count
+            and toks[width - 1 :: width].count(";") == count - 1
+        )
+
     done = 0  # records read
-    offsets: list[int] | None = None  # every record's, once one is out of order
+    offsets: list[int] | None = None  # every record's, once one is out of row-major order
     columns: list[list[str]] = [[] for _ in range(n)]
-    distinct: dict[str, str] = {}
-    while chunk := list(itertools.islice(lines, _CHUNK)):
-        records = len(chunk)
-        toks = " ; ".join(chunk).replace(":", " : ").split()
-        if not (
-            len(toks) == records * width - 1
-            and toks[::width].count("payoff") == records
-            and toks[n + 1 :: width].count(":") == records
-            and toks[width - 1 :: width].count(";") == records - 1
-        ):
-            return None
-        flat = map(index[0].__getitem__, toks[1::width])
-        for i in range(1, n):
-            flat = map(operator.add, flat, map(index[i].__getitem__, toks[1 + i :: width]))
-        try:
-            flat = list(flat)
-        except KeyError:  # an unknown label
-            return None
-        if offsets is None and flat != list(range(done, done + records)):
-            offsets = list(range(done))
+    distinct: list[dict[str, str]] = [{} for _ in range(n)]
+    for span in spans:
+        body = span[:-1] if span.endswith("\n") else span  # its last line blank
+        records = body.count("\n") + 1
+        toks = [] if "#" in span else body.replace(":", " : ").replace("\n", " ; ").split()
+        if not fits(toks, records):
+            lines = [s for line in span.split("\n") if (s := line.split("#", 1)[0].strip())]
+            if not lines:
+                continue
+            records = len(lines)
+            toks = " ; ".join(lines).replace(":", " : ").split()
+            if not fits(toks, records):
+                return None
+        if all(toks[1 + i :: width] == expected(i, done, records) for i in range(n)):
+            flat = range(done, done + records)
+        else:
+            flat = map(index[0].__getitem__, toks[1::width])
+            for i in range(1, n):
+                flat = map(operator.add, flat, map(index[i].__getitem__, toks[1 + i :: width]))
+            try:
+                flat = list(flat)
+            except KeyError:  # an unknown label
+                return None
+            if offsets is None:
+                offsets = list(range(done))
         if offsets is not None:
             offsets += flat
         done += records
         for i, col in enumerate(columns):
             vals = toks[n + 2 + i :: width]
-            col += map(distinct.setdefault, vals, vals)
-    try:
-        for token in distinct:
-            _numeral(token)
-    except FormatError:
-        return None
+            col += map(distinct[i].setdefault, vals, vals)
     if done != total:
         return None  # a profile missing or repeated
+    try:
+        tables = [{token: _numeral(token) for token in tokens} for tokens in distinct]
+    except FormatError:
+        return None
     if offsets is not None:  # lines out of row-major order
         if len(set(offsets)) != total:
             return None  # a profile repeated
         order = sorted(range(total), key=offsets.__getitem__)
         columns = [list(map(col.__getitem__, order)) for col in columns]
-    return columns
+    return columns, tables
 
 
 def _reject_payoff_lines(
