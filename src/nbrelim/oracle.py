@@ -172,7 +172,8 @@ def is_best_response(
 def _column_best(
     game: FiniteGame, player: int, bases: Sequence[int], cmp: ComparisonSet
 ) -> list[int]:
-    """Best integer payoff over the comparison candidates, per opponent column."""
+    """Best integer payoff over the comparison candidates, per opponent column;
+    `game.colmax`'s for the full set and in a run's sweeps (see `reductions`)."""
     if len(cmp.candidates) == game.sizes[player]:
         col = game.colmax[player]
         return [col[b] for b in bases]
@@ -212,17 +213,21 @@ def _correlated_certificate(
     """
     ip = game.ipay[player]
     stride = game.strides[player]
-    offs = [c * stride for c in cmp.candidates]
+    lo, hi = cmp.candidates[0] * stride, (cmp.candidates[-1] + 1) * stride
+    sliced = hi - lo == len(cmp.candidates) * stride  # consecutive, as a full set is
+    offs = range(lo, hi, stride) if sliced else [c * stride for c in cmp.candidates]
+
+    def column(b: int) -> Sequence[int]:  # the candidates' payoffs at base b
+        return ip[b + lo : b + hi : stride] if sliced else [ip[b + o] for o in offs]
     # The LP starts from the first column where the strategy does best.  A
     # pure dominator must beat it there and in the first column, which few
     # candidates do; only those get the whole-row test.
     top = max(own)
     start = own.index(top)
-    head, first = bases[start], bases[0]
-    for c, off in zip(cmp.candidates, offs):
-        if ip[head + off] > top and ip[first + off] > own[0]:
+    for off, h, f in zip(offs, column(bases[start]), column(bases[0])):
+        if h > top and f > own[0]:
             if all(map(gt, [ip[b + off] for b in bases], own)):
-                return NeverBest("dominated", ((c, Fraction(1)),))
+                return NeverBest("dominated", ((off // stride, Fraction(1)),))
 
     n = len(bases)
     ineqs: list[tuple[list[int], int]] = []
@@ -230,13 +235,14 @@ def _correlated_certificate(
     # (position, mass).
     support = [(start, Fraction(1))]
     while True:
-        den = lcm(*(p.denominator for _, p in support))
-        atoms = [(pos, p.numerator * (den // p.denominator)) for pos, p in support]
-        own_val = sum(nm * own[pos] for pos, nm in atoms)
-        # Candidate totals at the vertex: one scaled row per atom, summed.
-        totals = list(
-            map(sum, zip(*([nm * ip[bases[pos] + o] for o in offs] for pos, nm in atoms)))
-        )
+        if len(support) == 1:  # a pure vertex: its column is the totals
+            own_val, totals = own[support[0][0]], column(bases[support[0][0]])
+        else:  # one scaled row per atom, summed
+            den = lcm(*(p.denominator for _, p in support))
+            atoms = [(pos, p.numerator * (den // p.denominator)) for pos, p in support]
+            own_val = sum(nm * own[pos] for pos, nm in atoms)
+            rows = (map(nm.__mul__, column(bases[pos])) for pos, nm in atoms)
+            totals = list(map(sum, zip(*rows)))
         peak = max(totals)
         if peak <= own_val:
             return BestResponse._at(kept, player, BeliefKind.CORRELATED, tuple(support))

@@ -29,7 +29,9 @@ carries an exact proof, a mixed one correlated (so for mixed beliefs the
 argument runs over correlated ones).  So a `Frontier` fact watches
 nothing, and `iterate` validates each new arrow or darrow transition once,
 proving its certificates against the step's own comparison sets; a
-rejection is an unsound sweep, raised as `IllegalStepError`.
+rejection is an unsound sweep, raised as `IllegalStepError`.  Along a run
+from the full game, a kept column's best kept payoff is `game.colmax`'s: the
+column's maximizers, ties included, are best replies to that pure belief.
 
 The one memo is the `OracleCache` a caller passes (`iterate` makes one when
 none is given); its docstring states why a remembered answer, a swept
@@ -257,7 +259,7 @@ class Frontier:
     `certs` as one (player, strategy) -> certificate dict."""
 
     def __init__(self, game: FiniteGame) -> None:
-        self.bits, self.inconclusive, self.removable = None, 0, 0
+        self.bits, self.inconclusive, self.removable, self.whole = None, 0, 0, False
         self.watchers = [0] * len(game.bit_pairs)  # bit -> mask of witnesses on it
         self.sets: list[tuple[int, ...]] = [()] * game.players
         self.certs: dict[tuple[int, int], Certificate] = {}
@@ -267,6 +269,7 @@ class Frontier:
         """Per player, the kept strategies a sweep of `restriction` decides."""
         previous, self.bits = self.bits, restriction.bits
         if previous is None:
+            self.whole = self.bits.bit_count() == len(self.pairs)  # started at the full one
             return restriction.kept
         dirty, self.inconclusive = self.inconclusive, 0
         for bit in _bits(previous & ~self.bits):
@@ -320,7 +323,8 @@ def candidate_certificates(
     Each player's strategies face one comparison set; for arrow and darrow
     alike it is the restriction's kept set.  Removing `s` alone, darrow
     compares `s` against that set minus `s`, and `s` ties with itself, so
-    the verdicts and certificates are the same.
+    the verdicts and certificates are the same.  A `frontier` begun at the
+    full restriction reads column bests from `game.colmax` (module docstring).
     """
     if restriction.parent != game:
         raise InputError("restriction does not belong to the game")
@@ -355,7 +359,8 @@ def candidate_certificates(
             if cert is None:
                 if bases is None:
                     bases = game.opponent_bases(player, kept)
-                    colmax = _column_best(game, player, bases, cmp)
+                    within = full_comparison(game, player) if frontier.whole else cmp
+                    colmax = _column_best(game, player, bases, within)
                 cert = _find_witness_fast(
                     game, kept, player, s, belief_kind, cmp, resolution, bases, colmax
                 )

@@ -551,6 +551,24 @@ class TestChunkBoundaries:
         assert render_game(game) == render_game_reference(game.labels, table)
         assert FiniteGame.from_function(game.labels, table.__getitem__) == game
 
+    @pytest.mark.parametrize("chunk", [3, 15, 21, 96])
+    def test_three_player_digest_over_several_chunks(self, monkeypatch, chunk):
+        # The digest text goes to sha256 in lists of 2 * chunk slots, here
+        # chunk // 3 profiles each: player i's numerals fill every sixth slot
+        # from 2 * i + 1.  Of the 24 profiles, 15 and 21 leave a short last
+        # list, and 96 puts all in one.  Built games take the numerals from
+        # the ints, parsed ones from the tokens.
+        monkeypatch.setattr(games, "_CHUNK", chunk)
+        labels = [["a", "b", "c"], ["x", "y"], ["p", "q", "r", "s"]]
+        table = {
+            p: (Fraction(p[0] - p[2], 3), Fraction(7 * p[1] - 4, 2), Fraction(sum(p)))
+            for p in itertools.product(range(3), range(2), range(4))
+        }
+        game = FiniteGame.from_function(labels, table.__getitem__)
+        assert game.digest() == digest_reference(labels, table)
+        parsed = parse_game(render_game(game))
+        assert parsed == game and parsed._digest == game._digest
+
 
 def _peak_mb(fn, *args):
     """Peak traced memory of `fn(*args)` in MB, its result included."""

@@ -303,10 +303,11 @@ class TestCorrelatedRowGeneration:
     pivots decides as a dense scan over the plain-Fraction reference LP."""
 
     @staticmethod
-    def lp_path_against_reference(game, seed, monkeypatch):
+    def lp_path_against_reference(game, seed, monkeypatch, reached=None):
         """Every query that reaches the LP, for both comparison sets over
         seeded restrictions, against the reference; returns the most rows
-        generated by one query and the reference verdicts seen."""
+        generated by one query and the reference verdicts seen, and adds each
+        player whose query reached the LP to `reached`."""
         lp_calls = []
         real = oracle.lp_feasible
 
@@ -321,7 +322,7 @@ class TestCorrelatedRowGeneration:
         for _ in range(10):
             kept = [sorted(rng.sample(range(k), rng.randint(3, k))) for k in game.sizes]
             r = restrict(game, kept)
-            for player in range(2):
+            for player in range(game.players):
                 for cmp, s in itertools.product(
                     (ComparisonSet(player, kept[player]), full_comparison(game, player)),
                     kept[player],
@@ -340,6 +341,8 @@ class TestCorrelatedRowGeneration:
                         assert cert == BestResponse(DistributionBelief(atoms))
                     most_rows = max(most_rows, rows)
                     verdicts.add(tag)
+                    if reached is not None:
+                        reached.add(player)
         return most_rows, verdicts
 
     @pytest.mark.parametrize("build", [bertrand_grid, hotelling_grid])
@@ -352,7 +355,40 @@ class TestCorrelatedRowGeneration:
         # Payoffs in [-2, 2] make equal violations common.
         for seed in range(4):
             game = random_game(2, (7, 7), 2, seed)
-            self.lp_path_against_reference(game, seed, monkeypatch)
+            most_rows, verdicts = self.lp_path_against_reference(game, seed, monkeypatch)
+            assert most_rows >= 3
+            assert verdicts == {"br", "nbr"}
+
+    @staticmethod
+    def cyclic_three_player(sizes, seed):
+        """Player i's payoff, in [-1, 1], depends on its own strategy and
+        player i + 1's only, so every column repeats along the third axis.
+        Uniform random 3-player games of this size reach no LP: against nine
+        or more opponent profiles nearly every strategy is a pure best reply."""
+        rng = random.Random(seed)
+        table = [
+            [[rng.randint(-1, 1) for _ in range(sizes[(i + 1) % 3])] for _ in range(n)]
+            for i, n in enumerate(sizes)
+        ]
+        labels = [[f"s{k}" for k in range(n)] for n in sizes]
+        return FiniteGame.from_function(
+            labels, lambda p: tuple(table[i][p[i]][p[(i + 1) % 3]] for i in range(3))
+        )
+
+    def test_three_player_strides_match_reference(self, monkeypatch):
+        # Each player's candidates sit at its own stride in the tensor, read
+        # as one slice when they are consecutive, as a full comparison set is.
+        reached, verdicts, most_rows = set(), set(), 0
+        for sizes in ((5, 6, 5), (6, 6, 6)):
+            for seed in range(4):
+                game = self.cyclic_three_player(sizes, seed)
+                rows, seen = self.lp_path_against_reference(
+                    game, seed, monkeypatch, reached
+                )
+                most_rows, verdicts = max(most_rows, rows), verdicts | seen
+        assert reached == {0, 1, 2}
+        assert most_rows >= 3
+        assert verdicts == {"br", "nbr"}
 
 
 class TestWholeRowScans:

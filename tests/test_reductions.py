@@ -819,6 +819,69 @@ class TestFrontier:
             assert len(lookups) <= 2 * sum(game.sizes)
 
 
+class TestColumnBests:
+    """Along a run from the full game a kept column's best kept payoff is the
+    game's own, so the run's sweeps read `game.colmax`; a sweep anywhere else
+    computes the best over the kept set."""
+
+    def test_in_run_column_bests_are_the_games(self, monkeypatch):
+        # Payoffs in [-1, 1] tie often, so a column's best is often shared.
+        checks = partial = 0
+        decide = reductions._find_witness_fast
+
+        def checked(game, kept, player, s, bk, cmp, resolution, bases, colmax):
+            nonlocal checks, partial
+            assert colmax == oracle._column_best(game, player, bases, cmp)
+            checks += 1
+            partial += len(cmp.candidates) < game.sizes[player]
+            return decide(game, kept, player, s, bk, cmp, resolution, bases, colmax)
+
+        monkeypatch.setattr(reductions, "_find_witness_fast", checked)
+        games = [random_game(2, (5, 6), 1, seed) for seed in range(20)]
+        games += [random_game(3, (3, 4, 3), 1, seed) for seed in range(10)]
+        games += [bertrand_grid(10), hotelling_grid(8)]
+        for n, game in enumerate(games):
+            for bk in BeliefKind:
+                for kind in ReductionKind:
+                    for policy in Policy:
+                        if policy is Policy.FAST and kind is ReductionKind.DARROW:
+                            continue
+                        for seed in (n, n + 100):
+                            iterate(game, kind, bk, policy, seed, resolution=2)
+        assert partial > 900 and checks > partial
+
+    @staticmethod
+    def shadowed():
+        # T tops both of player 1's columns; without T, M is best against L
+        # and B against R.  Player 2 is indifferent.
+        pay = {0: (3, 1, 0), 1: (3, 0, 1)}
+        return FiniteGame.from_function(
+            [["T", "M", "B"], ["L", "R"]], lambda p: (pay[p[1]][p[0]], 0)
+        )
+
+    @pytest.mark.parametrize("kind", [ReductionKind.ARROW, ReductionKind.DARROW])
+    @pytest.mark.parametrize("bk", [BeliefKind.PURE, BeliefKind.CORRELATED])
+    def test_a_sweep_off_the_full_game_computes_column_bests(self, kind, bk):
+        # No legal step removes T, so these restrictions lie off every run;
+        # `game.colmax` there would make M and B look never-best.
+        game = self.shadowed()
+        both, left = restrict(game, [(1, 2), (0, 1)]), restrict(game, [(1, 2), (0,)])
+        assert legal_removal_candidates(game, both, kind, bk) == ((), ())
+        assert legal_removal_candidates(game, left, kind, bk) == ((2,), ())
+        frontier, cache = Frontier(game), OracleCache(bk)
+        for restriction, want in ((both, ((), ())), (left, ((2,), ()))):
+            sets, _, _ = candidate_certificates(
+                game, restriction, bk, kind, cache=cache, frontier=frontier
+            )
+            assert sets == want
+        # From the full game, M and B are the never-best ones.
+        sets, _, _ = candidate_certificates(
+            game, full_restriction(game), bk, kind, cache=OracleCache(bk),
+            frontier=Frontier(game),
+        )
+        assert sets == ((1, 2), ())
+
+
 class TestSeeding:
     """A run seeds its generator at its first draw, so a run that draws
     nothing builds none."""
