@@ -105,10 +105,6 @@ class DistributionBelief:
 Belief = Union[PurePoint, ProductBelief, DistributionBelief]
 
 
-def point_distribution(profile: JointProfile) -> DistributionBelief:
-    return DistributionBelief(((tuple(profile), Fraction(1)),))
-
-
 def as_product(mu: Belief) -> ProductBelief:
     """Lift a pure point to the equivalent product belief."""
     if isinstance(mu, ProductBelief):

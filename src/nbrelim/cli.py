@@ -31,6 +31,7 @@ from .reductions import (
     Rejection,
     UnsupportedOperationError,
     iterate,
+    label_sets,
     validate_step,
 )
 from . import verification
@@ -150,11 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    game = load_game(args.game)
-    kind = _RELATIONS[args.relation]
     trace = iterate(
-        game,
-        kind,
+        load_game(args.game),
+        _RELATIONS[args.relation],
         _BELIEFS[args.beliefs],
         _POLICIES[args.policy],
         seed=args.seed,
@@ -163,32 +162,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.format == "text":
         sys.stdout.write(trace.render())
     else:
-        for k, step in enumerate(trace.steps, start=1):
-            rec = {
-                "record": "step",
-                "index": k,
-                "kind": step.kind.value,
-                "removed": _label_sets(game, step.removed),
-                "kept": _label_sets(game, step.target.kept),
-            }
+        for rec in trace.records():
             print(json.dumps(rec, separators=(",", ":")))
-        rec = {
-            "record": "outcome",
-            "game": game.digest(),
-            "kind": trace.kind.value,
-            "beliefs": trace.belief_kind.value,
-            "policy": trace.policy.value,
-            "seed": trace.seed,
-            "steps": len(trace.steps),
-            "kept": _label_sets(game, trace.outcome.kept),
-            "maximal": trace.maximal,
-        }
-        print(json.dumps(rec, separators=(",", ":")))
     return EXIT_OK
-
-
-def _label_sets(game: FiniteGame, sets) -> list[list[str]]:
-    return [[game.label_of(i, s) for s in ks] for i, ks in enumerate(sets)]
 
 
 def cmd_check_step(args: argparse.Namespace) -> int:
@@ -211,7 +187,7 @@ def cmd_check_step(args: argparse.Namespace) -> int:
         print(line)
         return EXIT_FAIL
     print(
-        f"legal: removed={_label_sets(game, result.removed)} "
+        f"legal: removed={label_sets(game, result.removed)} "
         f"kind={result.kind.symbol} beliefs={result.belief_kind.value}"
     )
     for (player, strategy), cert in result.certificates:

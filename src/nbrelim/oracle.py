@@ -246,6 +246,10 @@ def _correlated_certificate(
         peak = max(totals)
         if peak <= own_val:
             return BestResponse._at(kept, player, BeliefKind.CORRELATED, tuple(support))
+        # The competitor beats the vertex, where every generated row holds: it
+        # is new, so a query makes at most one row per candidate.
+        if len(ineqs) == len(cmp.candidates):
+            raise RuntimeError(f"row generation passed its bound of {len(ineqs)} rows")
         off = offs[totals.index(peak)]
         ineqs.append((list(map(sub, own, [ip[b + off] for b in bases])), 0))
         solution = lp_feasible(ineqs, ([1] * n, 1), num_vars=n)

@@ -121,6 +121,10 @@ class IllegalStepError(ValueError):
 
 @dataclass(frozen=True)
 class Trace:
+    """A run from the full game.  `records()` gives a record per step, then
+    the outcome record: `solve --format records` prints them as JSON lines,
+    and they are `render()`'s `step` and `outcome` lines."""
+
     initial: FiniteGame
     kind: ReductionKind
     belief_kind: BeliefKind
@@ -139,6 +143,17 @@ class Trace:
             return self.outcome
         return self.steps[index - 1].target
 
+    def records(self) -> Iterator[dict]:
+        game = self.initial
+        for k, step in enumerate(self.steps, start=1):
+            yield {"record": "step", "index": k, "kind": step.kind.value,
+                   "removed": label_sets(game, step.removed),
+                   "kept": label_sets(game, step.target.kept)}
+        yield {"record": "outcome", "game": game.digest(), "kind": self.kind.value,
+               "beliefs": self.belief_kind.value, "policy": self.policy.value,
+               "seed": self.seed, "steps": len(self.steps),
+               "kept": label_sets(game, self.outcome.kept), "maximal": self.maximal}
+
     def render(self) -> str:
         game = self.initial
         out = [
@@ -146,16 +161,18 @@ class Trace:
             f"beliefs={self.belief_kind.value} policy={self.policy.value} "
             f"seed={self.seed}"
         ]
-        for k, step in enumerate(self.steps, start=1):
-            removed = _render_sets(game, step.removed)
-            kept = _render_sets(game, step.target.kept)
-            out.append(
-                f"step {k} kind={step.kind.symbol} removed={removed} -> kept={kept}"
-            )
-        out.append(
-            f"outcome kept={_render_sets(game, self.outcome.kept)} "
-            f"steps={len(self.steps)} maximal={'yes' if self.maximal else 'no'}"
-        )
+        for rec in self.records():
+            kept = _braced(rec["kept"])
+            if rec["record"] == "step":
+                out.append(
+                    f"step {rec['index']} kind={ReductionKind(rec['kind']).symbol} "
+                    f"removed={_braced(rec['removed'])} -> kept={kept}"
+                )
+            else:
+                out.append(
+                    f"outcome kept={kept} steps={rec['steps']} "
+                    f"maximal={'yes' if rec['maximal'] else 'no'}"
+                )
         for note in self.notes:
             out.append(f"note {note}")
         for k, step in enumerate(self.steps, start=1):
@@ -168,12 +185,14 @@ class Trace:
         return "\n".join(out) + "\n"
 
 
-def _render_sets(game: FiniteGame, sets: Sequence[Sequence[int]]) -> str:
-    parts = []
-    for i, ks in enumerate(sets):
-        labs = ",".join(game.label_of(i, s) for s in ks)
-        parts.append(f"p{i + 1}:[{labs}]")
-    return "{" + ",".join(parts) + "}"
+def label_sets(game: FiniteGame, sets: Sequence[Sequence[int]]) -> list[list[str]]:
+    """Per player, the labels of the strategies in `sets`."""
+    return [[game.label_of(i, s) for s in ks] for i, ks in enumerate(sets)]
+
+
+def _braced(labels: Sequence[Sequence[str]]) -> str:
+    """`label_sets` as a trace line writes them: {p1:[T,M],p2:[L]}."""
+    return "{" + ",".join(f"p{i + 1}:[{','.join(ls)}]" for i, ls in enumerate(labels)) + "}"
 
 
 def comparison_for(

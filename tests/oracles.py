@@ -36,7 +36,6 @@ from nbrelim.beliefs import (
     ProductBelief,
     PurePoint,
     as_product,
-    point_distribution,
 )
 from nbrelim.games import FiniteGame, FormatError, InputError, full_restriction
 
@@ -400,6 +399,11 @@ def grid_product_witness_reference(game, player, strategy, kept, candidates, res
 
 
 # --- belief-set definitions ------------------------------------------------
+
+
+def point_distribution(profile):
+    """The one-atom correlated belief on an opponent profile."""
+    return DistributionBelief(((tuple(profile), Fraction(1)),))
 
 
 def kind_of(mu):

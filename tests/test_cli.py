@@ -24,6 +24,54 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# Seeded `solve` output on the gap game, one run per relation: the argv
+# after --relation, then the text and the records output.
+_GOLDEN = {
+    "tilde": (
+        ("--policy", "fast", "--beliefs", "pure"),
+        "game 12d7fafe1770 kind=~ beliefs=pure policy=fast seed=0\n"
+        "step 1 kind=~ removed={p1:[M,B],p2:[]} -> kept={p1:[T],p2:[L,R]}\n"
+        "outcome kept={p1:[T],p2:[L,R]} steps=1 maximal=yes\n"
+        "cert step=1 p1 M NBR(exhaustive)\n"
+        "cert step=1 p1 B NBR(exhaustive)\n",
+        '{"record":"step","index":1,"kind":"tilde","removed":[["M","B"],[]],'
+        '"kept":[["T"],["L","R"]]}\n'
+        '{"record":"outcome","game":"12d7fafe1770","kind":"tilde","beliefs":"pure",'
+        '"policy":"fast","seed":0,"steps":1,"kept":[["T"],["L","R"]],"maximal":true}\n',
+    ),
+    "arrow": (
+        ("--policy", "single", "--seed", "2", "--beliefs", "correlated"),
+        "game 12d7fafe1770 kind=-> beliefs=correlated policy=single seed=2\n"
+        "step 1 kind=-> removed={p1:[M],p2:[]} -> kept={p1:[T,B],p2:[L,R]}\n"
+        "step 2 kind=-> removed={p1:[B],p2:[]} -> kept={p1:[T],p2:[L,R]}\n"
+        "outcome kept={p1:[T],p2:[L,R]} steps=2 maximal=yes\n"
+        "cert step=1 p1 M NBR(lp)\n"
+        "cert step=2 p1 B NBR(lp)\n",
+        '{"record":"step","index":1,"kind":"arrow","removed":[["M"],[]],'
+        '"kept":[["T","B"],["L","R"]]}\n'
+        '{"record":"step","index":2,"kind":"arrow","removed":[["B"],[]],'
+        '"kept":[["T"],["L","R"]]}\n'
+        '{"record":"outcome","game":"12d7fafe1770","kind":"arrow","beliefs":"correlated",'
+        '"policy":"single","seed":2,"steps":2,"kept":[["T"],["L","R"]],"maximal":true}\n',
+    ),
+    "darrow": (
+        ("--policy", "random", "--seed", "3", "--beliefs", "mixed"),
+        "game 12d7fafe1770 kind==> beliefs=mixed policy=random seed=3\n"
+        "step 1 kind==> removed={p1:[B],p2:[]} -> kept={p1:[T,M],p2:[L,R]}\n"
+        "step 2 kind==> removed={p1:[M],p2:[]} -> kept={p1:[T],p2:[L,R]}\n"
+        "outcome kept={p1:[T],p2:[L,R]} steps=2 maximal=yes\n"
+        "cert step=1 p1 B NBR(lp)\n"
+        "cert step=2 p1 M NBR(lp)\n",
+        '{"record":"step","index":1,"kind":"darrow","removed":[["B"],[]],'
+        '"kept":[["T","M"],["L","R"]]}\n'
+        '{"record":"step","index":2,"kind":"darrow","removed":[["M"],[]],'
+        '"kept":[["T"],["L","R"]]}\n'
+        '{"record":"outcome","game":"12d7fafe1770","kind":"darrow","beliefs":"mixed",'
+        '"policy":"random","seed":3,"steps":2,"kept":[["T"],["L","R"]],"maximal":true}\n',
+    ),
+}
+
+
 class TestSolve:
     def test_gap_game_fast(self, capsys):
         code, out, _ = run(
@@ -74,9 +122,24 @@ class TestSolve:
         )
         assert code == 0
         lines = [json.loads(line) for line in out.splitlines()]
+        below = [str(k) for k in range(5)]
+        assert lines[0] == {
+            "record": "step", "index": 1, "kind": "tilde",
+            "removed": [below, below], "kept": [["5"], ["5"]],
+        }
+        assert list(lines[0]) == ["record", "index", "kind", "removed", "kept"]
         assert lines[-1]["record"] == "outcome"
         assert lines[-1]["kept"] == [["5"], ["5"]]
         assert lines[-1]["steps"] == 1
+        assert len(lines) == 2
+
+    @pytest.mark.parametrize("relation", sorted(_GOLDEN))
+    def test_seeded_output_bytes(self, capsys, relation):
+        # one seeded solve per relation, text and records, byte for byte
+        argv, text, records = _GOLDEN[relation]
+        solve = ("solve", "--game", "catalog:gap3x2", "--relation", relation, *argv)
+        assert run(capsys, *solve) == (0, text, "")
+        assert run(capsys, *solve, "--format", "records") == (0, records, "")
 
     def test_price_grid_solve(self, capsys):
         code, out, _ = run(capsys, "solve", "--game", "catalog:bertrand100")

@@ -311,9 +311,9 @@ class TestCorrelatedRowGeneration:
         lp_calls = []
         real = oracle.lp_feasible
 
-        def counting(inequalities, equality, num_vars):
+        def counting(inequalities, *args, **kwargs):
             lp_calls.append(len(inequalities))
-            return real(inequalities, equality, num_vars=num_vars)
+            return real(inequalities, *args, **kwargs)
 
         monkeypatch.setattr(oracle, "lp_feasible", counting)
         rng = random.Random(seed)
@@ -389,6 +389,33 @@ class TestCorrelatedRowGeneration:
         assert reached == {0, 1, 2}
         assert most_rows >= 3
         assert verdicts == {"br", "nbr"}
+
+    def test_a_stuck_solver_meets_the_row_bound(self, monkeypatch):
+        # A solver that keeps returning its first vertex makes the scan pick
+        # the same competitor again and again.  Each generated row's
+        # competitor is new, so the oracle stops at one row per candidate
+        # with an internal error, long before the solver gives up.
+        class SolverGaveUp(Exception):
+            pass
+
+        real, vertex, calls = oracle.lp_feasible, [], []
+
+        def stuck(*args, **kwargs):
+            calls.append(args)
+            if len(calls) > 50:
+                raise SolverGaveUp
+            if not vertex:
+                vertex.append(real(*args, **kwargs))
+            return vertex[0]
+
+        game = bertrand_grid(8)
+        monkeypatch.setattr(oracle, "lp_feasible", stuck)
+        with pytest.raises(RuntimeError, match="bound of 8 rows"):
+            find_witness(
+                game, full_restriction(game), 0, 7, BeliefKind.CORRELATED,
+                full_comparison(game, 0),
+            )
+        assert len(calls) == 8
 
 
 class TestWholeRowScans:

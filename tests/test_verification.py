@@ -1,5 +1,6 @@
 """Theorem checkers: closure, equilibria, and the campaign functions."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nbrelim import oracle, verification
-from nbrelim.beliefs import BeliefKind, point_distribution
+from nbrelim.beliefs import BeliefKind
 from nbrelim.catalog import (
     bertrand_grid,
     chase_3p,
@@ -45,6 +46,7 @@ from nbrelim.verification import (
     check_order_independence,
     is_closed,
     pure_nash,
+    random_order_traces,
     random_restriction,
 )
 
@@ -53,6 +55,7 @@ from oracles import (
     grid_distributions,
     is_pure_best_to_some,
     opponent_profiles,
+    point_distribution,
     restrictions_outside,
 )
 
@@ -237,6 +240,13 @@ class TestCheckers:
         game = FiniteGame.from_function([["a"], ["x"]], lambda p: (0, 0))
         reports = check_fast_dominance(game, BeliefKind.PURE)
         assert all(r.verdict == "pass" for r in reports)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_random_orders_are_pairwise_distinct(self, seed):
+        # each order draws from its own child seed; the grid has many orders
+        game = bertrand_grid(10)
+        traces = random_order_traces(game, ReductionKind.TILDE, BeliefKind.PURE, 6, seed)
+        assert len({t.render() for t in traces}) == 6
 
     def test_equivalence_gap_game(self, g):
         for bk in (BeliefKind.PURE, BeliefKind.CORRELATED):
@@ -733,6 +743,28 @@ class TestFailPaths:
                 "an outcome lost a player's whole strategy set", (handed[1].render(),),
             ),
         ]
+
+    def test_equivalence_reads_every_random_order(self, g, monkeypatch):
+        # the last darrow order stops after its first step; the fast traces
+        # and every other order still agree, so only it can fail the check
+        real, cut = verification.random_order_traces, []
+
+        def stop_early(game, kind, *args):
+            traces = real(game, kind, *args)
+            if kind is ReductionKind.DARROW:
+                t = traces[-1]
+                traces[-1] = dataclasses.replace(
+                    t, steps=t.steps[:1], outcome=t.steps[0].target
+                )
+                cut.append(traces[-1])
+            return traces
+
+        monkeypatch.setattr(verification, "random_order_traces", stop_early)
+        reports = check_equivalence(g, BeliefKind.PURE, num_orders=2)
+        assert len(cut) == 1 and cut[0].outcome.kept != ((0,), (0, 1))
+        assert reports[1].theorem_id == "equivalence_ii"
+        assert reports[1].verdict == "fail"
+        assert reports[1].counterexample[1] == cut[0].render()
 
     def test_nash_equilibrium_lost(self, monkeypatch):
         game = FiniteGame([["U", "D"], ["l", "r"]], _ONLY_EQUILIBRIUM_00)
