@@ -30,6 +30,7 @@ from .reductions import (
     ReductionKind,
     Rejection,
     UnsupportedOperationError,
+    _braced,
     iterate,
     label_sets,
     validate_step,
@@ -187,7 +188,7 @@ def cmd_check_step(args: argparse.Namespace) -> int:
         print(line)
         return EXIT_FAIL
     print(
-        f"legal: removed={label_sets(game, result.removed)} "
+        f"legal: removed={_braced(label_sets(game, result.removed))} "
         f"kind={result.kind.symbol} beliefs={result.belief_kind.value}"
     )
     for (player, strategy), cert in result.certificates:

@@ -277,18 +277,23 @@ class FiniteGame:
 
     def opponent_bases(
         self, player: int, kept: Sequence[Sequence[int]] | None = None
-    ) -> list[int]:
+    ) -> Sequence[int]:
         """Tensor offsets of the opponent profiles, lexicographic in opponent order.
 
-        `kept` optionally restricts each player's strategy set; player
-        `player`'s own entry in `kept` is ignored.
+        `kept` optionally restricts each player's strategy set, sorted and
+        duplicate-free as a `Restriction`'s; player `player`'s own entry is
+        ignored.  One opponent's consecutive strategies give a `range`, so a
+        payoff row over them is one strided slice; otherwise a list.
         """
         axes = []
         for j in range(self.players):
             if j == player:
                 continue
             choices = range(self.sizes[j]) if kept is None else kept[j]
-            axes.append([s * self.strides[j] for s in choices])
+            stride = self.strides[j]
+            if self.players == 2 and choices and choices[-1] - choices[0] < len(choices):
+                return range(choices[0] * stride, (choices[-1] + 1) * stride, stride)
+            axes.append([s * stride for s in choices])
         if len(axes) == 1:  # one opponent: its scaled axis is the list
             return axes[0]
         return [sum(combo) for combo in itertools.product(*axes)]

@@ -22,7 +22,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import floor, inf, lcm
 from operator import ge, gt, mul, sub
 from typing import Sequence, Union
 
@@ -177,10 +177,42 @@ def _column_best(
     if len(cmp.candidates) == game.sizes[player]:
         col = game.colmax[player]
         return [col[b] for b in bases]
-    ip = game.ipay[player]
-    offs = [c * game.strides[player] for c in cmp.candidates]
-    rows = [[ip[b + off] for b in bases] for off in offs]
-    return rows[0] if len(rows) == 1 else list(map(max, *rows))
+    ip, stride = game.ipay[player], game.strides[player]
+    rows = [_gather(ip, bases, c * stride) for c in cmp.candidates]
+    return list(rows[0]) if len(rows) == 1 else list(map(max, *rows))
+
+
+def _gather(ip: Sequence[int], offsets: Sequence[int], at: int) -> Sequence[int]:
+    """`ip[at + o]` per offset: one strided slice when `offsets` is a range."""
+    if type(offsets) is range:
+        return ip[at + offsets.start : at + offsets.stop : offsets.step]
+    return [ip[at + o] for o in offsets]
+
+
+def _pair_mixture(r1: Sequence[int], r2: Sequence[int]) -> Fraction | None:
+    """The simplest λ in (0, 1) with λ·r1 + (1-λ)·r2 < 0 at every entry, or
+    None: by Farkas' lemma, None iff some x in the simplex has r1.x >= 0 and
+    r2.x >= 0.  The bounds ln/ld < λ < un/ud stay integer pairs."""
+    ln, ld, un, ud = 0, 1, 1, 1
+    for a, c in zip(r1, r2):
+        if a > c:  # λ < -c / (a - c)
+            if -c * ud < un * (a - c):
+                un, ud = -c, a - c
+        elif a < c:  # λ > c / (c - a)
+            if c * ld > ln * (c - a):
+                ln, ld = c, c - a
+        elif c >= 0:
+            return None
+    return _simplest(Fraction(ln, ld), Fraction(un, ud)) if ln * ud < un * ld else None
+
+
+def _simplest(lo: Fraction, hi: Fraction | float) -> Fraction:
+    """The rational of least denominator in the open interval (lo, hi), lo >= 0:
+    the next integer, else `n + 1/y` for y the simplest in the mirrored interval."""
+    n = floor(lo)
+    if n + 1 < hi:
+        return Fraction(n + 1)
+    return n + 1 / _simplest(1 / (hi - n), 1 / (lo - n) if lo > n else inf)
 
 
 def _nth_opponent_profile(
@@ -209,39 +241,38 @@ def _correlated_certificate(
     belief simplex, generating comparison-constraint rows lazily (the binding
     competitors are found by scanning violations at the current vertex, over
     its support only).  A sub-LP infeasibility already proves infeasibility
-    of the full system.  Every scan takes the first candidate on ties.
+    of the full system; two rows are settled in closed form, with their
+    mixture as the proof.  Every scan takes the first candidate on ties.
     """
-    ip = game.ipay[player]
-    stride = game.strides[player]
-    lo, hi = cmp.candidates[0] * stride, (cmp.candidates[-1] + 1) * stride
-    sliced = hi - lo == len(cmp.candidates) * stride  # consecutive, as a full set is
-    offs = range(lo, hi, stride) if sliced else [c * stride for c in cmp.candidates]
-
-    def column(b: int) -> Sequence[int]:  # the candidates' payoffs at base b
-        return ip[b + lo : b + hi : stride] if sliced else [ip[b + o] for o in offs]
+    ip, stride, candidates = game.ipay[player], game.strides[player], cmp.candidates
+    # The candidates' offsets, a range when consecutive (as a full set is):
+    # `_gather(ip, offs, b)` reads their payoffs at base b.
+    offs = range(candidates[0] * stride, (candidates[-1] + 1) * stride, stride)
+    if len(offs) != len(candidates):
+        offs = [c * stride for c in candidates]
     # The LP starts from the first column where the strategy does best.  A
     # pure dominator must beat it there and in the first column, which few
     # candidates do; only those get the whole-row test.
     top = max(own)
     start = own.index(top)
-    for off, h, f in zip(offs, column(bases[start]), column(bases[0])):
+    for off, h, f in zip(offs, _gather(ip, offs, bases[start]), _gather(ip, offs, bases[0])):
         if h > top and f > own[0]:
-            if all(map(gt, [ip[b + off] for b in bases], own)):
+            if all(map(gt, _gather(ip, bases, off), own)):
                 return NeverBest("dominated", ((off // stride, Fraction(1)),))
 
     n = len(bases)
-    ineqs: list[tuple[list[int], int]] = []
+    ineqs, rivals = [], []  # the LP's rows, each row's competitor
     # A vertex has at most len(ineqs) + 1 nonzeros: `support` lists them as
     # (position, mass).
     support = [(start, Fraction(1))]
     while True:
         if len(support) == 1:  # a pure vertex: its column is the totals
-            own_val, totals = own[support[0][0]], column(bases[support[0][0]])
+            own_val, totals = own[support[0][0]], _gather(ip, offs, bases[support[0][0]])
         else:  # one scaled row per atom, summed
             den = lcm(*(p.denominator for _, p in support))
             atoms = [(pos, p.numerator * (den // p.denominator)) for pos, p in support]
             own_val = sum(nm * own[pos] for pos, nm in atoms)
-            rows = (map(nm.__mul__, column(bases[pos])) for pos, nm in atoms)
+            rows = (map(nm.__mul__, _gather(ip, offs, bases[pos])) for pos, nm in atoms)
             totals = list(map(sum, zip(*rows)))
         peak = max(totals)
         if peak <= own_val:
@@ -251,7 +282,10 @@ def _correlated_certificate(
         if len(ineqs) == len(cmp.candidates):
             raise RuntimeError(f"row generation passed its bound of {len(ineqs)} rows")
         off = offs[totals.index(peak)]
-        ineqs.append((list(map(sub, own, [ip[b + off] for b in bases])), 0))
+        ineqs.append((list(map(sub, own, _gather(ip, bases, off))), 0))
+        rivals.append(off // stride)
+        if len(ineqs) == 2 and (lam := _pair_mixture(ineqs[0][0], ineqs[1][0])):
+            return NeverBest("lp", ((rivals[0], lam), (rivals[1], 1 - lam)))
         solution = lp_feasible(ineqs, ([1] * n, 1), num_vars=n)
         if solution is None:
             return NeverBest("lp")
@@ -336,7 +370,9 @@ class OracleCache:
     newest match answers.  So a never-best proof depends on the cache's
     history: a step of a campaign sharing one cache can carry another
     dominating strategy than a fresh `solve` gives, with the same `render()`,
-    which shows the proof's kind only.
+    which shows the proof's kind only.  A `NeverBest("lp")` settled at two
+    rows carries its two-competitor mixture in `dominating`; only proofs of
+    three or more rows carry none and rest on the simplex.
 
     Along one `iterate` run restrictions shrink, and under arrow and darrow
     comparison sets too, so a witness holds until a strategy of its support
@@ -507,7 +543,7 @@ def _find_witness_fast(
         return BestResponse._at(kept, player, kind, ((0, _ONE),))
     ip = game.ipay[player]
     own_off = strategy * game.strides[player]
-    own = [ip[b + own_off] for b in bases]
+    own = _gather(ip, bases, own_off)
     best = colmax if colmax is not None else _column_best(game, player, bases, cmp)
     hits = list(map(ge, own, best))
     if True in hits:

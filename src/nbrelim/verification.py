@@ -249,9 +249,9 @@ def check_order_independence(
     judged against the full strategy set, so it keeps every closed C inside
     R (a strategy of C is best against a belief over C, also one over R).
     Each step is re-validated with no cache, so each decision is fresh.
-    `NeverBest("lp")` carries no multipliers yet, so the oracle re-decides
-    those steps; a solver-free certificate check could replace that without
-    changing the walk."""
+    A `NeverBest("lp")` of three or more rows carries no mixture yet (one
+    of two rows does), so the oracle re-decides every step; a solver-free
+    certificate check could replace that without changing the walk."""
     instance = _instance_name(game)
     cache = OracleCache(belief_kind)
     traces = _fast_and_orders(

@@ -6,7 +6,8 @@ replays, pure equilibrium scans, an exact vertex-enumeration feasibility
 oracle for cross-checking the simplex, and a plain-`Fraction` phase-1
 simplex with a dense lazy-row loop that the engine's integer pivots and
 support-only scan must follow step for step, with a plain pure-domination
-scan beside it.  It also holds
+scan beside it and an integer check that a never-best proof's mixture
+strictly beats its strategy.  It also holds
 the belief grids of the grid searches in plain `Fraction` (correlated
 beliefs of bounded denominator and the first witness of the product-grid
 search), the belief-set definitions the tests check against (kinds,
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -344,6 +346,31 @@ def first_pure_dominator(game, player, strategy, kept, candidates):
         if all(pay(c, opp) > pay(strategy, opp) for opp in itertools.product(*axes)):
             return c
     return None
+
+
+def mixture_beats(game, player, strategy, kept, mixture):
+    """True iff `mixture`, (strategy, probability) pairs summing to 1 with
+    every probability in (0, 1], pays strictly more than `strategy` against
+    every kept opponent profile.  Compared in integers: payoffs on the
+    player's scale, probabilities as numerators over their common
+    denominator."""
+    probabilities = [p for _, p in mixture]
+    if sum(probabilities) != 1 or not all(0 < p <= 1 for p in probabilities):
+        return False
+    scale, den = game.scales[player], math.lcm(*(p.denominator for p in probabilities))
+    weights = [(k, p.numerator * (den // p.denominator)) for k, p in mixture]
+
+    def pay(s, opp):
+        profile = list(opp)
+        profile.insert(player, s)
+        value = game.payoff(tuple(profile), player) * scale
+        assert value.denominator == 1
+        return value.numerator
+
+    return all(
+        sum(w * pay(k, opp) for k, w in weights) > den * pay(strategy, opp)
+        for opp in opponent_profiles(game, player, kept)
+    )
 
 
 # --- belief grids in plain Fraction ------------------------------------------

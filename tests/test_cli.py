@@ -195,8 +195,11 @@ class TestCheckStep:
             "--from", "M,B;L,R", "--to", "M;L,R", "--relation", "tilde",
         )
         assert code == 0
-        assert out.startswith("legal:")
-        assert "NBR" in out
+        # the removed sets as every trace line writes them
+        assert out == (
+            "legal: removed={p1:[B],p2:[]} kind=~ beliefs=pure\n"
+            "cert p1 B NBR(exhaustive)\n"
+        )
 
     def test_illegal_arrow_names_the_witness(self, capsys):
         code, out, _ = run(

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nbrelim.beliefs import (
     BeliefKind,
@@ -31,6 +31,7 @@ from nbrelim.oracle import (
 
 from nbrelim import reductions
 from nbrelim.reductions import (
+    Policy,
     ReductionKind,
     candidate_certificates,
     comparison_for,
@@ -46,6 +47,7 @@ from oracles import (
     grid_product_witness_reference,
     is_pure_best_to_some,
     lp_feasible_reference,
+    mixture_beats,
     opponent_profiles,
     replay_fast_pure,
 )
@@ -162,7 +164,11 @@ class TestFindWitness:
             game, full_restriction(game), 0, 2, BeliefKind.CORRELATED,
             full_comparison(game, 0),
         )
-        assert cert == NeverBest("lp")
+        # neither A nor B beats C alone: the two-row proof carries the
+        # coin flip that does
+        assert cert.proof == "lp"
+        assert cert.dominating == ((0, Fraction(1, 2)), (1, Fraction(1, 2)))
+        assert mixture_beats(game, 0, 2, full_restriction(game).kept, cert.dominating)
         # ... but C survives under pure beliefs? no: (1,1) loses to 3s anywhere
         pure = find_witness(
             game, full_restriction(game), 0, 2, BeliefKind.PURE,
@@ -307,15 +313,22 @@ class TestCorrelatedRowGeneration:
         """Every query that reaches the LP, for both comparison sets over
         seeded restrictions, against the reference; returns the most rows
         generated by one query and the reference verdicts seen, and adds each
-        player whose query reached the LP to `reached`."""
-        lp_calls = []
-        real = oracle.lp_feasible
+        player whose query reached the LP to `reached`.  A query whose two
+        rows the closed form settles makes one LP call for two rows."""
+        lp_calls, settled = [], []
+        real, real_pair = oracle.lp_feasible, oracle._pair_mixture
 
         def counting(inequalities, *args, **kwargs):
             lp_calls.append(len(inequalities))
             return real(inequalities, *args, **kwargs)
 
+        def counting_pair(r1, r2):
+            lam = real_pair(r1, r2)
+            settled.append(lam is not None)
+            return lam
+
         monkeypatch.setattr(oracle, "lp_feasible", counting)
+        monkeypatch.setattr(oracle, "_pair_mixture", counting_pair)
         rng = random.Random(seed)
         most_rows = 0
         verdicts = set()
@@ -328,15 +341,20 @@ class TestCorrelatedRowGeneration:
                     kept[player],
                 ):
                     lp_calls.clear()
+                    settled.clear()
                     cert = find_witness(game, r, player, s, BeliefKind.CORRELATED, cmp)
                     if not lp_calls:
                         continue  # settled by the pure scans before any LP
                     tag, atoms, rows = correlated_row_generation(
                         game, player, s, kept, cmp.candidates, lp_feasible_reference
                     )
-                    assert rows == len(lp_calls)
+                    assert rows == len(lp_calls) + (True in settled)
                     if tag == "nbr":
-                        assert cert == NeverBest("lp")
+                        assert cert.proof == "lp"
+                        assert (cert.dominating is not None) == (rows == 2)
+                        if cert.dominating is not None:
+                            assert {k for k, _ in cert.dominating} <= set(cmp.candidates)
+                            assert mixture_beats(game, player, s, kept, cert.dominating)
                     else:
                         assert cert == BestResponse(DistributionBelief(atoms))
                     most_rows = max(most_rows, rows)
@@ -394,7 +412,9 @@ class TestCorrelatedRowGeneration:
         # A solver that keeps returning its first vertex makes the scan pick
         # the same competitor again and again.  Each generated row's
         # competitor is new, so the oracle stops at one row per candidate
-        # with an internal error, long before the solver gives up.
+        # with an internal error, long before the solver gives up.  The
+        # query's first two rows admit no dominating mixture, so the
+        # closed form passes them on and the stuck solver is reached.
         class SolverGaveUp(Exception):
             pass
 
@@ -408,14 +428,140 @@ class TestCorrelatedRowGeneration:
                 vertex.append(real(*args, **kwargs))
             return vertex[0]
 
-        game = bertrand_grid(8)
+        game = random_game(2, (8, 8), 2, 1)
         monkeypatch.setattr(oracle, "lp_feasible", stuck)
         with pytest.raises(RuntimeError, match="bound of 8 rows"):
             find_witness(
-                game, full_restriction(game), 0, 7, BeliefKind.CORRELATED,
+                game, full_restriction(game), 0, 0, BeliefKind.CORRELATED,
                 full_comparison(game, 0),
             )
         assert len(calls) == 8
+
+
+class TestPairMixture:
+    """Two generated rows decide their LP in closed form: by Farkas' lemma
+    it is infeasible iff some mixture of the two competitors strictly beats
+    the strategy at every kept base, and the proof carries that mixture."""
+
+    @staticmethod
+    def beats(lam, r1, r2):
+        return all(lam * a + (1 - lam) * c < 0 for a, c in zip(r1, r2))
+
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.tuples(*[st.lists(st.integers(-3, 3), min_size=n, max_size=n)] * 2)
+        )
+    )
+    @example(([0, 0], [0, 0]))  # zero rows
+    @example(([0, 0, 0], [-1, -2, -1]))
+    @example(([-1, 2, 1], [-1, -3, 1]))  # equal entries, one of them >= 0
+    @example(([-1, 2], [-1, -3]))
+    @example(([-2, -1], [-2, -1]))  # equal rows, a pure dominator
+    @settings(max_examples=400, deadline=None)
+    def test_pair_agrees_with_the_reference_lp(self, rows):
+        r1, r2 = rows
+        n = len(r1)
+        lam = oracle._pair_mixture(r1, r2)
+        point = lp_feasible_reference([(r1, 0), (r2, 0)], ([1] * n, 1), num_vars=n)
+        assert (lam is None) == (point is not None)
+        if lam is None:
+            return
+        assert 0 < lam < 1 and self.beats(lam, r1, r2)
+        # the simplest such λ: no smaller denominator has one
+        assert not any(
+            self.beats(Fraction(p, q), r1, r2)
+            for q in range(2, lam.denominator)
+            for p in range(1, q)
+        )
+
+    @pytest.mark.parametrize("build, n", [(bertrand_grid, 40), (hotelling_grid, 30)])
+    def test_stored_mixtures_beat_on_the_source(self, build, n):
+        game = build(n)
+        proofs = []
+        for kind in ReductionKind:
+            runs = [(Policy.RANDOM_PARTIAL, seed) for seed in (0, 1)]
+            if kind is not ReductionKind.DARROW:
+                runs.append((Policy.FAST, 0))
+            for policy, seed in runs:
+                trace = iterate(game, kind, BeliefKind.CORRELATED, policy, seed)
+                for step in trace.steps:
+                    for (player, s), cert in step.certificates:
+                        assert isinstance(cert, NeverBest) and cert.dominating
+                        assert mixture_beats(
+                            game, player, s, step.source.kept, cert.dominating
+                        )
+                        proofs.append((cert.proof, len(cert.dominating)))
+        # the grid's correlated proofs are pure dominators and two-row LPs
+        assert set(proofs) <= {("dominated", 1), ("lp", 2)}
+        assert ("dominated", 1) in proofs
+        assert (("lp", 2) in proofs) == (build is bertrand_grid)
+
+
+class TestRangeBases:
+    """One opponent with consecutive kept strategies gets its bases as a
+    `range`, and the oracle reads its payoff rows as strided slices."""
+
+    @staticmethod
+    def restrictions(game, rng, count):
+        for _ in range(count):
+            kept = []
+            for size in game.sizes:
+                if rng.random() < 0.6:  # a block: a prefix, a middle, all
+                    lo = rng.randrange(size)
+                    kept.append(range(lo, rng.randint(lo + 1, size)))
+                else:
+                    kept.append(sorted(rng.sample(range(size), rng.randint(1, size))))
+            yield restrict(game, kept)
+
+    def test_opponent_bases_is_a_range_for_one_consecutive_opponent(self):
+        rng = random.Random(27)
+        shapes = set()
+        for game in (bertrand_grid(16), hotelling_grid(16), random_game(3, (4, 3, 4), 3, 9)):
+            for r in itertools.chain([full_restriction(game)], self.restrictions(game, rng, 30)):
+                for player in range(game.players):
+                    bases = game.opponent_bases(player, r.kept)
+                    profiles = opponent_profiles(game, player, r.kept)
+                    assert list(bases) == [game.profile_base(player, o) for o in profiles]
+                    block = all(
+                        r.kept[j] == tuple(range(r.kept[j][0], r.kept[j][-1] + 1))
+                        for j in game.opponents(player)
+                    )
+                    is_range = type(bases) is range
+                    assert is_range == (game.players == 2 and block)
+                    shapes.add((game.players, block, is_range))
+            assert type(game.opponent_bases(0)) is (range if game.players == 2 else list)
+        assert shapes == {
+            (2, True, True), (2, False, False), (3, True, False), (3, False, False)
+        }
+
+    def test_range_bases_decide_as_list_bases(self):
+        rng = random.Random(28)
+        verdicts = set()
+        for game in (bertrand_grid(16), hotelling_grid(16)):
+            for r in self.restrictions(game, rng, 12):
+                kept = r.kept
+                for player in range(2):
+                    bases = game.opponent_bases(player, kept)
+                    if type(bases) is not range:
+                        continue
+                    for kind, candidates, s in itertools.product(
+                        (BeliefKind.PURE, BeliefKind.CORRELATED),
+                        (kept[player], range(game.sizes[player])),
+                        kept[player],
+                    ):
+                        cmp = ComparisonSet(player, tuple(candidates))
+                        args = (game, kept, player, s, kind, cmp, 2)
+                        cert = oracle._find_witness_fast(*args, bases)
+                        twin = oracle._find_witness_fast(*args, list(bases))
+                        assert type(cert) is type(twin) and cert == twin
+                        if isinstance(cert, BestResponse):
+                            assert cert._scan == twin._scan
+                        verdicts.add((kind, getattr(cert, "proof", "br")))
+        assert verdicts == {
+            (BeliefKind.PURE, "br"), (BeliefKind.PURE, "exhaustive"),
+            (BeliefKind.CORRELATED, "br"), (BeliefKind.CORRELATED, "dominated"),
+            (BeliefKind.CORRELATED, "lp"),
+        }
 
 
 class TestWholeRowScans:
