@@ -56,7 +56,6 @@ from .reductions import (
     legal_removal_candidates,
     validate_step,
 )
-from .simplex import lp_feasible
 from .verification import (
     TheoremReport,
     check_equivalence,

@@ -282,11 +282,11 @@ def _correlated_certificate(
         if len(ineqs) == len(cmp.candidates):
             raise RuntimeError(f"row generation passed its bound of {len(ineqs)} rows")
         off = offs[totals.index(peak)]
-        ineqs.append((list(map(sub, own, _gather(ip, bases, off))), 0))
+        ineqs.append(list(map(sub, own, _gather(ip, bases, off))))
         rivals.append(off // stride)
-        if len(ineqs) == 2 and (lam := _pair_mixture(ineqs[0][0], ineqs[1][0])):
+        if len(ineqs) == 2 and (lam := _pair_mixture(ineqs[0], ineqs[1])):
             return NeverBest("lp", ((rivals[0], lam), (rivals[1], 1 - lam)))
-        solution = lp_feasible(ineqs, ([1] * n, 1), num_vars=n)
+        solution = lp_feasible(ineqs, num_vars=n)
         if solution is None:
             return NeverBest("lp")
         support = [(pos, p) for pos, p in enumerate(solution) if p]

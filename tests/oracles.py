@@ -216,9 +216,12 @@ def feasible_by_vertex_enumeration(inequalities, equality, num_vars):
 def lp_feasible_reference(inequalities, equality=None, num_vars=None):
     """Phase-1 simplex with Bland's rule, every pivot over `Fraction`.
 
-    Same contract and same pivot rule as `nbrelim.simplex.lp_feasible`, so
-    both return the identical basic point (or None); a ValueError stands in
-    for the engine's input errors.
+    A general contract: rational (coefficients, bound) rows meaning
+    coeffs.x >= bound, and an optional equality row.  Called with bound-0
+    rows and the unit sum `([1] * n, 1)`, the system that
+    `nbrelim.simplex.lp_feasible` decides, it takes the same pivots and
+    returns the identical basic point (or None); a ValueError stands in for
+    the engine's input errors.
     """
     rows = [([Fraction(c) for c in a], Fraction(b), False) for a, b in inequalities]
     if equality is not None:
