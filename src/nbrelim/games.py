@@ -16,7 +16,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 #: Exact rational number: arbitrary-precision, canonical (gcd-reduced,
 #: positive denominator).  The stdlib Fraction already guarantees both.
@@ -485,25 +485,24 @@ def _lines(text: str) -> Iterator[str]:
         yield from lines
 
 
-def _nonblank(lines: Iterable[str], start: int = 0) -> Iterator[tuple[int, str]]:
-    """(line number, stripped text) of each non-blank line, the first of
-    `lines` numbered `start + 1`."""
-    return ((k, s) for k, raw in enumerate(lines, start + 1) if (s := raw.strip()))
+def _nonblank(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each non-blank line, from 1."""
+    return ((k, s) for k, raw in enumerate(lines, 1) if (s := raw.strip()))
 
 
 def parse_game(text: str) -> FiniteGame:
     """Read the game text format; a `FormatError` names the first bad line.
 
-    Lines end at `\n` only.  The header is read line by line; the payoff
-    lines in bulk by `_payoff_columns`, one span at a time: a span is
-    tokenized whole by one `str.split()` and its label columns are checked
-    by list comparison with the row-major labels.  Its table of distinct
-    numeral tokens gives one dict from token to scaled int, so each column
-    is scaled by one `map`, and when every distinct token is canonical the
-    token columns are the digest's text.  When a bulk check fails,
-    `_reject_payoff_lines` walks the payoff lines one by one and raises the
-    first bad line's error.  It never returns a game, so the bulk path is
-    the only one that accepts.
+    Lines end at `\n` only.  The header is read line by line.  Payoff lines
+    as `render_game` writes them are read in bulk by `_payoff_columns`, one
+    span at a time.  Any other payoff block, with comments, blank lines or
+    lines out of row-major order, and every bad one, is read by
+    `_read_payoff_lines` from the same numbered lines as the header: it
+    takes the lines one by one and raises the first bad line's error.
+    Either reader gives each player's column of numeral tokens in
+    row-major order and a table of its distinct tokens' values: each
+    column is scaled by one `map`, and when every distinct token is
+    canonical the token columns are the digest's text.
     """
     numbered = _nonblank(_lines(text))
     lineno, head = next(numbered, (0, ""))
@@ -542,10 +541,8 @@ def parse_game(text: str) -> FiniteGame:
     for _ in range(lineno):
         start = text.find("\n", start) + 1 or len(text)
     read = _payoff_columns(_spans(text, start), labels)
-    if read is None:
-        body = itertools.islice(_lines(text), lineno, None)
-        _reject_payoff_lines(_nonblank(body, lineno), labels)
-    columns, tables = read
+    # `numbered` stands after the header: `zip` stopped at the end of `range`
+    columns, tables = read or _read_payoff_lines(numbered, labels)
     game = FiniteGame.__new__(FiniteGame)
     try:
         game._shape(labels)
@@ -566,35 +563,26 @@ def _payoff_columns(
     spans: Iterable[str], labels: Sequence[Sequence[str]]
 ) -> tuple[list[list[str]], list[dict[str, int | Fraction]]] | None:
     """Each player's numeral tokens in row-major order and a table of their
-    distinct tokens' values, or None when a check fails.
+    distinct tokens' values, read from payoff lines in the layout
+    `render_game` writes; None when any check fails.
 
-    A span with no `#` is tokenized whole: each `\n` becomes a `;` token
-    (no valid payoff line holds a `;`), each `:` is spaced, and one
-    `split()` gives the tokens.  Strided slices check that each record is
-    one line `payoff <n labels> : <n numerals>`.  A span with a comment, a
-    blank line or any other failure of that check is read again line by
-    line: comments cut, lines stripped, blank ones dropped, the rest joined
-    by `;`.  Only when that fails too is the file rejected.
-
-    Each player's label column is compared, as one list, with its labels in
-    row-major order: a slice of a precomputed period of at most two
-    `_CHUNK`s, or runs built for the span.  A span that differs is read
-    through per-player dicts from labels to tensor offsets: an unknown
-    label fails there, and from then on every record's offset is kept, so
-    records land by offset and a repeated profile shows.  Equal numeral
-    tokens of a player share one string; each distinct one is checked once.
+    Each span is tokenized whole: each `\n` becomes a `;` token (no valid
+    payoff line holds a `;`), each `:` is spaced, and one `split()` gives
+    the tokens.  Strided slices check that each record is one line
+    `payoff <n labels> : <n numerals>`, so a blank line fails, and so does
+    any span with a `#`.  Each player's label column is compared, as one
+    list, with its labels in row-major order: a slice of a precomputed
+    period of at most two `_CHUNK`s, or runs built for the span.  The
+    records must then number exactly the profiles.  Equal numeral tokens
+    of a player share one string; each distinct one is checked once.
+    CRLF line ends and non-canonical numerals read here too.
     """
     n = len(labels)
     sizes = [len(labs) for labs in labels]
     strides = [math.prod(sizes[i + 1 :]) for i in range(n)]
-    total = strides[0] * sizes[0]
     # A label that is a separator token (a bad label) matches no token, so
     # the slot checks also place every `:` and `;`.
     names = [[lab if lab not in (":", ";") else None for lab in labs] for labs in labels]
-    index = [
-        {lab: k * st for k, lab in enumerate(labs) if lab is not None}
-        for labs, st in zip(names, strides)
-    ]
     periods = [
         [lab for lab in labs for _ in range(st)] if len(labs) * st <= 2 * _CHUNK else None
         for labs, st in zip(names, strides)
@@ -614,73 +602,57 @@ def _payoff_columns(
         return out
 
     width = 2 * n + 3  # payoff, n labels, `:`, n numerals, `;`
-
-    def fits(toks: list[str], count: int) -> bool:
-        """Whether `toks` are `count` records, as the `payoff`, `:` and `;` slots show."""
-        return (
-            len(toks) == count * width - 1
-            and toks[::width].count("payoff") == count
-            and toks[n + 1 :: width].count(":") == count
-            and toks[width - 1 :: width].count(";") == count - 1
-        )
-
     done = 0  # records read
-    offsets: list[int] | None = None  # every record's, once one is out of row-major order
     columns: list[list[str]] = [[] for _ in range(n)]
     distinct: list[dict[str, str]] = [{} for _ in range(n)]
     for span in spans:
+        if not span:  # after the `\n` that ends the text
+            continue
+        if "#" in span:
+            return None
         body = span[:-1] if span.endswith("\n") else span  # its last line blank
         records = body.count("\n") + 1
-        toks = [] if "#" in span else body.replace(":", " : ").replace("\n", " ; ").split()
-        if not fits(toks, records):
-            lines = [s for line in span.split("\n") if (s := line.split("#", 1)[0].strip())]
-            if not lines:
-                continue
-            records = len(lines)
-            toks = " ; ".join(lines).replace(":", " : ").split()
-            if not fits(toks, records):
-                return None
-        if all(toks[1 + i :: width] == expected(i, done, records) for i in range(n)):
-            flat = range(done, done + records)
-        else:
-            flat = map(index[0].__getitem__, toks[1::width])
-            for i in range(1, n):
-                flat = map(operator.add, flat, map(index[i].__getitem__, toks[1 + i :: width]))
-            try:
-                flat = list(flat)
-            except KeyError:  # an unknown label
-                return None
-            if offsets is None:
-                offsets = list(range(done))
-        if offsets is not None:
-            offsets += flat
+        toks = body.replace(":", " : ").replace("\n", " ; ").split()
+        if not (
+            len(toks) == records * width - 1
+            and toks[::width].count("payoff") == records
+            and toks[n + 1 :: width].count(":") == records
+            and toks[width - 1 :: width].count(";") == records - 1
+            and all(toks[1 + i :: width] == expected(i, done, records) for i in range(n))
+        ):
+            return None
         done += records
         for i, col in enumerate(columns):
             vals = toks[n + 2 + i :: width]
             col += map(distinct[i].setdefault, vals, vals)
-    if done != total:
-        return None  # a profile missing or repeated
+    if done != math.prod(sizes):
+        return None  # a profile missing, or the block read again
     try:
         tables = [{token: _numeral(token) for token in tokens} for tokens in distinct]
     except FormatError:
         return None
-    if offsets is not None:  # lines out of row-major order
-        if len(set(offsets)) != total:
-            return None  # a profile repeated
-        order = sorted(range(total), key=offsets.__getitem__)
-        columns = [list(map(col.__getitem__, order)) for col in columns]
     return columns, tables
 
 
-def _reject_payoff_lines(
+def _read_payoff_lines(
     numbered: Iterable[tuple[int, str]], labels: Sequence[Sequence[str]]
-) -> NoReturn:
-    """Raise the error of the first bad payoff line, read one line at a time,
-    then the label or completeness error of lines that all read.  The
-    diagnostic path of `parse_game`: called only once a bulk check failed."""
+) -> tuple[list[list[str]], list[dict[str, int | Fraction]]]:
+    """What `_payoff_columns` returns, read one line at a time from every
+    valid payoff block, in any line order; otherwise the error of the first
+    bad line, then the label or completeness error of lines that all read.
+
+    Per line it keeps one int, the profile's tensor offset, and per player
+    one token, shared by its equal tokens; a set of the offsets shows a
+    repeated profile.  The columns are put in row-major order at the end.
+    """
     n = len(labels)
-    index = [{lab: k for k, lab in enumerate(labs)} for labs in labels]
-    seen: set[JointProfile] = set()
+    strides = [math.prod(map(len, labels[i + 1 :])) for i in range(n)]
+    index = [{lab: k * st for k, lab in enumerate(labs)} for labs, st in zip(labels, strides)]
+    offsets: list[int] = []
+    seen: set[int] = set()
+    columns: list[list[str]] = [[] for _ in range(n)]
+    distinct: list[dict[str, str]] = [{} for _ in range(n)]
+    tables: list[dict[str, int | Fraction]] = [{} for _ in range(n)]
     for lineno, line in numbered:
         m = _PAYOFF_RE.match(line)
         if not m:
@@ -692,20 +664,24 @@ def _reject_payoff_lines(
         if len(vals) != n:
             raise FormatError(f"line {lineno}: expected {n} payoffs")
         try:
-            key = tuple(map(dict.__getitem__, index, labs))
+            offset = sum(map(dict.__getitem__, index, labs))
         except KeyError:
             i = next(i for i, lab in enumerate(labs) if lab not in index[i])
             raise FormatError(
                 f"line {lineno}: unknown label {labs[i]!r} for player {i + 1}"
             ) from None
-        if key in seen:
+        if offset in seen:
             raise FormatError(f"line {lineno}: duplicate profile {' '.join(labs)}")
-        seen.add(key)
-        try:
-            for val in vals:
-                _numeral(val)
-        except FormatError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
+        seen.add(offset)
+        offsets.append(offset)
+        for col, tokens, table, val in zip(columns, distinct, tables, vals):
+            if val not in tokens:
+                try:
+                    table[val] = _numeral(val)
+                except FormatError as exc:
+                    raise FormatError(f"line {lineno}: {exc}") from None
+                tokens[val] = val
+            col.append(tokens[val])
     try:
         _check_labels(labels)
     except InputError as exc:
@@ -713,8 +689,8 @@ def _reject_payoff_lines(
     missing = math.prod(map(len, labels)) - len(seen)
     if missing:
         raise FormatError(f"payoff tensor incomplete: {missing} profiles missing")
-    # Lines that all read, with good labels, pass every bulk check.
-    raise AssertionError("the bulk payoff check failed on well-formed lines")
+    order = sorted(range(len(offsets)), key=offsets.__getitem__)
+    return [list(map(col.__getitem__, order)) for col in columns], tables
 
 
 def render_game(game: FiniteGame, header_comment: str | None = None) -> str:

@@ -25,6 +25,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+GAMES = "src/nbrelim/games.py"
 SIMPLEX = "src/nbrelim/simplex.py"
 ORACLE = "src/nbrelim/oracle.py"
 REDUCTIONS = "src/nbrelim/reductions.py"
@@ -98,6 +99,50 @@ MUTANTS = [
         "if peak <= own_val:",
         "if peak < own_val:",
         ["tests/test_oracle.py::TestCorrelatedRowGeneration"],
+    ),
+    (
+        "witness-answers-a-larger-comparison-set", ORACLE,
+        "if not support & ~restriction_bits and not cmp_bits & ~proved:",
+        "if not support & ~restriction_bits:",
+        ["tests/test_oracle.py::TestSoundnessAndDeterminism"
+         "::test_a_witness_never_answers_a_larger_comparison_set"],
+    ),
+    (
+        "never-best-answers-a-larger-restriction", ORACLE,
+        "if not known_cmp & ~cmp_bits and not restriction_bits & ~known_bits:",
+        "if not known_cmp & ~cmp_bits:",
+        ["tests/test_reductions.py::TestResidualSupports"
+         "::test_incremental_sweep_matches_a_fresh_one"],
+    ),
+    (
+        "stale-wakes-no-watcher", REDUCTIONS,
+        "dirty |= self.watchers[bit]",
+        "dirty |= 0",
+        ["tests/test_reductions.py::TestFrontier::test_iterate_matches_the_stateless_reference"],
+    ),
+    (
+        "span-reader-skips-label-order", GAMES,
+        "and all(toks[1 + i :: width] == expected(i, done, records) for i in range(n))",
+        "and True",
+        ["tests/test_games.py::TestParserParity::test_accepted_mutations_read_the_same_game"],
+    ),
+    (
+        "span-reader-fails-an-empty-final-span", GAMES,
+        "if not span:  # after the `\\n` that ends the text\n            continue",
+        "if not span:\n            return None",
+        ["tests/test_games.py::TestTokenRoutes::test_written_text_never_reaches_the_walk"],
+    ),
+    (
+        "walk-skips-the-duplicate-check", GAMES,
+        "if offset in seen:",
+        "if False:",
+        ["tests/test_games.py::TestParserParity::test_mutation_corpus"],
+    ),
+    (
+        "walk-returns-rows-in-line-order", GAMES,
+        "return [list(map(col.__getitem__, order)) for col in columns], tables",
+        "return columns, tables",
+        ["tests/test_games.py::TestParserParity::test_accepted_mutations_read_the_same_game"],
     ),
 ]
 

@@ -383,7 +383,9 @@ MUTATIONS = [
 
 
 class TestParserParity:
-    """The bulk tokenizer against the line-by-line reader in `oracles`."""
+    """`parse_game` against the line-by-line reader in `oracles`: text in
+    the layout `render_game` writes takes the span reader, and the rest,
+    valid or not, the line walk."""
 
     @pytest.mark.parametrize("mutation,accepted", [(m, a) for _, m, a in MUTATIONS],
                              ids=[name for name, _, _ in MUTATIONS])
@@ -611,6 +613,15 @@ class TestBoundedMemory:
     def test_parse(self, grid):
         assert _peak_mb(parse_game, grid[1]) < 6.0
 
+    def test_parse_by_the_line_walk(self, grid):
+        """A comment line in the payoff block and rows in reverse order send
+        the parse to the line walk, which keeps one offset per profile and
+        one shared token per payoff: it peaks near 6.9 MB.  A walk that kept
+        a tuple or list per line peaked at 15.6 MB."""
+        lines = grid[1].splitlines()
+        text = "\n".join(lines[:3] + ["# a comment"] + lines[:2:-1]) + "\n"
+        assert _peak_mb(parse_game, text) < 10.0
+
     def test_parse_player_count_past_the_lines(self, grid):
         """A header read to the end of the text counts its lines, not holds them."""
         text = grid[1].replace("players 2", "players 99999999999999999999", 1)
@@ -681,33 +692,70 @@ class TestConstructors:
             FiniteGame.from_function(labels, lambda p: (1, 2, 3))
 
 
+def _non_canonical_twin():
+    """A game, its canonical text, a twin of that text whose numerals are
+    written as +4, 04, 2/4, -0, 0/7 and 6/3, and the forms used."""
+    labels = [["a", "b", "c"], ["x", "y"]]
+    half = Fraction(1, 2)
+    rows = {
+        (0, 0): (4, half), (0, 1): (0, 2), (1, 0): (4, 0),
+        (1, 1): (half, 2), (2, 0): (0, 4), (2, 1): (2, 0),
+    }
+    game = FiniteGame(labels, rows)
+    canonical = render_game(game)
+    forms = {"4": ["+4", "04"], "1/2": ["2/4"], "0": ["-0", "0/7"], "2": ["6/3"]}
+    used = {token: 0 for token in forms}
+
+    def twin(token):
+        used[token] += 1
+        return forms[token][used[token] % len(forms[token])]
+
+    lines = []
+    for line in canonical.splitlines():
+        if line.startswith("payoff "):
+            head, _, vals = line.partition(" : ")
+            line = head + " : " + " ".join(map(twin, vals.split()))
+        lines.append(line)
+    return game, canonical, "\n".join(lines) + "\n", forms
+
+
+def _walk_must_not_run(*args):
+    raise AssertionError("the line walk read the text")
+
+
 class TestTokenRoutes:
-    """The span tokenizer's label comparison and its table of distinct
-    numeral tokens, and the chunked scaling of `from_function`."""
+    """Which reader reads which text: the span reader takes text in the
+    layout `render_game` writes, with its label comparison and its table of
+    distinct numeral tokens, and the line walk takes every other valid
+    file; and the chunked scaling of `from_function`."""
+
+    @pytest.fixture(scope="class")
+    def written_texts(self):
+        """Texts in the layout `render_game` writes, each also with CRLF ends."""
+        texts = [render_game(entry.build()) for entry in catalog.CATALOG.values()]
+        texts += [entry.emit() for entry in catalog.CATALOG.values()]
+        texts += [THREE_PLAYER_TEXT, _non_canonical_twin()[2]]
+        return texts + [text.replace("\n", "\r\n") for text in texts]
+
+    @pytest.mark.parametrize("span", [1, 2, 7, 64, games._SPAN])
+    def test_written_text_never_reaches_the_walk(self, monkeypatch, written_texts, span):
+        monkeypatch.setattr(games, "_read_payoff_lines", _walk_must_not_run)
+        monkeypatch.setattr(games, "_SPAN", span)
+        for chunk in (1, 3, games._CHUNK):
+            monkeypatch.setattr(games, "_CHUNK", chunk)
+            for text in written_texts:
+                parse_game(text)
+
+    @pytest.mark.parametrize("name", ["inline comment", "mid-block comment", "blank lines",
+                                      "permuted lines", "three players, permuted"])
+    def test_comments_blank_lines_and_line_order_reach_the_walk(self, monkeypatch, name):
+        mutation = next(m for n, m, accepted in MUTATIONS if n == name and accepted)
+        monkeypatch.setattr(games, "_read_payoff_lines", _walk_must_not_run)
+        with pytest.raises(AssertionError, match="the line walk read the text"):
+            parse_game(mutation(GOOD_TEXT))
 
     def test_non_canonical_numerals_read_as_their_canonical_text(self):
-        labels = [["a", "b", "c"], ["x", "y"]]
-        half = Fraction(1, 2)
-        rows = {
-            (0, 0): (4, half), (0, 1): (0, 2), (1, 0): (4, 0),
-            (1, 1): (half, 2), (2, 0): (0, 4), (2, 1): (2, 0),
-        }
-        game = FiniteGame(labels, rows)
-        canonical = render_game(game)
-        forms = {"4": ["+4", "04"], "1/2": ["2/4"], "0": ["-0", "0/7"], "2": ["6/3"]}
-        used = {token: 0 for token in forms}
-
-        def twin(token):
-            used[token] += 1
-            return forms[token][used[token] % len(forms[token])]
-
-        lines = []
-        for line in canonical.splitlines():
-            if line.startswith("payoff "):
-                head, _, vals = line.partition(" : ")
-                line = head + " : " + " ".join(map(twin, vals.split()))
-            lines.append(line)
-        text = "\n".join(lines) + "\n"
+        game, canonical, text, forms = _non_canonical_twin()
         written = text.split()
         assert all(form in written for options in forms.values() for form in options)
         assert _assert_parity(text) == game.digest()
