@@ -382,6 +382,17 @@ class OracleCache:
     the run under every relation (see the `reductions` module docstring).  A
     second game or belief kind is an `InputError`.
 
+    In a symmetric game, two players with `ipay[1]` the transpose of
+    `ipay[0]` (decisions read no labels, and no positive scale changes one),
+    swapping the players is an automorphism: (player, s) at R has the answer
+    of (other player, s) at R transposed.  The first `bind` stores the
+    players' common size as `width` (0 if not symmetric), and a lookup that
+    misses the own entries tries the other player's against the restriction
+    with its two blocks swapped.  A hit returns the stored certificate
+    itself: a witness is a belief over 1-tuples of opponent strategies,
+    built alike for either player, and a never-best mixture names own
+    strategies.  Only `support` is swapped back; nothing swapped is stored.
+
     `sweeps` is `iterate`'s sweep table: per (relation, resolution), a swept
     restriction's bits map to its removable mask shifted left once, bit 0 set
     if an answer was inconclusive.  Never-best answers are exact, so no memo
@@ -398,7 +409,8 @@ class OracleCache:
     """
 
     __slots__ = (
-        "kind", "game", "full", "witnesses", "never_best", "support", "sweeps", "steps"
+        "kind", "game", "full", "width", "witnesses", "never_best", "support", "sweeps",
+        "steps",
     )
 
     DEPTH = 8
@@ -407,6 +419,7 @@ class OracleCache:
         self.kind = kind
         self.game: FiniteGame | None = None
         self.full: Restriction | None = None
+        self.width = 0
         self.witnesses: dict[tuple[int, int], list[tuple]] = {}
         self.never_best: dict[tuple[int, int], list[tuple]] = {}
         self.support = 0
@@ -418,6 +431,11 @@ class OracleCache:
             raise InputError("oracle cache bound to a different belief kind")
         if self.game is None:
             self.game, self.full = game, full_restriction(game)
+            n, ip = game.sizes[0], game.ipay
+            if game.sizes == (n, n) and all(
+                ip[0][s * n : (s + 1) * n] == ip[1][s::n] for s in range(n)
+            ):
+                self.width = n
         elif self.game is not game and self.game != game:
             raise InputError("oracle cache bound to a different game")
 
@@ -426,16 +444,20 @@ class OracleCache:
     ) -> Certificate | None:
         """A remembered answer to the query, or None.  The query's opponent
         components must all be non-empty (an empty one is `EmptyBeliefSet`)."""
-        key = (player, strategy)
+        key, bits, n = (player, strategy), restriction_bits, self.width
         cmp_bits = cmp.bits | 1 << strategy
-        for cert, support, proved in self.witnesses.get(key, ()):
-            if not support & ~restriction_bits and not cmp_bits & ~proved:
-                self.support = support
-                return cert
-        for known_cmp, known_bits, cert in self.never_best.get(key, ()):
-            if not known_cmp & ~cmp_bits and not restriction_bits & ~known_bits:
-                return cert
-        return None
+        while True:
+            for cert, support, proved in self.witnesses.get(key, ()):
+                if not support & ~bits and not cmp_bits & ~proved:
+                    self.support = support if key[0] == player else _swap(support, n)
+                    return cert
+            for known_cmp, known_bits, cert in self.never_best.get(key, ()):
+                if not known_cmp & ~cmp_bits and not bits & ~known_bits:
+                    return cert
+            if not n or key[0] != player:
+                return None
+            # the other player's entries, asked the query with the players swapped
+            key, bits = (1 - player, strategy), _swap(restriction_bits, n)
 
     def remember(
         self,
@@ -470,6 +492,11 @@ class OracleCache:
         else:
             return
         del entries[self.DEPTH :]
+
+
+def _swap(bits: int, n: int) -> int:
+    """Two-player restriction bits with the players' n-bit blocks swapped."""
+    return bits >> n | (bits & (1 << n) - 1) << n
 
 
 def find_witness(

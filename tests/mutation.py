@@ -102,17 +102,39 @@ MUTANTS = [
     ),
     (
         "witness-answers-a-larger-comparison-set", ORACLE,
-        "if not support & ~restriction_bits and not cmp_bits & ~proved:",
-        "if not support & ~restriction_bits:",
+        "if not support & ~bits and not cmp_bits & ~proved:",
+        "if not support & ~bits:",
         ["tests/test_oracle.py::TestSoundnessAndDeterminism"
          "::test_a_witness_never_answers_a_larger_comparison_set"],
     ),
     (
         "never-best-answers-a-larger-restriction", ORACLE,
-        "if not known_cmp & ~cmp_bits and not restriction_bits & ~known_bits:",
+        "if not known_cmp & ~cmp_bits and not bits & ~known_bits:",
         "if not known_cmp & ~cmp_bits:",
-        ["tests/test_reductions.py::TestResidualSupports"
+        ["tests/test_reductions.py::TestDarrowReuse"
+         "::test_queries_with_or_without_the_strategy_share_one_cache",
+         "tests/test_reductions.py::TestResidualSupports"
          "::test_incremental_sweep_matches_a_fresh_one"],
+    ),
+    (
+        "symmetry-check-skips-the-last-row", ORACLE,
+        "for s in range(n)",
+        "for s in range(n - 1)",
+        ["tests/test_oracle.py::TestSymmetricSwap::test_width_reads_the_integer_tables_only"],
+    ),
+    (
+        "swapped-witness-keeps-its-support", ORACLE,
+        "self.support = support if key[0] == player else _swap(support, n)",
+        "self.support = support",
+        ["tests/test_oracle.py::TestSymmetricSwap"
+         "::test_a_swapped_witness_watches_the_transposed_support"],
+    ),
+    (
+        "swapped-never-best-skips-the-transpose", ORACLE,
+        "if not known_cmp & ~cmp_bits and not bits & ~known_bits:",
+        "if not known_cmp & ~cmp_bits and not restriction_bits & ~known_bits:",
+        ["tests/test_oracle.py::TestSymmetricSwap"
+         "::test_a_swapped_fact_needs_the_transposed_restriction"],
     ),
     (
         "stale-wakes-no-watcher", REDUCTIONS,

@@ -48,6 +48,7 @@ from oracles import (
     is_pure_best_to_some,
     lp_feasible_reference,
     mixture_beats,
+    narrowed_membership,
     opponent_profiles,
     replay_fast_pure,
 )
@@ -1000,3 +1001,147 @@ class TestRendering:
         assert render_certificate(Inconclusive(8), g, 0) == "INCONCLUSIVE(res=8)"
         corr = find_witness(g, full, 0, 1, BeliefKind.CORRELATED, cmp)
         assert render_certificate(corr, g, 0) == "NBR(lp)"
+
+
+def symmetric(game):
+    """`game` with player 2's payoffs replaced by player 1's, transposed."""
+    return FiniteGame.from_function(
+        game.labels, lambda p: (game.payoff(p, 0), game.payoff(p[::-1], 0))
+    )
+
+
+def coordination():
+    # each player scores 1 when the two strategies match
+    return FiniteGame.from_function(
+        [["a", "b", "c"], ["x", "y", "z"]], lambda p: (int(p[0] == p[1]),) * 2
+    )
+
+
+class TestSymmetricSwap:
+    """In a symmetric two-player game the cache answers a miss for (player,
+    s) at R from the other player's entries for s at R transposed."""
+
+    @staticmethod
+    def width(game):
+        cache = OracleCache(BeliefKind.PURE)
+        cache.bind(game, BeliefKind.PURE)
+        return cache.width
+
+    @staticmethod
+    def traces(game, bk, swap):
+        cache = OracleCache(bk)
+        cache.bind(game, bk)
+        if not swap:
+            cache.width = 0
+        return [
+            iterate(game, kind, bk, policy, seed, cache=cache).render()
+            for kind in ReductionKind
+            for policy in Policy
+            if policy is not Policy.FAST or kind is not ReductionKind.DARROW
+            for seed in (1, 2)
+        ]
+
+    def test_traces_match_with_the_swap_off(self, monkeypatch):
+        calls = []
+        decide = reductions._find_witness_fast
+
+        def counted(*args):
+            calls.append(args[2:4])
+            return decide(*args)
+
+        monkeypatch.setattr(reductions, "_find_witness_fast", counted)
+        monkeypatch.setattr(oracle, "_find_witness_fast", counted)
+        games = [bertrand_grid(12), hotelling_grid(10)]
+        games.append(symmetric(random_game(2, [5, 5], 5, seed=3)))
+        for game in games:
+            assert self.width(game) == game.sizes[0]
+            for bk in BeliefKind:
+                calls.clear()
+                swapped = self.traces(game, bk, True)
+                fewer = len(calls)
+                calls.clear()
+                assert swapped == self.traces(game, bk, False)
+                assert fewer < len(calls)
+
+    @given(
+        seed=st.integers(0, 10**6),
+        bk=st.sampled_from(list(BeliefKind)),
+        queries=st.lists(
+            st.tuples(
+                st.integers(0, 1),  # player
+                st.integers(0, 2),  # strategy
+                st.integers(0, (1 << 6) - 1),  # restriction mask
+                st.integers(0, (1 << 3) - 1),  # comparison set
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+    )
+    # Strategy 0 is never-best for player 1 against {0} and a best response
+    # for player 2 against the whole opponent set, where player 2 keeps {0}.
+    @example(seed=0, bk=BeliefKind.PURE, queries=[(0, 0, 0b001111, 7), (1, 0, 0b001111, 7)])
+    @settings(max_examples=100, deadline=None)
+    def test_cached_answers_match_fresh_ones(self, seed, bk, queries):
+        game = symmetric(random_game(2, [3, 3], 2, seed=seed))
+        cache = OracleCache(bk)
+        for player, s, mask, cmp_mask in queries:
+            kept = [[t for t in range(3) if mask >> 3 * i + t & 1] for i in range(2)]
+            kept[1 - player] = kept[1 - player] or [s]
+            restriction = restrict(game, kept)
+            others = {c for c in range(3) if cmp_mask >> c & 1} - {s}
+            for candidates in (others | {s}, others):
+                cmp = ComparisonSet(player, tuple(candidates))
+                cert = find_witness(game, restriction, player, s, bk, cmp, cache=cache)
+                fresh = find_witness(game, restriction, player, s, bk, cmp)
+                assert type(cert) is type(fresh)
+                if isinstance(cert, BestResponse):
+                    assert narrowed_membership(bk, cert.witness, restriction, player)
+                    assert is_best_response(game, player, s, cert.witness, cmp)
+
+    def test_a_swapped_fact_needs_the_transposed_restriction(self):
+        game, pure = coordination(), BeliefKind.PURE
+        cache = OracleCache(pure)
+        cmp1, cmp2 = full_comparison(game, 0), full_comparison(game, 1)
+        # c is never-best for player 1 while player 2 keeps {x, y} ...
+        fact = find_witness(game, restrict(game, [(0, 1, 2), (0, 1)]), 0, 2, pure, cmp1,
+                            cache=cache)
+        assert isinstance(fact, NeverBest)
+        # ... and so is z for player 2 while player 1 keeps {a, b}
+        swapped = restrict(game, [(0, 1), (0, 1, 2)])
+        assert find_witness(game, swapped, 1, 2, pure, cmp2, cache=cache) is fact
+        # but z is player 2's best reply to c
+        cert = find_witness(game, restrict(game, [(0, 1, 2), (0, 1)]), 1, 2, pure, cmp2,
+                            cache=cache)
+        assert isinstance(cert, BestResponse)
+
+    def test_a_swapped_witness_watches_the_transposed_support(self):
+        game = coordination()
+        full = full_restriction(game)
+        for bk in BeliefKind:
+            cache = OracleCache(bk)
+            cmp1, cmp2 = full_comparison(game, 0), full_comparison(game, 1)
+            cert = find_witness(game, full, 0, 1, bk, cmp1, cache=cache)
+            assert cache.support == 1 << game.offsets[1] + 1  # y
+            assert find_witness(game, full, 1, 1, bk, cmp2, cache=cache) is cert
+            assert cache.support == 1 << 1  # b
+            assert narrowed_membership(bk, cert.witness, full, 1)
+            assert is_best_response(game, 1, 1, cert.witness, cmp2)
+
+    def test_width_reads_the_integer_tables_only(self):
+        base = random_game(2, [3, 3], 5, seed=4)
+        assert self.width(base) == 0
+        assert self.width(symmetric(base)) == 3
+        # one payoff of player 1's last row off
+        off = FiniteGame.from_function(
+            base.labels,
+            lambda p: (base.payoff(p, 0) + (p == (2, 1)), base.payoff(p[::-1], 0)),
+        )
+        assert self.width(off) == 0
+        assert self.width(random_game(2, [3, 4], 5, seed=4)) == 0
+        # other labels, and player 2's payoffs halved: its integer table is
+        # player 1's transposed, and its decisions are player 1's
+        halved = FiniteGame.from_function(
+            [["a", "b", "c"], ["x", "y", "z"]],
+            lambda p: (2 * base.payoff(p, 0) + 1, base.payoff(p[::-1], 0) + Fraction(1, 2)),
+        )
+        assert halved.scales == (1, 2) and self.width(halved) == 3

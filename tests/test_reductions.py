@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nbrelim import oracle, reductions
 from nbrelim.beliefs import BeliefKind, PurePoint
@@ -643,6 +643,9 @@ class TestDarrowReuse:
             max_size=25,
         ),
     )
+    # Strategy 0 of player 1 is never-best against {0} and a best response
+    # against the whole opponent set: the fact must not answer the second.
+    @example(seed=0, bk=BeliefKind.PURE, queries=[(0, 0, 0b001111, 7), (0, 0, 0b111111, 7)])
     @settings(max_examples=100, deadline=None)
     def test_queries_with_or_without_the_strategy_share_one_cache(
         self, seed, bk, queries
@@ -840,6 +843,9 @@ class TestColumnBests:
         games = [random_game(2, (5, 6), 1, seed) for seed in range(20)]
         games += [random_game(3, (3, 4, 3), 1, seed) for seed in range(10)]
         games += [bertrand_grid(10), hotelling_grid(8)]
+        # The grids are symmetric, so player 2's queries are mostly answered
+        # from player 1's cache entries: more asymmetric games keep the count.
+        games += [random_game(2, (5, 6), 1, seed) for seed in range(20, 50)]
         for n, game in enumerate(games):
             for bk in BeliefKind:
                 for kind in ReductionKind:
