@@ -346,38 +346,64 @@ def _unchecked(cls: type, *values: object):
     return new
 
 
-@dataclass(frozen=True)
+#: `bytes.translate` table from the digits `bin` writes to 0 and 1 flags.
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _index_sets(game: FiniteGame, bits: int) -> tuple[tuple[int, ...], ...]:
+    """Per player, the strategies set in `bits` (laid out as `Restriction.bits`),
+    ascending: a few C-level passes over `bin`'s digits, lowest bit first."""
+    return tuple(
+        tuple(itertools.compress(
+            range(n), bin(bits >> o & (1 << n) - 1)[:1:-1].encode().translate(_FLAGS)
+        ))
+        for o, n in zip(game.offsets, game.sizes)
+    )
+
+
+@dataclass(init=False, repr=False, slots=True, unsafe_hash=True)
 class Restriction:
     """Per-player subsets of a parent game's strategy sets.
 
     Payoffs are inherited from the parent, never copied.  Empty components are
     allowed.  `bits` holds the kept strategies as one integer, player after
-    player: strategy s of player i is bit `parent.offsets[i] + s`.
+    player: strategy s of player i is bit `parent.offsets[i] + s`.  The mask
+    is the restriction: `kept`, the per-player ascending index tuples, is
+    read off it on first use, and equality and hash read the mask.
     """
 
     parent: FiniteGame
-    kept: tuple[tuple[int, ...], ...]
-    bits: int = field(init=False, compare=False, repr=False)
+    bits: int
+    _kept: tuple[tuple[int, ...], ...] | None = field(compare=False)
 
-    def __post_init__(self) -> None:
-        if len(self.kept) != self.parent.players:
+    def __init__(self, parent: FiniteGame, kept: Sequence[Iterable[int]]) -> None:
+        if len(kept) != parent.players:
             raise InputError("restriction arity does not match the game")
         norm = []
         bits = 0
-        for i, (ks, offset) in enumerate(zip(self.kept, self.parent.offsets)):
+        for i, (ks, offset) in enumerate(zip(kept, parent.offsets)):
             uniq = tuple(sorted(set(ks)))
-            if uniq and (uniq[0] < 0 or uniq[-1] >= self.parent.sizes[i]):
+            if uniq and (uniq[0] < 0 or uniq[-1] >= parent.sizes[i]):
                 raise InputError(f"kept set for player {i + 1} out of range")
             norm.append(uniq)
             bits |= sum(1 << s for s in uniq) << offset
-        object.__setattr__(self, "kept", tuple(norm))
-        object.__setattr__(self, "bits", bits)
+        self.parent, self.bits, self._kept = parent, bits, tuple(norm)
 
-    # (parent, kept, bits), no checks: `kept` sorted, duplicate-free, in range.
-    _trusted = classmethod(_unchecked)
+    @classmethod
+    def _trusted(cls, parent: FiniteGame, kept: tuple | None, bits: int) -> "Restriction":
+        """No checks: `kept` is None (read off `bits` when asked for) or `bits`'s."""
+        new = object.__new__(cls)
+        new.parent, new.bits, new._kept = parent, bits, kept
+        return new
+
+    @property
+    def kept(self) -> tuple[tuple[int, ...], ...]:
+        if self._kept is None:
+            self._kept = _index_sets(self.parent, self.bits)
+        return self._kept
 
     def is_nondegenerate(self) -> bool:
-        return all(self.kept)
+        return all(map(self.bits.__and__, self.parent.bit_masks))
 
     def contains(self, other: "Restriction") -> bool:
         """Componentwise superset test."""
@@ -386,30 +412,22 @@ class Restriction:
         return not other.bits & ~self.bits
 
     def remove(self, removal: Mapping[int, Iterable[int]]) -> "Restriction":
-        """New restriction with `removal[player]` dropped from each kept set.
-
-        The kept sets are already normalized, so filtering them and clearing
-        the removed bits is all the new restriction needs.
-        """
-        kept, bits = list(self.kept), self.bits
+        """New restriction with `removal[player]` dropped from each kept set:
+        the removed bits cleared, and its `kept` read off the mask."""
+        bits = self.bits
         offsets, sizes = self.parent.offsets, self.parent.sizes
         for i, gone in removal.items():
-            if not (isinstance(i, int) and 0 <= i < len(kept)):
+            if not (isinstance(i, int) and 0 <= i < len(sizes)):
                 raise InputError(f"cannot remove strategies of player key {i!r}")
-            gone, own, drop = tuple(gone), kept[i], 0
+            gone, drop = tuple(gone), 0
             mine = bits >> offsets[i] & (1 << sizes[i]) - 1
             for s in gone:
                 if not (isinstance(s, int) and 0 <= s < sizes[i] and mine >> s & 1):
-                    bad = sorted(set(gone).difference(own))
+                    bad = sorted(set(gone).difference(self.kept[i]))
                     raise InputError(f"cannot remove absent strategies {bad}")
                 drop |= 1 << s
-            if drop & drop - 1:
-                kept[i] = tuple(itertools.filterfalse(set(gone).__contains__, own))
-            elif drop:  # one strategy, at its rank among the kept bits
-                k = (mine & drop - 1).bit_count()
-                kept[i] = own[:k] + own[k + 1 :]
             bits &= ~(drop << offsets[i])
-        return Restriction._trusted(self.parent, tuple(kept), bits)
+        return Restriction._trusted(self.parent, None, bits)
 
     def render(self) -> str:
         """Label form, e.g. `{T}x{L,R}`."""
@@ -423,8 +441,7 @@ class Restriction:
 
 
 def full_restriction(game: FiniteGame) -> Restriction:
-    kept = tuple(tuple(range(s)) for s in game.sizes)
-    return Restriction._trusted(game, kept, (1 << sum(game.sizes)) - 1)
+    return Restriction._trusted(game, None, (1 << sum(game.sizes)) - 1)
 
 
 def restrict(game: FiniteGame, kept: Sequence[Iterable[int]]) -> Restriction:

@@ -37,20 +37,21 @@ The one memo is the `OracleCache` a caller passes (`iterate` makes one when
 none is given); its docstring states why a remembered answer, a swept
 restriction and a shared step are sound.  An `iterate` run keeps a
 `Frontier`, so a sweep re-decides only what a removal touched; it skips a
-sweep, or a step's build, that the cache's tables already hold.
+sweep, or a step's build, that the cache's tables already hold.  A run
+moves on masks: a target is its source's bits with the drawn ones cleared;
+`Restriction.kept`, `Step.removed` and a trace's labels are read off them.
 """
 
 from __future__ import annotations
 
 import random
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .beliefs import BeliefKind
-from .games import FiniteGame, InputError, Restriction, _unchecked, full_restriction
+from .games import FiniteGame, InputError, Restriction, _index_sets, full_restriction
 from .oracle import (
     DEFAULT_GRID_RESOLUTION,
     BestResponse,
@@ -88,16 +89,25 @@ class UnsupportedOperationError(ValueError):
     """Requested a reduction variant that does not exist (fast darrow)."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Step:
+    """One certified reduction `source -> target`.  `certificates` pairs each
+    removed (player, strategy), in ascending bit order, with its proof.
+    `removed`, the per-player ascending index sets, may be given as None: it
+    is then read off `source.bits & ~target.bits` on first use."""
+
     source: Restriction
     target: Restriction
-    removed: tuple[tuple[int, ...], ...]
+    _removed: tuple[tuple[int, ...], ...] | None = field(compare=False, repr=False)
     kind: ReductionKind
     belief_kind: BeliefKind
     certificates: tuple[tuple[tuple[int, int], Certificate], ...]
 
-    _trusted = classmethod(_unchecked)  # the fields in order, no checks
+    @property
+    def removed(self) -> tuple[tuple[int, ...], ...]:
+        if self._removed is None:
+            self._removed = _index_sets(self.source.parent, self.source.bits & ~self.target.bits)
+        return self._removed
 
 
 @dataclass(frozen=True)
@@ -144,11 +154,24 @@ class Trace:
         return self.steps[index - 1].target
 
     def records(self) -> Iterator[dict]:
-        game = self.initial
+        """Labels are read off the masks; the kept ones are cut from a running
+        list, built afresh where a step does not chain on (or grows its source)."""
+        game, at = self.initial, None
+        labels, pairs = game.labels, game.bit_pairs
         for k, step in enumerate(self.steps, start=1):
+            source, target = step.source.bits, step.target.bits
+            removed: list[list[str]] = [[] for _ in labels]
+            for i, s in map(pairs.__getitem__, _bits(source & ~target)):
+                removed[i].append(labels[i][s])
+            if source != at or target & ~source:
+                kept = label_sets(game, _index_sets(game, target))
+            else:
+                for own, gone in zip(kept, removed):
+                    for label in gone:
+                        own.remove(label)
+            at = target
             yield {"record": "step", "index": k, "kind": step.kind.value,
-                   "removed": label_sets(game, step.removed),
-                   "kept": label_sets(game, step.target.kept)}
+                   "removed": removed, "kept": [own.copy() for own in kept]}
         yield {"record": "outcome", "game": game.digest(), "kind": self.kind.value,
                "beliefs": self.belief_kind.value, "policy": self.policy.value,
                "seed": self.seed, "steps": len(self.steps),
@@ -228,7 +251,7 @@ def validate_step(
         raise InputError("restrictions do not belong to the game")
     if not source.contains(target):
         raise InputError("target is not a restriction of source")
-    if target.kept == source.kept:
+    if target.bits == source.bits:
         raise InputError("a reduction step must remove something")
     chosen = [game.bit_pairs[b] for b in _bits(source.bits & ~target.bits)]
     certs: list[tuple[tuple[int, int], Certificate]] = []
@@ -240,8 +263,7 @@ def validate_step(
         if isinstance(cert, Inconclusive):
             return Rejection(player, s, cert, "inconclusive")
         certs.append(((player, s), cert))
-    removed = tuple(tuple(s for i, s in chosen if i == p) for p in range(game.players))
-    return Step(source, target, removed, kind, belief_kind, tuple(certs))
+    return Step(source, target, None, kind, belief_kind, tuple(certs))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -352,19 +374,18 @@ def candidate_certificates(
         raise InputError("a frontier needs a cache")
     if cache is not None:
         cache.bind(game, belief_kind)
-    kept = restriction.kept
     bits = restriction.bits
     if not run:
         frontier = Frontier(game)
     todo = frontier.stale(restriction)
     # With a component empty, every player faces an empty opponent component
     # or keeps nothing itself.
-    degenerate = not all(kept)
+    degenerate = not restriction.is_nondegenerate()
     saw_inconclusive = False
     for player in range(game.players):
         if degenerate:  # every kept strategy's fact (if any) becomes vacuous
-            frontier.certs.update(((player, s), EmptyBeliefSet()) for s in kept[player])
-            frontier.sets[player] = kept[player]
+            frontier.sets[player] = own = restriction.kept[player]
+            frontier.certs.update(((player, s), EmptyBeliefSet()) for s in own)
             frontier.removable |= bits & game.bit_masks[player]
             continue
         if not todo[player]:
@@ -376,8 +397,8 @@ def candidate_certificates(
         for s in todo[player]:
             cert = cache.lookup(player, s, bits, cmp) if cache is not None else None
             if cert is None:
-                if bases is None:
-                    bases = game.opponent_bases(player, kept)
+                if bases is None:  # a fresh decision: the index sets are read
+                    bases = game.opponent_bases(player, kept := restriction.kept)
                     within = full_comparison(game, player) if frontier.whole else cmp
                     colmax = _column_best(game, player, bases, within)
                 cert = _find_witness_fast(
@@ -398,28 +419,15 @@ def candidate_certificates(
     return tuple(frontier.sets), frontier.certs, saw_inconclusive
 
 
-def _removal(chosen: Sequence[tuple[int, int]]) -> dict[int, list[int]]:
-    removal: dict[int, list[int]] = {}
-    for i, s in chosen:
-        removal.setdefault(i, []).append(s)
-    return removal
-
-
 def _certified_step(
-    source: Restriction,
-    chosen: Sequence[tuple[int, int]],
-    kind: ReductionKind,
-    belief_kind: BeliefKind,
-    certs: Mapping[tuple[int, int], Certificate],
+    source: Restriction, target: Restriction, chosen: Sequence[tuple[int, int]],
+    kind: ReductionKind, belief_kind: BeliefKind, certs: dict[tuple[int, int], Certificate],
 ) -> Step:
-    """The step removing `chosen`, which lists (player, strategy) pairs in
-    ascending order, each certified in `certs`."""
-    removal = _removal(chosen)
-    removed = tuple(map(tuple, map(removal.get, range(len(source.kept)), repeat(()))))
+    """The step from `source` to `target` removing `chosen`, which lists
+    (player, strategy) pairs in ascending bit order, each certified in
+    `certs`; its `removed` sets are read off the masks if asked for."""
     step_certs = tuple(zip(chosen, map(certs.__getitem__, chosen)))
-    return Step._trusted(
-        source, source.remove(removal), removed, kind, belief_kind, step_certs
-    )
+    return Step(source, target, None, kind, belief_kind, step_certs)
 
 
 def legal_removal_candidates(
@@ -486,17 +494,19 @@ def iterate(
         # The draws of a walk over the pairs in ascending bit order, as the
         # sets of a sweep list them.
         if policy is Policy.FAST:
-            chosen = [pairs[b] for b in _bits(mask)]
+            drop = mask
         elif policy is Policy.SINGLE_RANDOM:
             rng = rng or random.Random(seed)
-            chosen = [pairs[_kth_bit(mask, rng.randrange(mask.bit_count()))]]
+            drop = 1 << _kth_bit(mask, rng.randrange(mask.bit_count()))
         else:
-            rng, chosen = rng or random.Random(seed), []
-            flat = [pairs[b] for b in _bits(mask)]
-            while not chosen:
-                chosen = [pair for pair in flat if rng.getrandbits(1)]
+            rng, drop, flat = rng or random.Random(seed), 0, list(_bits(mask))
+            while not drop:
+                drop = sum(1 << b for b in flat if rng.getrandbits(1))
+        chosen = [pairs[b] for b in _bits(drop)]
         key = (current.bits, tuple(chosen))
         step = shared.get(key)
+        if step is None:  # the target's index sets are read only if asked for
+            target = Restriction._trusted(game, None, current.bits & ~drop)
         # An arrow or darrow fact may rest on an earlier, larger kept set, so
         # each new transition is validated once.  A tilde fact rests on the
         # full sets and certifies the step as it stands; validating it again
@@ -504,8 +514,7 @@ def iterate(
         # tenth of their throughput (perfbench grid-orders).
         if step is None and kind is not ReductionKind.TILDE:
             result = validate_step(
-                game, current, current.remove(_removal(chosen)), kind, belief_kind,
-                resolution, cache,
+                game, current, target, kind, belief_kind, resolution, cache
             )
             if isinstance(result, Rejection):  # the sweep was unsound
                 raise IllegalStepError(result)
@@ -518,7 +527,9 @@ def iterate(
                     certs[i, s] = cache.lookup(i, s, current.bits, cmp) or find_witness(
                         game, current, i, s, belief_kind, cmp, resolution, cache
                     )
-            step = built[key] = _certified_step(current, chosen, kind, belief_kind, certs)
+            step = built[key] = _certified_step(
+                current, target, chosen, kind, belief_kind, certs
+            )
         steps.append(step)
         current = step.target
 

@@ -264,7 +264,7 @@ def check_order_independence(
 
     outcome = fast.outcome
     counter = next(
-        ((fast.render(), t.render()) for t in orders if t.outcome.kept != outcome.kept),
+        ((fast.render(), t.render()) for t in orders if t.outcome.bits != outcome.bits),
         None,
     )
     reports = [
@@ -338,7 +338,7 @@ def check_fast_dominance(
         (
             (fast.render(), t.render())
             for t in orders
-            if t.outcome.kept == fast.outcome.kept and len(fast.steps) > len(t.steps)
+            if t.outcome.bits == fast.outcome.bits and len(fast.steps) > len(t.steps)
         ),
         None,
     )
@@ -430,7 +430,7 @@ def check_equivalence(
         (
             (fast_tilde.render(), t.render())
             for t in traces
-            if t.outcome.kept != fast_tilde.outcome.kept
+            if t.outcome.bits != fast_tilde.outcome.bits
         ),
         None,
     )

@@ -90,8 +90,8 @@ MUTANTS = [
     ),
     (
         "equivalence-reads-the-fast-traces-only", VERIFICATION,
-        "for t in traces\n            if t.outcome.kept != fast_tilde.outcome.kept",
-        "for t in traces[:2]\n            if t.outcome.kept != fast_tilde.outcome.kept",
+        "for t in traces\n            if t.outcome.bits != fast_tilde.outcome.bits",
+        "for t in traces[:2]\n            if t.outcome.bits != fast_tilde.outcome.bits",
         ["tests/test_verification.py::TestFailPaths::test_equivalence_reads_every_random_order"],
     ),
     (
@@ -159,6 +159,26 @@ MUTANTS = [
         "if offset in seen:",
         "if False:",
         ["tests/test_games.py::TestParserParity::test_mutation_corpus"],
+    ),
+    (
+        "kept-read-with-the-bit-order-reversed", GAMES,
+        "bin(bits >> o & (1 << n) - 1)[:1:-1]",
+        "bin(bits >> o & (1 << n) - 1)[2:]",
+        ["tests/test_games.py::TestRestriction::test_a_mask_reads_as_its_checked_restriction"],
+    ),
+    (
+        "records-keep-their-labels-off-the-chain", REDUCTIONS,
+        "if source != at or target & ~source:",
+        "if at is None:",
+        ["tests/test_reductions.py::TestTraceRendering"
+         "::test_steps_that_do_not_chain_render_from_their_own_masks"],
+    ),
+    (
+        "removed-read-as-target-minus-source", REDUCTIONS,
+        "self.source.bits & ~self.target.bits",
+        "self.target.bits & ~self.source.bits",
+        ["tests/test_reductions.py::TestTraceRendering"
+         "::test_a_derived_removed_equals_the_eager_one"],
     ),
     (
         "walk-returns-rows-in-line-order", GAMES,

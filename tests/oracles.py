@@ -14,13 +14,14 @@ search), the belief-set definitions the tests check against (kinds,
 narrowed membership, pure enumeration), a plain-`Fraction`
 reading, digest and rendering of game text for the integer game layer, and
 a line-by-line reader of game text that the bulk tokenizer must match error
-for error.
+for error, and a trace renderer that lists every step's sets bit by bit.
 Nothing imports the oracle or reduction machinery, except
 `iterate_reference`: the iteration loop with one stateless sweep per round,
-which the engine's watch-list frontier must match byte for byte; and
+which the engine's watch-list frontier must match byte for byte;
 `larger_closed_reference`: a sweep of every restriction outside an outcome
 with `verification.is_closed`, which the order-independence checker's
-induction must match verdict for verdict.
+induction must match verdict for verdict; and `render_trace_reference`,
+which writes certificates with `oracle.render_certificate`.
 """
 
 from __future__ import annotations
@@ -622,19 +623,29 @@ def render_game_reference(labels, table):
     return "\n".join(out) + "\n"
 
 
+def removal_of(chosen):
+    """The `Restriction.remove` argument dropping the (player, strategy)
+    pairs `chosen`."""
+    removal = {}
+    for i, s in chosen:
+        removal.setdefault(i, []).append(s)
+    return removal
+
+
 def iterate_reference(game, kind, belief_kind, policy, seed, cache, resolution=2):
     """`reductions.iterate` with a stateless `candidate_certificates` sweep of
     every kept strategy each round, sharing `cache`: the loop before the
     frontier and the sweep table, drawing the same random choices from the
-    same sorted sets."""
+    same sorted sets.  Each step is built eagerly, its target by the checked
+    `Restriction.remove` and its `removed` sets listed, so the engine's
+    mask-built steps are compared against plain ones."""
     from nbrelim.reductions import (
         IllegalStepError,
         Policy,
         ReductionKind,
         Rejection,
+        Step,
         Trace,
-        _certified_step,
-        _removal,
         candidate_certificates,
         validate_step,
     )
@@ -660,21 +671,87 @@ def iterate_reference(game, kind, belief_kind, policy, seed, cache, resolution=2
             chosen = []
             while not chosen:
                 chosen = [pair for pair in flat if rng.getrandbits(1)]
+        removal = removal_of(chosen)
+        target = current.remove(removal)
         if kind is ReductionKind.DARROW:
             step = validate_step(
-                game, current, current.remove(_removal(chosen)), kind, belief_kind,
-                resolution, cache,
+                game, current, target, kind, belief_kind, resolution, cache
             )
             if isinstance(step, Rejection):
                 raise IllegalStepError(step)
         else:
-            step = _certified_step(current, chosen, kind, belief_kind, certs)
+            removed = tuple(tuple(removal.get(i, ())) for i in range(game.players))
+            step_certs = tuple((pair, certs[pair]) for pair in chosen)
+            step = Step(current, target, removed, kind, belief_kind, step_certs)
         steps.append(step)
         current = step.target
     return Trace(
         game, kind, belief_kind, policy, seed, tuple(steps), current, maximal,
         tuple(notes),
     )
+
+
+def _mask_labels(game, bits):
+    """Per player, the labels of the strategies set in `bits`, one bit at a
+    time."""
+    return [
+        [game.labels[i][s] for s in range(n) if bits >> off + s & 1]
+        for i, (off, n) in enumerate(zip(game.offsets, game.sizes))
+    ]
+
+
+def trace_records_reference(trace):
+    """`Trace.records()` with every step's labels listed afresh from its two
+    masks: removed, `source & ~target`; kept, `target`."""
+    game = trace.initial
+    records = [
+        {"record": "step", "index": k, "kind": step.kind.value,
+         "removed": _mask_labels(game, step.source.bits & ~step.target.bits),
+         "kept": _mask_labels(game, step.target.bits)}
+        for k, step in enumerate(trace.steps, start=1)
+    ]
+    records.append({
+        "record": "outcome", "game": game.digest(), "kind": trace.kind.value,
+        "beliefs": trace.belief_kind.value, "policy": trace.policy.value,
+        "seed": trace.seed, "steps": len(trace.steps),
+        "kept": _mask_labels(game, trace.outcome.bits), "maximal": trace.maximal,
+    })
+    return records
+
+
+def render_trace_reference(trace):
+    """`Trace.render()` written from `trace_records_reference`."""
+    from nbrelim.oracle import render_certificate
+
+    def braced(sets):
+        return "{" + ",".join(
+            f"p{i + 1}:[{','.join(labels)}]" for i, labels in enumerate(sets)
+        ) + "}"
+
+    symbol = {"tilde": "~", "arrow": "->", "darrow": "=>"}
+    game = trace.initial
+    *steps, outcome = trace_records_reference(trace)
+    out = [
+        f"game {outcome['game']} kind={symbol[outcome['kind']]} "
+        f"beliefs={outcome['beliefs']} policy={outcome['policy']} seed={outcome['seed']}"
+    ]
+    out += [
+        f"step {r['index']} kind={symbol[r['kind']]} removed={braced(r['removed'])} "
+        f"-> kept={braced(r['kept'])}"
+        for r in steps
+    ]
+    out.append(
+        f"outcome kept={braced(outcome['kept'])} steps={outcome['steps']} "
+        f"maximal={'yes' if outcome['maximal'] else 'no'}"
+    )
+    out += [f"note {note}" for note in trace.notes]
+    for k, step in enumerate(trace.steps, start=1):
+        for (player, s), cert in step.certificates:
+            out.append(
+                f"cert step={k} p{player + 1} {game.labels[player][s]} "
+                f"{render_certificate(cert, game, player)}"
+            )
+    return "\n".join(out) + "\n"
 
 
 def restrictions_outside(game, outcome):

@@ -39,6 +39,17 @@ def g3x2():
     return gap_3x2()
 
 
+_ZERO_GAMES: dict[tuple[int, ...], FiniteGame] = {}
+
+
+def _zero_game(sizes):
+    """The all-zero game of the given shape, built once per shape."""
+    if sizes not in _ZERO_GAMES:
+        labels = [[f"s{s}" for s in range(n)] for n in sizes]
+        _ZERO_GAMES[sizes] = FiniteGame.from_function(labels, lambda p: (0,) * len(sizes))
+    return _ZERO_GAMES[sizes]
+
+
 class TestRational:
     def test_parse_forms(self):
         assert parse_rational("3") == Fraction(3)
@@ -168,6 +179,55 @@ class TestRestriction:
         whole = Restriction(game, tuple(tuple(range(n)) for n in shape))
         assert (full.kept, full.bits) == (whole.kept, whole.bits)
         assert full == whole
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_mask_reads_as_its_checked_restriction(self, data):
+        # `_trusted(game, None, bits)` derives `kept` from the mask when read.
+        # Per-player sets up to 70 wide cross a 64-bit word; every operation
+        # runs on a fresh lazy restriction, so none leans on a derived `kept`.
+        sizes, room = [], 4900  # profiles in the game
+        for _ in range(data.draw(st.integers(1, 3))):
+            sizes.append(data.draw(st.integers(1, min(70, room))))
+            room //= sizes[-1]
+        game = _zero_game(tuple(sizes))
+        width = sum(sizes)
+        bits, other = (data.draw(st.integers(0, (1 << width) - 1)) for _ in range(2))
+        offsets = list(itertools.accumulate(sizes, initial=0))
+
+        def sets(mask):  # the reference: one test per bit
+            return tuple(
+                tuple(s for s in range(n) if mask >> offsets[i] + s & 1)
+                for i, n in enumerate(sizes)
+            )
+
+        def lazy(mask):
+            return Restriction._trusted(game, None, mask)
+
+        kept, other_kept = sets(bits), sets(other)
+        eager, eager_other = Restriction(game, kept), Restriction(game, other_kept)
+        assert lazy(bits).kept == eager.kept == kept
+        assert lazy(bits).bits == eager.bits == bits
+        assert lazy(bits) == eager and hash(lazy(bits)) == hash(eager)
+        assert (lazy(bits) == eager_other) is (kept == other_kept)
+        assert lazy(bits).render() == eager.render()
+        assert lazy(bits).is_nondegenerate() is all(kept)
+        assert lazy(bits).contains(lazy(other)) is eager.contains(eager_other) is all(
+            set(b) <= set(a) for a, b in zip(kept, other_kept)
+        )
+        # remove the strategies both keep; then try one that `bits` lacks
+        removal = {i: [s for s in ks if s in other_kept[i]] for i, ks in enumerate(kept)}
+        removed = lazy(bits).remove(removal)
+        assert removed == eager.remove(removal) and removed.kept == sets(bits & ~other)
+        absent = next(((i, s) for i, ks in enumerate(other_kept) for s in ks
+                       if s not in kept[i]), None)
+        if absent is not None:
+            errors = []
+            for restriction in (lazy(bits), eager):
+                with pytest.raises(InputError) as error:
+                    restriction.remove({absent[0]: [absent[1]]})
+                errors.append(str(error.value))
+            assert errors[0] == errors[1]
 
     def test_classify(self, g3x2):
         assert full_restriction(g3x2).is_nondegenerate()

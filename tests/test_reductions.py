@@ -55,7 +55,10 @@ from oracles import (
     enumerate_pure_beliefs,
     iterate_reference,
     narrowed_membership,
+    removal_of,
+    render_trace_reference,
     replay_fast_pure,
+    trace_records_reference,
 )
 
 
@@ -208,7 +211,7 @@ class TestCandidates:
                 for size in range(1, min(len(flat), 4) + 1):
                     for chosen in itertools.combinations(flat, size):
                         result = validate_step(
-                            game, source, source.remove(reductions._removal(chosen)),
+                            game, source, source.remove(removal_of(chosen)),
                             ReductionKind.DARROW, bk, 2, OracleCache(bk),
                         )
                         assert isinstance(result, Step), (trial, bk, chosen)
@@ -449,6 +452,82 @@ class TestTraceRendering:
         assert "step 1 kind=~ removed={p1:[M,B],p2:[]} -> kept={p1:[T],p2:[L,R]}" in text
         assert "outcome kept={p1:[T],p2:[L,R]} steps=1 maximal=yes" in text
         assert "cert step=1 p1 M NBR(exhaustive)" in text
+
+    def test_grid_traces_match_the_bitwise_reference(self):
+        # Labels come off the masks, through a running list per player; the
+        # reference lists every step's sets bit by bit.
+        for game in (bertrand_grid(40), hotelling_grid(30)):
+            for bk in BeliefKind:
+                cache = OracleCache(bk)
+                for kind in ReductionKind:
+                    for policy in Policy:
+                        if policy is Policy.FAST and kind is ReductionKind.DARROW:
+                            continue
+                        trace = iterate(game, kind, bk, policy, 7, resolution=2, cache=cache)
+                        assert list(trace.records()) == trace_records_reference(trace)
+                        assert trace.render() == render_trace_reference(trace)
+
+    def test_steps_that_do_not_chain_render_from_their_own_masks(self, g):
+        def tilde(source, target):
+            return validate_step(g, source, target, ReductionKind.TILDE, BeliefKind.PURE)
+
+        full = full_restriction(g)
+        first = tilde(full, restrict(g, [(0, 2), (0, 1)]))
+        second = tilde(restrict(g, [(0, 1), (0, 1)]), restrict(g, [(0,), (0, 1)]))
+        # targets holding what their sources lack: T comes back, or M does
+        # on a step that starts where the last one ended
+        grows = Step(
+            restrict(g, [(1, 2), (0, 1)]), restrict(g, [(0, 2), (0, 1)]), None,
+            ReductionKind.TILDE, BeliefKind.PURE, (((0, 1), NeverBest("exhaustive")),),
+        )
+        swaps = Step(
+            first.target, restrict(g, [(0, 1), (0, 1)]), None,
+            ReductionKind.TILDE, BeliefKind.PURE, (((0, 2), NeverBest("exhaustive")),),
+        )
+        game = bertrand_grid(40)
+        run = iterate(game, ReductionKind.TILDE, BeliefKind.CORRELATED,
+                      Policy.SINGLE_RANDOM, 3).steps
+        assert len(run) > 50
+        rng = random.Random(3)
+        for initial, steps in [
+            (g, (first, second)),
+            (g, (second, first)),
+            (g, (first, first)),
+            (g, (first, grows, second)),
+            (g, (first, swaps, second)),
+            (game, run[::2]),
+            (game, run[::-1]),
+            (game, run[:20] + run[30:]),
+            (game, tuple(rng.sample(run, len(run)))),
+        ]:
+            trace = reductions.Trace(
+                initial, ReductionKind.TILDE, BeliefKind.PURE, Policy.FAST, 0,
+                steps, steps[-1].target,
+            )
+            assert list(trace.records()) == trace_records_reference(trace)
+            assert trace.render() == render_trace_reference(trace)
+
+    def test_a_derived_removed_equals_the_eager_one(self, g):
+        # `iterate` and `validate_step` build steps with `removed` None; read,
+        # it must be what a step built with its sets listed holds.
+        traces = [
+            iterate(game, kind, BeliefKind.CORRELATED, policy, 5)
+            for game in (g, bertrand_grid(20), random_game(3, [4, 3, 5], 5, seed=4))
+            for kind in (ReductionKind.TILDE, ReductionKind.DARROW)
+            for policy in (Policy.RANDOM_PARTIAL, Policy.SINGLE_RANDOM)
+        ]
+        checked = 0
+        for step in (step for trace in traces for step in trace.steps):
+            source, target = step.source.kept, step.target.kept
+            eager = tuple(
+                tuple(s for s in own if s not in kept) for own, kept in zip(source, target)
+            )
+            listed = Step(step.source, step.target, eager, step.kind, step.belief_kind,
+                          step.certificates)
+            assert step.removed == eager and step == listed and hash(step) == hash(listed)
+            assert sum(map(len, eager)) == len(step.certificates) > 0
+            checked += 1
+        assert checked > 100
 
 
 class TestResidualSupports:
@@ -788,7 +867,8 @@ class TestFrontier:
             assert sets == (current.kept[0], ())
             assert certs == {(0, s): EmptyBeliefSet() for s in current.kept[0]}
             step = reductions._certified_step(
-                current, [(0, 2)], kind, BeliefKind.CORRELATED, certs
+                current, current.remove({0: [2]}), [(0, 2)], kind,
+                BeliefKind.CORRELATED, certs,
             )
             assert step.certificates == (((0, 2), EmptyBeliefSet()),)
             assert "NBR(vacuous)" in render_certificate(step.certificates[0][1], g, 0)
