@@ -423,8 +423,9 @@ class Restriction:
             mine = bits >> offsets[i] & (1 << sizes[i]) - 1
             for s in gone:
                 if not (isinstance(s, int) and 0 <= s < sizes[i] and mine >> s & 1):
-                    bad = sorted(set(gone).difference(self.kept[i]))
-                    raise InputError(f"cannot remove absent strategies {bad}")
+                    bad = ", ".join(dict.fromkeys(  # each absent one once, in the given order
+                        repr(t) for t in gone if not isinstance(t, int) or t not in self.kept[i]))
+                    raise InputError(f"cannot remove absent strategies [{bad}] of player {i + 1}")
                 drop |= 1 << s
             bits &= ~(drop << offsets[i])
         return Restriction._trusted(self.parent, None, bits)

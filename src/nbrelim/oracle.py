@@ -323,26 +323,27 @@ def _grid_product_witness(
         for c in cmp.candidates if c != strategy
     ]
     axes = [kept[j] for j in game.opponents(player)]
-
-    def scan(k: int, rows: list[list[int]], width: int) -> tuple | None:
-        grid = simplex_grid(len(axes[k]), resolution)
-        if k == len(axes) - 1:
-            hits = (nums for nums in grid if all(sum(map(mul, r, nums)) <= 0 for r in rows))
-            return next(((nums,) for nums in hits), None)
-        width //= len(axes[k])
-        for nums in grid:
-            cut = [[sum(n * row[i * width + r] for i, n in enumerate(nums) if n)
-                    for r in range(width)] for row in rows]
-            if (found := scan(k + 1, cut, width)) is not None:
-                return (nums,) + found
-        return None
-
-    if (found := scan(0, rows, len(bases))) is None:
+    if (found := _scan_grids(axes, resolution, 0, rows, len(bases))) is None:
         return None
     return ProductBelief(tuple(
         tuple((s, Fraction(n, sum(nums))) for s, n in zip(axis, nums) if n)
         for axis, nums in zip(axes, found)
     ))
+
+
+def _scan_grids(axes: list, resolution: int, k: int, rows: list, width: int) -> tuple | None:
+    """`_grid_product_witness`'s scan from axis `k` on: a function, so no call leaves a cycle."""
+    grid = simplex_grid(len(axes[k]), resolution)
+    if k == len(axes) - 1:
+        hits = (nums for nums in grid if all(sum(map(mul, r, nums)) <= 0 for r in rows))
+        return next(((nums,) for nums in hits), None)
+    width //= len(axes[k])
+    for nums in grid:
+        cut = [[sum(n * row[i * width + r] for i, n in enumerate(nums) if n)
+                for r in range(width)] for row in rows]
+        if (found := _scan_grids(axes, resolution, k + 1, cut, width)) is not None:
+            return (nums,) + found
+    return None
 
 
 class OracleCache:
@@ -398,19 +399,23 @@ class OracleCache:
     if an answer was inconclusive.  Never-best answers are exact, so no memo
     history changes a removable set; `Inconclusive` depends on the resolution.
 
-    `steps` is `iterate`'s transition table: per (relation, resolution),
-    `(restriction bits, chosen pairs)` maps to the `Step` a run took there.
-    Verdicts are exact, so the step a key names is a function of the key.
-    Only its never-best proofs are those of its first build, which
-    `render()` does not show.  An entry lives while the trace
-    that first took it does: `iterate` adds a run's new steps once its
-    `Trace` exists, and a finalizer on that trace drops them.  `full` is the
-    bound game's full restriction, built at the first `bind`.
+    `steps` is `iterate`'s transition table: per (relation, resolution), a
+    source's bits and drop mask map to the `Step` a run took there.  Verdicts
+    are exact, so the step a key names is a function of the key; only its
+    never-best proofs are its first build's, which `render()` does not show.
+    An entry lives while the trace that first took it does: `iterate` adds a
+    run's new steps once its `Trace` exists, and a finalizer on that trace
+    drops them.  `starts` holds, per (relation, resolution), a copy of the
+    `Frontier` the full restriction's sweep left; a later run goes on from a
+    copy of it at its first sweep-table miss.  Its witnesses are beliefs over
+    the full restriction, watching their supports, and its facts hold for
+    the rest of any run from there (`reductions`), so every removable mask
+    stays exact.  `full` is the bound game's full restriction.
     """
 
     __slots__ = (
         "kind", "game", "full", "width", "witnesses", "never_best", "support", "sweeps",
-        "steps",
+        "starts", "steps",
     )
 
     DEPTH = 8
@@ -424,7 +429,8 @@ class OracleCache:
         self.never_best: dict[tuple[int, int], list[tuple]] = {}
         self.support = 0
         self.sweeps: dict[tuple, dict[int, int]] = {}
-        self.steps: dict[tuple, dict[tuple, object]] = {}
+        self.starts: dict[tuple, object] = {}
+        self.steps: dict[tuple, dict[tuple[int, int], object]] = {}
 
     def bind(self, game: FiniteGame, kind: BeliefKind) -> None:
         if kind is not self.kind:

@@ -35,11 +35,13 @@ column's maximizers, ties included, are best replies to that pure belief.
 
 The one memo is the `OracleCache` a caller passes (`iterate` makes one when
 none is given); its docstring states why a remembered answer, a swept
-restriction and a shared step are sound.  An `iterate` run keeps a
-`Frontier`, so a sweep re-decides only what a removal touched; it skips a
-sweep, or a step's build, that the cache's tables already hold.  A run
-moves on masks: a target is its source's bits with the drawn ones cleared;
-`Restriction.kept`, `Step.removed` and a trace's labels are read off them.
+restriction, a shared step and a starting frontier are sound.  An `iterate`
+run keeps a `Frontier`, copied from the one the cache kept at the full
+restriction, so a sweep re-decides only what a removal touched; it skips a
+sweep, or a step's build, that the cache's tables hold.  A run moves on
+masks: a target is its source's bits with the drawn ones cleared, a shared
+step is keyed by the two, and `Restriction.kept`, `Step.removed` and a
+trace's labels are read off them.
 """
 
 from __future__ import annotations
@@ -329,6 +331,13 @@ class Frontier:
             todo[player].append(s)
         return todo
 
+    def copy(self) -> Frontier:
+        """A frontier that goes on from this one's state and shares none of it."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(vars(self), watchers=self.watchers.copy(), sets=self.sets.copy(),
+                             certs=self.certs.copy())
+        return twin
+
     def record(self, bit: int, cert: Certificate, support: int) -> None:
         """`cert` is a witness, which watches `support`, or `Inconclusive`."""
         if isinstance(cert, Inconclusive):
@@ -476,15 +485,20 @@ def iterate(
     rng = None  # seeded at the first draw
     current = cache.full
     steps: list[Step] = []
-    built: dict[tuple, Step] = {}  # the transitions this run took first
-    frontier = Frontier(game)
+    built: dict[tuple[int, int], Step] = {}  # the transitions this run took first
+    frontier = None  # made at the first sweep-table miss
     pairs = game.bit_pairs
     while True:
         swept = table.get(current.bits)
         if swept is None:
+            if frontier is None:  # go on from the full restriction's sweep
+                start = cache.starts.get((kind, resolution))
+                frontier = start.copy() if start is not None else Frontier(game)
             _, certs, saw_inconclusive = candidate_certificates(
                 game, current, belief_kind, kind, resolution, cache, frontier
             )
+            if current is cache.full:  # later runs on this cache go on from here
+                cache.starts[kind, resolution] = frontier.copy()
             mask = frontier.removable
             table[current.bits] = mask << 1 | saw_inconclusive  # bit 0: inconclusive
         else:  # swept before: the same mask
@@ -502,16 +516,13 @@ def iterate(
             rng, drop, flat = rng or random.Random(seed), 0, list(_bits(mask))
             while not drop:
                 drop = sum(1 << b for b in flat if rng.getrandbits(1))
-        chosen = [pairs[b] for b in _bits(drop)]
-        key = (current.bits, tuple(chosen))
+        key = (current.bits, drop)
         step = shared.get(key)
         if step is None:  # the target's index sets are read only if asked for
             target = Restriction._trusted(game, None, current.bits & ~drop)
-        # An arrow or darrow fact may rest on an earlier, larger kept set, so
-        # each new transition is validated once.  A tilde fact rests on the
-        # full sets and certifies the step as it stands; validating it again
-        # (a cache read per removed strategy) costs tilde grid orders about a
-        # tenth of their throughput (perfbench grid-orders).
+        # An arrow or darrow fact may rest on an earlier, larger kept set, so each
+        # new transition is validated once.  A tilde fact rests on the full sets
+        # and certifies the step; validating it again cost grid orders a tenth.
         if step is None and kind is not ReductionKind.TILDE:
             result = validate_step(
                 game, current, target, kind, belief_kind, resolution, cache
@@ -520,6 +531,7 @@ def iterate(
                 raise IllegalStepError(result)
             step = built[key] = result
         elif step is None:
+            chosen = [pairs[b] for b in _bits(drop)]
             if certs is None:  # a hit keeps none: the cache has them unless evicted
                 certs = {}
                 for i, s in chosen:
@@ -545,6 +557,6 @@ def iterate(
     return trace
 
 
-def _unshare(shared: dict[tuple, Step], keys: tuple[tuple, ...]) -> None:
+def _unshare(shared: dict[tuple, Step], keys: tuple[tuple[int, int], ...]) -> None:
     for key in keys:
         del shared[key]

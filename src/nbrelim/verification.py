@@ -515,21 +515,22 @@ def _grid_best_responses(game: FiniteGame, player: int, max_denominator: int) ->
     ip, stride, own = game.ipay[player], game.strides[player], range(game.sizes[player])
     *head, last = [[ip[b + s * stride] for s in own] for b in game.opponent_bases(player)]
     mask = 0
-
-    def walk(k: int, left: int, totals: list[int]) -> None:
-        nonlocal mask
-        if k == len(head):  # the last profile takes what is left
-            totals = [x + left * y for x, y in zip(totals, last)]
-            top = max(totals)
-            mask |= sum(1 << s for s, x in enumerate(totals) if x == top)
-            return
-        for _ in range(left + 1):
-            walk(k + 1, left, totals)
-            left -= 1
-            totals = list(map(add, totals, head[k]))
-
     for den in range(max_denominator // 2 + 1, max_denominator + 1):
-        walk(0, den, [0] * len(last))
+        mask |= _walk_compositions(head, last, 0, den, [0] * len(last))
+    return mask
+
+
+def _walk_compositions(head: list, last: list, k: int, left: int, totals: list[int]) -> int:
+    """`_grid_best_responses`'s walk from profile `k` on: a function, so no call leaves a cycle."""
+    if k == len(head):  # the last profile takes what is left
+        totals = [x + left * y for x, y in zip(totals, last)]
+        top = max(totals)
+        return sum(1 << s for s, x in enumerate(totals) if x == top)
+    mask = 0
+    for _ in range(left + 1):
+        mask |= _walk_compositions(head, last, k + 1, left, totals)
+        left -= 1
+        totals = list(map(add, totals, head[k]))
     return mask
 
 

@@ -181,6 +181,20 @@ MUTANTS = [
          "::test_a_derived_removed_equals_the_eager_one"],
     ),
     (
+        "starting-frontier-shared-not-copied", REDUCTIONS,
+        "frontier = start.copy() if start is not None else Frontier(game)",
+        "frontier = start if start is not None else Frontier(game)",
+        ["tests/test_reductions.py::TestStartingFrontier"
+         "::test_runs_on_one_cache_match_fresh_ones_and_the_reference"],
+    ),
+    (
+        "starting-frontier-without-watchers", REDUCTIONS,
+        "watchers=self.watchers.copy()",
+        "watchers=[0] * len(self.watchers)",
+        ["tests/test_reductions.py::TestStartingFrontier"
+         "::test_runs_on_one_cache_match_fresh_ones_and_the_reference"],
+    ),
+    (
         "walk-returns-rows-in-line-order", GAMES,
         "return [list(map(col.__getitem__, order)) for col in columns], tables",
         "return columns, tables",

@@ -112,12 +112,14 @@ class TestRestriction:
     @pytest.mark.parametrize(
         "removal, bad",
         [({0: [0]}, [0]), ({0: [-1]}, [-1]), ({1: [2]}, [2]), ({1: [0, 0, 5]}, [5]),
-         ({0: ["M"]}, ["M"])],
+         ({0: ["M"]}, ["M"]), ({0: [0, "M", 0]}, [0, "M"]),
+         ({0: [1, 1.0, None, [2]]}, [1.0, None, [2]])],
     )
     def test_removing_an_absent_strategy_is_an_input_error(self, g3x2, removal, bad):
-        # player 1 keeps M and B (indices 1, 2), player 2 both of its two
+        # player 1 keeps M and B (indices 1, 2), player 2 both of its two;
+        # the absent entries are named once each, as given, whatever their types
         sub = restrict_by_labels(g3x2, [["M", "B"], ["L", "R"]])
-        with pytest.raises(InputError, match=re.escape(f"absent strategies {bad}")):
+        with pytest.raises(InputError, match=re.escape(f"absent strategies {bad} of player")):
             sub.remove(removal)
 
     @pytest.mark.parametrize("player", [-1, -2, 2, "0", 1.0])

@@ -1204,6 +1204,11 @@ class TestSharedSteps:
                     assert len(again.steps) == len(first.steps) > 0
                     assert all(a is b for a, b in zip(again.steps, first.steps))
                     assert again.outcome is first.outcome
+                    # keyed by the source's bits and the drop mask
+                    assert {
+                        (step.source.bits, step.source.bits & ~step.target.bits): step
+                        for step in first.steps
+                    }.items() <= cache.steps[kind, 8].items()
 
     def test_dropped_traces_leave_an_empty_table(self):
         # Refcounting alone frees the traces: no step or trace is in a cycle.
@@ -1269,3 +1274,94 @@ class TestSharedSteps:
                             seen.update(map(id, trace.steps))
                             held.append(trace)
         assert shared > 1000  # of the 2,874 steps taken
+
+
+class TestStartingFrontier:
+    """A run on a cache goes on from a copy of the frontier its relation's
+    first run left at the full restriction, so its first sweep re-decides
+    only the strategies whose witnesses lost a strategy since."""
+
+    @staticmethod
+    def counted_copies(monkeypatch):
+        copies = []
+        copy = Frontier.copy
+
+        def counted(self):
+            copies.append(self)
+            return copy(self)
+
+        monkeypatch.setattr(Frontier, "copy", counted)
+        return copies
+
+    def test_runs_on_one_cache_match_fresh_ones_and_the_reference(self, monkeypatch):
+        # No trace is held, so no step is shared and every later run sweeps
+        # from its start's copy once it leaves the restrictions swept before.
+        copies = self.counted_copies(monkeypatch)
+        runs = 0
+        for n, game in enumerate(TestResidualSupports.corpus()):
+            for bk in BeliefKind:
+                cache = OracleCache(bk)
+                for kind in ReductionKind:
+                    policies = [Policy.RANDOM_PARTIAL, Policy.SINGLE_RANDOM]
+                    if kind is not ReductionKind.DARROW:
+                        policies.append(Policy.FAST)
+                    for policy in policies:
+                        for seed in (n, n + 1, n + 2):
+                            trace = iterate(
+                                game, kind, bk, policy, seed, resolution=2, cache=cache
+                            )
+                            fresh = iterate(game, kind, bk, policy, seed, resolution=2)
+                            reference = iterate_reference(
+                                game, kind, bk, policy, seed, OracleCache(bk)
+                            )
+                            assert trace.render() == fresh.render() == reference.render()
+                            runs += 1
+                assert set(cache.starts) == {(kind, 2) for kind in ReductionKind}
+        # One copy stored per cache and relation, and one per fresh run; the
+        # rest (216) are later runs' starts.  Most later runs on these small
+        # games sweep nothing the cache has not swept.
+        stored = len(TestResidualSupports.corpus()) * 3 * 3 + runs
+        assert len(copies) - stored > 150
+
+    @pytest.mark.parametrize("bk", [BeliefKind.PURE, BeliefKind.CORRELATED])
+    def test_a_later_run_looks_up_only_what_its_removals_woke(self, monkeypatch, bk):
+        game = bertrand_grid(12)
+        cache = OracleCache(bk)
+        first = iterate(game, ReductionKind.TILDE, bk, Policy.RANDOM_PARTIAL, 1, cache=cache)
+        start = cache.starts[ReductionKind.TILDE, 8]
+        watched = [0] * len(game.bit_pairs)  # strategy bit -> the bits it watches
+        for bit, mask in enumerate(start.watchers):
+            for b in range(len(watched)):
+                watched[b] |= (mask >> b & 1) << bit
+        sweeps = []  # per sweep: its restriction's bits and the bits looked up
+        inside = []  # non-empty while a sweep runs: a step's build looks up too
+        sweep, lookup = reductions.candidate_certificates, OracleCache.lookup
+
+        def swept(game, restriction, *args):
+            sweeps.append((restriction.bits, []))
+            inside.append(True)
+            try:
+                return sweep(game, restriction, *args)
+            finally:
+                inside.pop()
+
+        def counted(self, player, s, *args):
+            if inside:
+                sweeps[-1][1].append(game.offsets[player] + s)
+            return lookup(self, player, s, *args)
+
+        monkeypatch.setattr(reductions, "candidate_certificates", swept)
+        monkeypatch.setattr(OracleCache, "lookup", counted)
+        second = iterate(game, ReductionKind.TILDE, bk, Policy.SINGLE_RANDOM, 2, cache=cache)
+        assert second.steps[0].target != first.steps[0].target
+        bits, looked = sweeps[0]
+        woken = [
+            b for b in range(len(watched))
+            if bits >> b & 1 and watched[b] & ~bits and not start.removable >> b & 1
+        ]
+        assert sorted(looked) == woken
+        # A run from a fresh frontier looks up every kept strategy here.
+        assert 0 < len(looked) < bits.bit_count() / 2
+        assert second.render() == iterate(
+            game, ReductionKind.TILDE, bk, Policy.SINGLE_RANDOM, 2
+        ).render()

@@ -1,6 +1,7 @@
 """Theorem checkers: closure, equilibria, and the campaign functions."""
 
 import dataclasses
+import gc
 import itertools
 import json
 import math
@@ -452,6 +453,21 @@ class TestGridScans:
             )
         else:
             assert scans == [0, 1, 2]
+
+    def test_scans_leave_no_cyclic_garbage(self):
+        # Refcounting alone frees what a scan made, so when the cyclic
+        # collector runs does not change a run's peak memory.
+        game = dominated_3x4x4()
+        kept = full_restriction(game).kept
+        gc.collect()
+        gc.disable()
+        try:
+            assert verification._grid_best_responses(game, 0, 4)
+            for s in (0, 2):
+                oracle._grid_product_witness(game, 0, s, kept, full_comparison(game, 0), 3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_product_scan_of_a_dominated_strategy_finds_nothing(self):
         game = dominated_3x4x4()
