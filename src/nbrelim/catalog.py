@@ -8,10 +8,10 @@ game.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .games import FiniteGame, InputError, JointProfile, render_game
 
@@ -55,59 +55,47 @@ def gap_3x2() -> FiniteGame:
     return FiniteGame(labels, table)
 
 
-def _half(x: int) -> int | Fraction:
-    """x / 2, as an int when it is one."""
-    return x // 2 if x % 2 == 0 else Fraction(x, 2)
+def _symmetric_grid(n: int, rows: Iterable[list[int]]) -> FiniteGame:
+    """The symmetric game on labels 1..n in which player 1 is paid `rows`,
+    one list per own strategy, doubled (scale 2); player 2's column is the
+    transpose of player 1's, read off it by strided slices."""
+    ipay = [list(itertools.chain.from_iterable(rows))]
+    ipay.append(list(itertools.chain.from_iterable(ipay[0][j::n] for j in range(n))))
+    return FiniteGame._from_columns([[str(v) for v in range(1, n + 1)]] * 2, ipay, (2, 2))
 
 
 def bertrand_grid(grid_max: int = 100) -> FiniteGame:
     """Price competition on integer prices 1..grid_max.
 
     Demand is 100 - p at the lower price p, profits split on a tie, zero for
-    the higher-priced seller.
+    the higher-priced seller.  Payoffs are stored doubled, on scale 2, the
+    lcm of their denominators at every size: each is a whole or a half, and
+    the tie at price 1 pays 99/2.
     """
     if grid_max < 2:
         raise InputError("bertrand grid needs at least two prices")
-    labels = [[str(v) for v in range(1, grid_max + 1)]] * 2
-
-    def pay(profile: JointProfile) -> tuple[int | Fraction, int | Fraction]:
-        prices = (profile[0] + 1, profile[1] + 1)
-        out: list[int | Fraction] = []
-        for me, other in (prices, prices[::-1]):
-            if me < other:
-                out.append(me * (100 - me))
-            elif me == other:
-                out.append(_half(me * (100 - me)))
-            else:
-                out.append(0)
-        return (out[0], out[1])
-
-    return FiniteGame.from_function(labels, pay)
+    return _symmetric_grid(grid_max, (
+        [0] * (p - 1) + [p * (100 - p)] + [2 * p * (100 - p)] * (grid_max - p)
+        for p in range(1, grid_max + 1)
+    ))
 
 
 def hotelling_grid(grid_max: int = 99) -> FiniteGame:
     """Location choice on integer positions 1..grid_max along a 100-unit street.
 
     A seller captures their own side of the street plus half the gap to the
-    other seller; a tie splits the whole street.
+    other seller; a tie splits the whole street.  Payoffs are stored doubled,
+    on scale 2: at own spot a and other spot b, 200 - a - b when b < a, 100
+    when b == a and a + b when b > a.  Scale 2 is the lcm of their
+    denominators at every size: each is a whole or a half, and spots 1 and
+    2 split 3/2.
     """
     if not 2 <= grid_max <= 99:
         raise InputError("hotelling grid size must be between 2 and 99")
-    labels = [[str(v) for v in range(1, grid_max + 1)]] * 2
-
-    def pay(profile: JointProfile) -> tuple[int | Fraction, int | Fraction]:
-        spots = (profile[0] + 1, profile[1] + 1)
-        out: list[int | Fraction] = []
-        for me, other in (spots, spots[::-1]):
-            if me == other:
-                out.append(50)
-            else:
-                # own side plus half the gap, doubled to stay an integer
-                twice = me + other if me < other else 200 - me - other
-                out.append(_half(twice))
-        return (out[0], out[1])
-
-    return FiniteGame.from_function(labels, pay)
+    return _symmetric_grid(grid_max, (
+        [*range(199 - a, 200 - 2 * a, -1), 100, *range(2 * a + 1, a + grid_max + 1)]
+        for a in range(1, grid_max + 1)
+    ))
 
 
 def naturals_truncated(n: int = 5) -> FiniteGame:

@@ -13,6 +13,7 @@ Exit codes: 0 success/legal/all-pass, 1 illegal step or failed check,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -88,6 +89,7 @@ def parse_restriction(game: FiniteGame, literal: str) -> Restriction:
     return restrict_by_labels(game, kept_labels)
 
 
+@functools.cache  # one tree per process: each tree is a web of reference cycles
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nbrelim",

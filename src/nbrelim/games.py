@@ -138,8 +138,10 @@ class FiniteGame:
     One builder, `_fill`, stores per-player integer columns in row-major
     order with `colmax` and the digest.  `__init__` checks and flattens a
     profile-keyed table, and `from_function` evaluates its rows one chunk at
-    a time; both scale the rows through `_build`.  `parse_game` scales its
-    columns of numeral tokens from a table of the distinct tokens.
+    a time; both scale the rows through `_build`.  `_from_columns` takes
+    integer columns made elsewhere: `parse_game` scales its numeral tokens
+    by a table of the distinct ones, and `catalog` builds the Bertrand and
+    Hotelling grids' columns directly on scale 2.
     """
 
     __slots__ = (
@@ -188,6 +190,17 @@ class FiniteGame:
         profiles = itertools.product(*map(range, game.sizes))
         starts = range(0, game.strides[0] * game.sizes[0], _CHUNK)
         game._build((list(map(payoff, itertools.islice(profiles, _CHUNK))), k) for k in starts)
+        return game
+
+    @classmethod
+    def _from_columns(cls, labels: Sequence[Sequence[str]], ipay: list, scales: Sequence[int],
+                      numerals: Iterable | None = None) -> "FiniteGame":
+        """A game from per-player integer columns in row-major order, as
+        `_fill` stores them: pass `ipay` holding the only reference to each
+        column, so that each is freed as its tuple is made."""
+        game = cls.__new__(cls)
+        game._shape(labels)
+        game._fill(ipay, scales, numerals)
         return game
 
     def _shape(self, labels: Sequence[Sequence[str]]) -> None:
@@ -561,11 +574,6 @@ def parse_game(text: str) -> FiniteGame:
     read = _payoff_columns(_spans(text, start), labels)
     # `numbered` stands after the header: `zip` stopped at the end of `range`
     columns, tables = read or _read_payoff_lines(numbered, labels)
-    game = FiniteGame.__new__(FiniteGame)
-    try:
-        game._shape(labels)
-    except InputError as exc:
-        raise FormatError(str(exc)) from None
     ipay, scales = [], []
     for col, table in zip(columns, tables):
         scale = math.lcm(*{q.denominator for q in table.values()})
@@ -573,8 +581,10 @@ def parse_game(text: str) -> FiniteGame:
         ipay.append(tuple(map(ints.__getitem__, col)))
         scales.append(scale)
     canonical = all(render_rational(q) == t for table in tables for t, q in table.items())
-    game._fill(ipay, scales, columns if canonical else None)
-    return game
+    try:
+        return FiniteGame._from_columns(labels, ipay, scales, columns if canonical else None)
+    except InputError as exc:  # a bad label
+        raise FormatError(str(exc)) from None
 
 
 def _payoff_columns(

@@ -26,6 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 GAMES = "src/nbrelim/games.py"
+CATALOG = "src/nbrelim/catalog.py"
 SIMPLEX = "src/nbrelim/simplex.py"
 ORACLE = "src/nbrelim/oracle.py"
 REDUCTIONS = "src/nbrelim/reductions.py"
@@ -199,6 +200,18 @@ MUTANTS = [
         "return [list(map(col.__getitem__, order)) for col in columns], tables",
         "return columns, tables",
         ["tests/test_games.py::TestParserParity::test_accepted_mutations_read_the_same_game"],
+    ),
+    (
+        "bertrand-tie-not-halved", CATALOG,
+        "[0] * (p - 1) + [p * (100 - p)]",
+        "[0] * (p - 1) + [2 * p * (100 - p)]",
+        ["tests/test_catalog.py::TestColumnBuilds::test_grids_match_the_per_profile_rules"],
+    ),
+    (
+        "player-2-column-untransposed", CATALOG,
+        "list(itertools.chain.from_iterable(ipay[0][j::n] for j in range(n)))",
+        "list(ipay[0])",
+        ["tests/test_catalog.py::TestColumnBuilds::test_grids_match_the_per_profile_rules"],
     ),
 ]
 

@@ -14,7 +14,8 @@ search), the belief-set definitions the tests check against (kinds,
 narrowed membership, pure enumeration), a plain-`Fraction`
 reading, digest and rendering of game text for the integer game layer, and
 a line-by-line reader of game text that the bulk tokenizer must match error
-for error, and a trace renderer that lists every step's sets bit by bit.
+for error, a trace renderer that lists every step's sets bit by bit, and the
+catalog's Bertrand and Hotelling grids built one payoff pair per profile.
 Nothing imports the oracle or reduction machinery, except
 `iterate_reference`: the iteration loop with one stateless sweep per round,
 which the engine's watch-list frontier must match byte for byte;
@@ -621,6 +622,49 @@ def render_game_reference(labels, table):
         vals = " ".join(_rational_text(q) for q in table[profile])
         out.append(f"payoff {names} : {vals}")
     return "\n".join(out) + "\n"
+
+
+# --- catalog grids one profile at a time -----------------------------------
+
+
+def bertrand_grid_reference(grid_max):
+    """The Bertrand grid built by `FiniteGame.from_function`, one payoff pair
+    per price profile: demand 100 - p at the lower price, profits split on a
+    tie, zero for the higher-priced seller."""
+
+    def pay(profile):
+        prices = (profile[0] + 1, profile[1] + 1)
+        out = []
+        for me, other in (prices, prices[::-1]):
+            if me < other:
+                out.append(Fraction(me * (100 - me)))
+            elif me == other:
+                out.append(Fraction(me * (100 - me), 2))
+            else:
+                out.append(Fraction(0))
+        return out
+
+    return FiniteGame.from_function([[str(v) for v in range(1, grid_max + 1)]] * 2, pay)
+
+
+def hotelling_grid_reference(grid_max):
+    """The Hotelling grid built by `FiniteGame.from_function`, one payoff pair
+    per spot profile: a seller's own side of the 100-unit street plus half
+    the gap to the other, half the street on a tie."""
+
+    def pay(profile):
+        spots = (profile[0] + 1, profile[1] + 1)
+        out = []
+        for me, other in (spots, spots[::-1]):
+            if me == other:
+                out.append(Fraction(50))
+            elif me < other:
+                out.append(me + Fraction(other - me, 2))
+            else:
+                out.append(100 - me + Fraction(me - other, 2))
+        return out
+
+    return FiniteGame.from_function([[str(v) for v in range(1, grid_max + 1)]] * 2, pay)
 
 
 def removal_of(chosen):

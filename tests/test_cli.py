@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, restriction literals, determinism."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -186,6 +187,21 @@ class TestSolve:
         code2, out2, _ = run(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_calls_leave_no_cyclic_garbage(self, capsys):
+        # The argparse tree is a web of reference cycles; built once per
+        # process, a call leaves nothing that only the cyclic collector frees.
+        args = ("solve", "--game", "catalog:gap3x2")
+        assert run(capsys, *args)[0] == 0
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(2):
+                assert main(list(args)) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        capsys.readouterr()
 
 
 class TestCheckStep:
