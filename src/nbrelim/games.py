@@ -71,14 +71,34 @@ def render_rational(q: Rational) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _numerals(values: Sequence[int], scale: int) -> Iterator[str]:
+def _numerals(values: Sequence[int], scale: int, prefix: str = "") -> Iterator[str]:
     """Canonical text of each `value / scale`, as `render_rational` writes it,
-    read lazily; equal values share one string."""
+    after `prefix`, read lazily; equal values share one string."""
     text = {}
     for v in set(values):
         g = math.gcd(v, scale)
-        text[v] = str(v // g) if g == scale else f"{v // g}/{scale // g}"
+        text[v] = prefix + (str(v // g) if g == scale else f"{v // g}/{scale // g}")
     return map(text.__getitem__, values)
+
+
+def _label_column(labs: Sequence, stride: int) -> Callable[[int, int], list]:
+    """Reads a player's row-major label column, each label `stride` times in
+    turn, from a precomputed cycle of at most two `_CHUNK`s or by runs."""
+    fits = len(labs) * stride <= 2 * _CHUNK
+    period = [lab for lab in labs for _ in range(stride)] if fits else None
+
+    def column(first: int, count: int) -> list:
+        if period is not None:
+            at = first % len(period)
+            return (period * ((at + count) // len(period) + 1))[at : at + count]
+        out, end = [], first + count
+        while first < end:
+            run = min(end, (first // stride + 1) * stride) - first
+            out += [labs[first // stride % len(labs)]] * run
+            first += run
+        return out
+
+    return column
 
 
 def _extend_scaled(ints: list, scale: int, shared: dict, values: Sequence) -> tuple[list, int]:
@@ -611,23 +631,7 @@ def _payoff_columns(
     # A label that is a separator token (a bad label) matches no token, so
     # the slot checks also place every `:` and `;`.
     names = [[lab if lab not in (":", ";") else None for lab in labs] for labs in labels]
-    periods = [
-        [lab for lab in labs for _ in range(st)] if len(labs) * st <= 2 * _CHUNK else None
-        for labs, st in zip(names, strides)
-    ]
-
-    def expected(i: int, first: int, count: int) -> list[str | None]:
-        """Player i's labels of the `count` profiles from flat index `first`."""
-        period = periods[i]
-        if period is not None:
-            at = first % len(period)
-            return (period * ((at + count) // len(period) + 1))[at : at + count]
-        labs, st, out, end = names[i], strides[i], [], first + count
-        while first < end:
-            run = min(end, (first // st + 1) * st) - first
-            out += [labs[first // st % sizes[i]]] * run
-            first += run
-        return out
+    expected = list(map(_label_column, names, strides))
 
     width = 2 * n + 3  # payoff, n labels, `:`, n numerals, `;`
     done = 0  # records read
@@ -646,7 +650,7 @@ def _payoff_columns(
             and toks[::width].count("payoff") == records
             and toks[n + 1 :: width].count(":") == records
             and toks[width - 1 :: width].count(";") == records - 1
-            and all(toks[1 + i :: width] == expected(i, done, records) for i in range(n))
+            and all(toks[1 + i :: width] == expected[i](done, records) for i in range(n))
         ):
             return None
         done += records
@@ -722,18 +726,23 @@ def _read_payoff_lines(
 
 
 def render_game(game: FiniteGame, header_comment: str | None = None) -> str:
-    """Canonical text form; `parse_game(render_game(g)) == g`."""
-    out = []
-    if header_comment:
-        for line in header_comment.splitlines():
-            out.append(f"# {line}".rstrip())
-    out.append(f"players {game.players}")
-    for i, labs in enumerate(game.labels):
-        out.append(f"strategies {i + 1}: " + " ".join(labs))
-    rows = zip(*map(_numerals, game.ipay, game.scales))
-    # itertools.product over the labels walks the tensor in flat order
-    profiles = itertools.product(*game.labels)
-    lines = (f"payoff {' '.join(p)} : {' '.join(v)}" for p, v in zip(profiles, rows))
-    while chunk := "\n".join(itertools.islice(lines, _CHUNK)):
-        out.append(chunk)
-    return "\n".join(out) + "\n"
+    """Canonical text form; `parse_game(render_game(g)) == g`.  A chunk of
+    payoff lines is one list filled by strided slices, as `_fill`'s digest
+    buffer: per profile `payoff`, labels, ` :`, numerals (each after a space)."""
+    head = [f"# {line}".rstrip() for line in (header_comment or "").splitlines()]
+    head.append(f"players {game.players}")
+    head += [f"strategies {i + 1}: " + " ".join(labs) for i, labs in enumerate(game.labels)]
+    out = ["\n".join(head) + "\n"]
+    n, total, width = game.players, len(game.ipay[0]), 2 * game.players + 3
+    labels = [[" " + lab for lab in labs] for labs in game.labels]
+    label_columns = list(map(_label_column, labels, game.strides))
+    columns = [_numerals(col, scale, " ") for col, scale in zip(game.ipay, game.scales)]
+    step = max(1, 2 * _CHUNK // width)  # 2 * _CHUNK slots a chunk, as in `_fill`
+    for start in range(0, total, step):
+        count = min(step, total - start)
+        buf = (["payoff"] + [""] * n + [" :"] + [""] * n + ["\n"]) * count
+        for i, col in enumerate(columns):
+            buf[1 + i :: width] = label_columns[i](start, count)
+            buf[n + 2 + i :: width] = itertools.islice(col, count)
+        out.append("".join(buf))
+    return "".join(out)

@@ -7,7 +7,7 @@ where better responses are drawn from:
 * arrow  — the kept sets of the restriction being reduced,
 * darrow — the kept sets of the proposed target restriction.
 
-`candidate_certificates` is the one per-round sweep: it decides every kept
+`candidate_certificates` is the one per-round sweep: it decides each kept
 strategy against the comparison set its relation picks.  `validate_step`
 certifies a single proposed reduction, and `iterate` drives maximal
 sequences under several elimination policies.  Traces record every removal
@@ -37,8 +37,8 @@ The one memo is the `OracleCache` a caller passes (`iterate` makes one when
 none is given); its docstring states why a remembered answer, a swept
 restriction, a shared step and a starting frontier are sound.  An `iterate`
 run keeps a `Frontier`, copied from the one the cache kept at the full
-restriction, so a sweep re-decides only what a removal touched; it skips a
-sweep, or a step's build, that the cache's tables hold.  A run moves on
+restriction; a sweep is one walk over the bits, deciding only what a
+removal woke; it skips a sweep or step build the tables hold.  A run moves on
 masks: a target is its source's bits with the drawn ones cleared, a shared
 step is keyed by the two, and `Restriction.kept`, `Step.removed` and a
 trace's labels are read off them.
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import random
 import weakref
+from bisect import bisect
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Sequence, Union
@@ -306,30 +307,6 @@ class Frontier:
         self.watchers = [0] * len(game.bit_pairs)  # bit -> mask of witnesses on it
         self.sets: list[tuple[int, ...]] = [()] * game.players
         self.certs: dict[tuple[int, int], Certificate] = {}
-        self.pairs = game.bit_pairs
-
-    def stale(self, restriction: Restriction) -> Sequence[Sequence[int]]:
-        """Per player, the kept strategies a sweep of `restriction` decides."""
-        previous, self.bits = self.bits, restriction.bits
-        if previous is None:
-            self.whole = self.bits.bit_count() == len(self.pairs)  # started at the full one
-            return restriction.kept
-        dirty, self.inconclusive = self.inconclusive, 0
-        for bit in _bits(previous & ~self.bits):
-            dirty |= self.watchers[bit]
-            self.watchers[bit] = 0
-            if self.removable >> bit & 1:  # a fact whose strategy is gone
-                self.removable ^= 1 << bit
-                player, s = self.pairs[bit]
-                own = self.sets[player]
-                k = own.index(s)
-                self.sets[player] = own[:k] + own[k + 1 :]
-                del self.certs[player, s]
-        todo: list[list[int]] = [[] for _ in self.sets]
-        for bit in _bits(dirty & self.bits & ~self.removable):
-            player, s = self.pairs[bit]
-            todo[player].append(s)
-        return todo
 
     def copy(self) -> Frontier:
         """A frontier that goes on from this one's state and shares none of it."""
@@ -338,15 +315,76 @@ class Frontier:
                              certs=self.certs.copy())
         return twin
 
-    def record(self, bit: int, cert: Certificate, support: int) -> None:
-        """`cert` is a witness, which watches `support`, or `Inconclusive`."""
-        if isinstance(cert, Inconclusive):
-            self.inconclusive |= 1 << bit
-            return
-        while support:  # `_bits` inlined: every witness answer passes here
-            low = support & -support
-            support ^= low
-            self.watchers[low.bit_length() - 1] |= 1 << bit
+    def sweep(
+        self, game: FiniteGame, restriction: Restriction, belief_kind: BeliefKind,
+        kind: ReductionKind, resolution: int, cache: OracleCache | None,
+    ) -> bool:
+        """`candidate_certificates`'s sweep, one walk over the round's bits;
+        whether an answer was inconclusive.  Removed bits wake their watchers
+        and drop their facts; the woken bits and the last sweep's
+        `Inconclusive` ones (all kept bits at first) are then decided in
+        ascending order, player after player: remembered, else fresh."""
+        previous, self.bits = self.bits, restriction.bits
+        bits, pairs, watchers, sets = self.bits, game.bit_pairs, self.watchers, self.sets
+        if previous is None:  # the first sweep: was it at the full restriction?
+            self.whole, woken = bits.bit_count() == len(pairs), bits
+        else:
+            woken, self.inconclusive, gone = self.inconclusive, 0, previous & ~bits
+            facts, self.removable = gone & self.removable, self.removable & bits
+            while gone:  # `_bits` inlined here and below: every sweep passes
+                low = gone & -gone
+                gone ^= low
+                bit = low.bit_length() - 1
+                woken |= watchers[bit]
+                watchers[bit] = 0
+                if facts & low:  # a fact whose strategy is gone
+                    player, s = pairs[bit]
+                    k = (own := sets[player]).index(s)
+                    sets[player] = own[:k] + own[k + 1 :]
+                    del self.certs[player, s]
+        # With a component empty, every player faces an empty opponent component
+        # or keeps nothing itself: every kept strategy's fact becomes vacuous.
+        if not restriction.is_nondegenerate():
+            sets[:] = kept = restriction.kept
+            self.certs.update(((i, s), EmptyBeliefSet()) for i, ks in enumerate(kept) for s in ks)
+            self.removable = bits
+            return False
+        todo, end = woken & bits & ~self.removable, 0  # `end`: past the player's bits
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            bit = low.bit_length() - 1
+            if bit >= end:  # the walk reaches a player's bits: its set-up
+                player = pairs[bit][0]
+                offset, bases = game.offsets[player], None
+                end = offset + game.sizes[player]
+                cmp = comparison_for(kind, game, restriction, restriction, player)
+            s = bit - offset
+            cert = cache.lookup(player, s, bits, cmp) if cache is not None else None
+            if cert is None:
+                if bases is None:  # a fresh decision: the index sets are read
+                    bases = game.opponent_bases(player, kept := restriction.kept)
+                    within = full_comparison(game, player) if self.whole else cmp
+                    colmax = _column_best(game, player, bases, within)
+                cert = _find_witness_fast(
+                    game, kept, player, s, belief_kind, cmp, resolution, bases, colmax
+                )
+                if cache is not None:
+                    cache.remember(player, s, bits, cmp, cert)
+            if isinstance(cert, NeverBest):  # a fact: into the mask, tuple and dict
+                self.removable |= low
+                k = bisect(own := sets[player], s)
+                sets[player] = own[:k] + (s,) + own[k:]
+                self.certs[player, s] = cert
+            elif isinstance(cert, Inconclusive):
+                self.inconclusive |= low
+            elif cache is not None:  # a witness watches its support
+                support = cache.support
+                while support:
+                    at = support & -support
+                    support ^= at
+                    watchers[at.bit_length() - 1] |= low
+        return self.inconclusive != 0
 
 
 def candidate_certificates(
@@ -367,8 +405,8 @@ def candidate_certificates(
     rest; the result is the same as without it.  `frontier` (with `cache`)
     carries one run's answers from sweep to sweep, along that run's legal
     steps, and the certificates returned are its own dict, valid until its
-    next sweep; without it, every kept strategy is decided and nothing is
-    kept.
+    next sweep; without it, a fresh frontier decides every kept strategy and
+    is dropped.  A run's sweep, with its cache bound, checks identities only.
 
     Each player's strategies face one comparison set; for arrow and darrow
     alike it is the restriction's kept set.  Removing `s` alone, darrow
@@ -376,55 +414,16 @@ def candidate_certificates(
     the verdicts and certificates are the same.  A `frontier` begun at the
     full restriction reads column bests from `game.colmax` (module docstring).
     """
-    if restriction.parent != game:
-        raise InputError("restriction does not belong to the game")
-    run = frontier is not None
-    if run and cache is None:  # the frontier reads each witness's support there
-        raise InputError("a frontier needs a cache")
-    if cache is not None:
-        cache.bind(game, belief_kind)
-    bits = restriction.bits
-    if not run:
-        frontier = Frontier(game)
-    todo = frontier.stale(restriction)
-    # With a component empty, every player faces an empty opponent component
-    # or keeps nothing itself.
-    degenerate = not restriction.is_nondegenerate()
-    saw_inconclusive = False
-    for player in range(game.players):
-        if degenerate:  # every kept strategy's fact (if any) becomes vacuous
-            frontier.sets[player] = own = restriction.kept[player]
-            frontier.certs.update(((player, s), EmptyBeliefSet()) for s in own)
-            frontier.removable |= bits & game.bit_masks[player]
-            continue
-        if not todo[player]:
-            continue
-        offset = game.offsets[player]
-        cmp = comparison_for(kind, game, restriction, restriction, player)
-        bases = colmax = None
-        fresh = []  # strategies found removable in this sweep
-        for s in todo[player]:
-            cert = cache.lookup(player, s, bits, cmp) if cache is not None else None
-            if cert is None:
-                if bases is None:  # a fresh decision: the index sets are read
-                    bases = game.opponent_bases(player, kept := restriction.kept)
-                    within = full_comparison(game, player) if frontier.whole else cmp
-                    colmax = _column_best(game, player, bases, within)
-                cert = _find_witness_fast(
-                    game, kept, player, s, belief_kind, cmp, resolution, bases, colmax
-                )
-                if cache is not None:
-                    cache.remember(player, s, bits, cmp, cert)
-            if isinstance(cert, NeverBest):  # `stale` lists no removable one
-                frontier.removable |= 1 << offset + s
-                frontier.certs[player, s] = cert
-                fresh.append(s)
-                continue
-            saw_inconclusive |= isinstance(cert, Inconclusive)
-            if run:
-                frontier.record(offset + s, cert, cache.support)
-        if fresh:  # one merge keeps the tuple ascending
-            frontier.sets[player] = tuple(sorted(frontier.sets[player] + tuple(fresh)))
+    if (frontier is None or restriction.parent is not game or cache is None
+            or cache.game is not game or cache.kind is not belief_kind):
+        if restriction.parent != game:
+            raise InputError("restriction does not belong to the game")
+        if frontier is not None and cache is None:  # it reads witness supports there
+            raise InputError("a frontier needs a cache")
+        if cache is not None:
+            cache.bind(game, belief_kind)
+        frontier = frontier or Frontier(game)
+    saw_inconclusive = frontier.sweep(game, restriction, belief_kind, kind, resolution, cache)
     return tuple(frontier.sets), frontier.certs, saw_inconclusive
 
 

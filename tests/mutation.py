@@ -67,7 +67,7 @@ MUTANTS = [
     ),
     (
         "colmax-off-a-run-from-the-full-game", REDUCTIONS,
-        "within = full_comparison(game, player) if frontier.whole else cmp",
+        "within = full_comparison(game, player) if self.whole else cmp",
         "within = full_comparison(game, player)",
         ["tests/test_reductions.py::TestCandidates"],
     ),
@@ -138,14 +138,32 @@ MUTANTS = [
          "::test_a_swapped_fact_needs_the_transposed_restriction"],
     ),
     (
-        "stale-wakes-no-watcher", REDUCTIONS,
-        "dirty |= self.watchers[bit]",
-        "dirty |= 0",
+        "walk-wakes-no-watcher", REDUCTIONS,
+        "woken |= watchers[bit]",
+        "woken |= 0",
         ["tests/test_reductions.py::TestFrontier::test_iterate_matches_the_stateless_reference"],
     ),
     (
+        "walk-leaves-an-inconclusive-bit-asleep", REDUCTIONS,
+        "woken, self.inconclusive, gone = self.inconclusive, 0, previous & ~bits",
+        "woken, self.inconclusive, gone = 0, 0, previous & ~bits",
+        ["tests/test_reductions.py::TestFrontier::test_iterate_matches_the_stateless_reference"],
+    ),
+    (
+        "walk-keeps-a-gone-strategy-fact", REDUCTIONS,
+        "if facts & low:  # a fact whose strategy is gone",
+        "if facts & low and False:",
+        ["tests/test_reductions.py::TestFrontier::test_sets_and_certificates_follow_the_mask"],
+    ),
+    (
+        "walk-appends-a-fact-out-of-order", REDUCTIONS,
+        "k = bisect(own := sets[player], s)",
+        "k = len(own := sets[player])",
+        ["tests/test_reductions.py::TestFrontier::test_sets_and_certificates_follow_the_mask"],
+    ),
+    (
         "span-reader-skips-label-order", GAMES,
-        "and all(toks[1 + i :: width] == expected(i, done, records) for i in range(n))",
+        "and all(toks[1 + i :: width] == expected[i](done, records) for i in range(n))",
         "and True",
         ["tests/test_games.py::TestParserParity::test_accepted_mutations_read_the_same_game"],
     ),
@@ -154,6 +172,12 @@ MUTANTS = [
         "if not span:  # after the `\\n` that ends the text\n            continue",
         "if not span:\n            return None",
         ["tests/test_games.py::TestTokenRoutes::test_written_text_never_reaches_the_walk"],
+    ),
+    (
+        "render-restarts-labels-each-chunk", GAMES,
+        "buf[1 + i :: width] = label_columns[i](start, count)",
+        "buf[1 + i :: width] = label_columns[i](0, count)",
+        ["tests/test_games.py::TestChunkBoundaries::test_render_matches_the_per_line_reference"],
     ),
     (
         "walk-skips-the-duplicate-check", GAMES,

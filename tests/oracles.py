@@ -613,9 +613,11 @@ def digest_reference(labels, table):
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def render_game_reference(labels, table):
-    """The canonical text form, one payoff line per profile in flat order."""
-    out = [f"players {len(labels)}"]
+def render_game_reference(labels, table, header_comment=None):
+    """The canonical text form, one payoff line per profile in flat order,
+    after a `# ` line per line of `header_comment`, trailing blanks cut."""
+    out = [f"# {line}".rstrip() for line in (header_comment or "").splitlines()]
+    out.append(f"players {len(labels)}")
     out += [f"strategies {i + 1}: " + " ".join(labs) for i, labs in enumerate(labels)]
     for profile in itertools.product(*(range(len(labs)) for labs in labels)):
         names = " ".join(labels[i][s] for i, s in enumerate(profile))

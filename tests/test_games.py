@@ -615,6 +615,24 @@ class TestChunkBoundaries:
         assert render_game(game) == render_game_reference(game.labels, table)
         assert FiniteGame.from_function(game.labels, table.__getitem__) == game
 
+    @pytest.mark.parametrize("comment", [None, "emitted for a test\n\n  indented  "])
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 64, games._CHUNK])
+    def test_render_matches_the_per_line_reference(self, monkeypatch, chunk, comment):
+        # `render_game` fills a list per chunk of `2 * _CHUNK // (2n + 3)`
+        # profiles; a label column longer than two chunks is built from runs.
+        # The last three games cross the default chunk, and 100 x 90 and
+        # 20 x 20 x 21 take the runs for player 1.
+        monkeypatch.setattr(games, "_CHUNK", chunk)
+        shapes = [(1, (7,)), (2, (4, 3)), (3, (3, 2, 4)), (1, (5000,)), (2, (100, 90)),
+                  (3, (20, 20, 21))]
+        for players, sizes in shapes:
+            if chunk < 64 and sizes[0] > 10:  # small chunks on small games only
+                continue
+            game = random_game(players, sizes, 5, seed=len(sizes) + sizes[0])
+            table = {p: tuple(map(Fraction, r)) for p, r in _rows(game, True).items()}
+            want = render_game_reference(game.labels, table, comment)
+            assert render_game(game, comment) == want, sizes
+
     @pytest.mark.parametrize("chunk", [3, 15, 21, 96])
     def test_three_player_digest_over_several_chunks(self, monkeypatch, chunk):
         # The digest text goes to sha256 in lists of 2 * chunk slots, here
@@ -649,7 +667,7 @@ class TestBoundedMemory:
     """Parse, build and render hold one `_CHUNK` of rows beside the game.
 
     On the 200-wide Bertrand grid (40,000 profiles, ten chunks) a build
-    peaks near 5.0 MB, a render near 2.8 MB and a parse near 3.6 MB.  Each
+    peaks near 5.0 MB, a render near 1.9 MB and a parse near 3.6 MB.  Each
     bound sits below the peak of a layer that holds the whole text split
     into lines, or every row and digest line at once: 7.9, 5.8 and 9.1 MB.
     """

@@ -1,6 +1,7 @@
 """Reduction steps, fast variants, iteration policies, trace invariants."""
 
 import gc
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nbrelim import oracle, reductions
+from nbrelim import oracle, reductions, verification
 from nbrelim.beliefs import BeliefKind, PurePoint
 from nbrelim.catalog import (
     bertrand_grid,
@@ -761,11 +762,14 @@ class TestFrontier:
 
         return FiniteGame.from_function([["X", "Y", "Z", "W"], ["H", "T"], ["m"]], pay)
 
-    def test_iterate_matches_the_stateless_reference(self):
+    def runs_against_the_reference(self, witnesses_equal):
+        """Every relation, belief kind and policy on the corpus, two seeds,
+        one cache per side per game: traces equal, each never-best entry a
+        fact, and the witness tables equal if `witnesses_equal`."""
         games = TestResidualSupports.corpus() + [
             self.pinched_window_with_a_dominated_strategy()
         ]
-        runs = 0
+        runs = longest = 0
         for n, game in enumerate(games):
             for bk in BeliefKind:
                 # One cache per side for every run on this game, so later
@@ -784,7 +788,8 @@ class TestFrontier:
                             )
                             assert trace.render() == reference.render()
                             runs += 1
-                assert cache.witnesses == reference_cache.witnesses
+                if witnesses_equal:
+                    assert cache.witnesses == reference_cache.witnesses
                 # The reference re-decides every round, so it holds more
                 # never-best entries; each of the engine's is a fact.
                 for (player, s), entries in cache.never_best.items():
@@ -798,7 +803,54 @@ class TestFrontier:
                         ])
                         fact = find_witness(game, restrict(game, kept), player, s, bk, cmp)
                         assert isinstance(fact, NeverBest)
+                for side in (cache, reference_cache):
+                    for table in (side.witnesses, side.never_best):
+                        longest = max([longest, *map(len, table.values())])
         assert runs == len(games) * 3 * 8 * 2
+        return longest
+
+    def test_iterate_matches_the_stateless_reference(self, monkeypatch):
+        # The reference decides more than the engine, so at the default
+        # `DEPTH` the two sides can evict different entries and end with
+        # different witness tables while every trace stays equal.  With no
+        # list ever cut, the tables must be equal.
+        monkeypatch.setattr(OracleCache, "DEPTH", 10**6)
+        assert self.runs_against_the_reference(witnesses_equal=True) < 10**6
+
+    def test_iterate_matches_the_reference_at_depth_one(self, monkeypatch):
+        # Each answer evicts the last, so only traces and facts can agree.
+        monkeypatch.setattr(OracleCache, "DEPTH", 1)
+        assert self.runs_against_the_reference(witnesses_equal=False) == 1
+
+    def test_sets_and_certificates_follow_the_mask(self, monkeypatch):
+        # After each sweep of a run, the frontier's ascending tuples and its
+        # dict name exactly the strategies of its removable mask, all kept: a
+        # removed strategy's fact leaves all three, a new one enters each.
+        last, dropped = {}, []  # frontier -> mask after its last sweep; facts gone
+        sweep = reductions.candidate_certificates
+
+        def checked(game, restriction, belief_kind, kind, resolution, cache, frontier):
+            dropped.append((last.get(frontier, 0) & ~restriction.bits).bit_count())
+            result = sweep(game, restriction, belief_kind, kind, resolution, cache, frontier)
+            last[frontier] = frontier.removable
+            pairs = [game.bit_pairs[b] for b in range(len(game.bit_pairs))
+                     if frontier.removable >> b & 1]
+            assert not frontier.removable & ~restriction.bits
+            assert result[0] == tuple(frontier.sets) == tuple(
+                tuple(s for i, s in pairs if i == player) for player in range(game.players)
+            )
+            assert result[1] is frontier.certs and sorted(frontier.certs) == pairs
+            return result
+
+        monkeypatch.setattr(reductions, "candidate_certificates", checked)
+        for game in TestResidualSupports.corpus()[::3] + [bertrand_grid(12)]:
+            for bk in (BeliefKind.PURE, BeliefKind.CORRELATED):
+                cache = OracleCache(bk)
+                for kind in ReductionKind:
+                    for seed in range(3):
+                        policy = (Policy.SINGLE_RANDOM, Policy.RANDOM_PARTIAL)[seed % 2]
+                        iterate(game, kind, bk, policy, seed, cache=cache)
+        assert len(dropped) > 100 and sum(dropped) > 100
 
     @pytest.mark.parametrize("kind", list(ReductionKind))
     def test_a_never_best_fact_is_decided_once_per_run(self, monkeypatch, kind):
@@ -1053,6 +1105,48 @@ class TestSweepTable:
         # fresh and reference run sweeps each of its own rounds.
         shared = len(sweeps) - 2 * rounds
         assert 0 < shared < rounds / 2
+
+    # sha256 over the runs below of every step's certificates as `repr` writes
+    # them, never-best mixtures included, as the engine gave them when each
+    # sweep first listed its strategies per player and then decided them.
+    CERTIFICATES = "e30949bf018d2e865ce3f2a2ff58b23f7bd8ad338fc107165c8292abc9bd61c7"
+
+    @staticmethod
+    def certificates_digest(monkeypatch):
+        traces = []
+        run = verification.iterate
+
+        def kept(*args, **kwargs):
+            traces.append(run(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(verification, "iterate", kept)
+        digest, mixtures = hashlib.sha256(), 0
+        # Each (player, strategy) is decided once a sweep, and a lookup reads
+        # its own entries, or in a symmetric game the other player's too: the
+        # grids are where a sweep's order can reach a later answer.
+        games = TestResidualSupports.corpus() + [bertrand_grid(10), hotelling_grid(9)]
+        for n, game in enumerate(games):
+            for bk in BeliefKind:
+                traces.clear()  # `check_equivalence`'s runs, on its one cache
+                verification.check_equivalence(game, bk, seed=n, resolution=2)
+                for trace in traces:
+                    digest.update(f"{n} {trace.kind} {trace.policy} {trace.seed}\n".encode())
+                    for step in trace.steps:
+                        digest.update(f"{step.certificates!r}\n".encode())
+                        mixtures += sum(
+                            getattr(cert, "dominating", None) is not None
+                            for _, cert in step.certificates
+                        )
+        return digest.hexdigest(), mixtures
+
+    def test_step_certificates_keep_their_digest(self, monkeypatch):
+        # `render()` shows a never-best proof's kind only, and the mixture a
+        # proof carries rests on what the shared cache held when it was
+        # decided: a sweep that decides in another order shows here.
+        digest, mixtures = self.certificates_digest(monkeypatch)
+        assert mixtures > 0
+        assert digest == self.CERTIFICATES
 
     def test_a_rerun_sweeps_nothing(self, monkeypatch):
         sweeps = self.counted_sweeps(monkeypatch)
@@ -1359,7 +1453,7 @@ class TestStartingFrontier:
             b for b in range(len(watched))
             if bits >> b & 1 and watched[b] & ~bits and not start.removable >> b & 1
         ]
-        assert sorted(looked) == woken
+        assert looked == woken  # ascending: player after player
         # A run from a fresh frontier looks up every kept strategy here.
         assert 0 < len(looked) < bits.bit_count() / 2
         assert second.render() == iterate(
