@@ -101,6 +101,11 @@ def _label_column(labs: Sequence, stride: int) -> Callable[[int, int], list]:
     return column
 
 
+def _label_digest(labels: Sequence[Sequence[str]]) -> hashlib._Hash:
+    """A game's sha256 fed its labels; a line per profile follows."""
+    return hashlib.sha256(";".join(",".join(labs) for labs in labels).encode())
+
+
 def _extend_scaled(ints: list, scale: int, shared: dict, values: Sequence) -> tuple[list, int]:
     """`ints`, integers on `scale`, extended by `values` on the lcm of `scale`
     and their denominators, and that lcm.  A new denominator multiplies the
@@ -159,9 +164,9 @@ class FiniteGame:
     order with `colmax` and the digest.  `__init__` checks and flattens a
     profile-keyed table, and `from_function` evaluates its rows one chunk at
     a time; both scale the rows through `_build`.  `_from_columns` takes
-    integer columns made elsewhere: `parse_game` scales its numeral tokens
-    by a table of the distinct ones, and `catalog` builds the Bertrand and
-    Hotelling grids' columns directly on scale 2.
+    integer columns made elsewhere: `parse_game` reads numeral tokens into
+    them (its span reader feeds the digest too), and `catalog` builds the
+    Bertrand and Hotelling grids' columns directly on scale 2.
     """
 
     __slots__ = (
@@ -214,13 +219,13 @@ class FiniteGame:
 
     @classmethod
     def _from_columns(cls, labels: Sequence[Sequence[str]], ipay: list, scales: Sequence[int],
-                      numerals: Iterable | None = None) -> "FiniteGame":
+                      fed: hashlib._Hash | None = None) -> "FiniteGame":
         """A game from per-player integer columns in row-major order, as
         `_fill` stores them: pass `ipay` holding the only reference to each
         column, so that each is freed as its tuple is made."""
         game = cls.__new__(cls)
         game._shape(labels)
-        game._fill(ipay, scales, numerals)
+        game._fill(ipay, scales, fed)
         return game
 
     def _shape(self, labels: Sequence[Sequence[str]]) -> None:
@@ -258,13 +263,12 @@ class FiniteGame:
                 ipay[i], scales[i] = _extend_scaled(ipay[i], scales[i], shared[i], part)
         self._fill(ipay, scales)
 
-    def _fill(self, ipay: list, scales: Sequence[int], numerals: Iterable | None = None) -> None:
+    def _fill(self, ipay: list, scales: Sequence[int], fed: hashlib._Hash | None = None) -> None:
         """Store the integer tensor, one row-major column per player on its
         scale, with `colmax` and the digest; each column of `ipay` is turned
-        into a tuple in place.  The digest's line of canonical rationals per
-        profile goes to sha256 one chunk at a time.  Its text comes from
-        `numerals`, one column of canonical numeral strings per player, when
-        the caller has them, and from the ints otherwise."""
+        into a tuple in place.  `fed` is a `_label_digest` fed a line of
+        canonical rationals per profile; without one, the lines are written
+        from the ints and go to sha256 one chunk at a time."""
         colmax = []
         for i, col in enumerate(ipay):
             ipay[i] = col = tuple(col)
@@ -275,16 +279,17 @@ class FiniteGame:
         self.scales = tuple(scales)
         self.colmax = tuple(colmax)
 
-        columns = list(map(iter, numerals or map(_numerals, self.ipay, self.scales)))
-        digest = hashlib.sha256(";".join(",".join(labs) for labs in self.labels).encode())
-        # A chunk's list holds 2 * _CHUNK slots, under glibc malloc's 128 KB mmap
-        # threshold: twice that raised solve-wide's peak RSS by 1.7 MB.
-        width, total, step = 2 * self.players, len(self.ipay[0]), max(1, _CHUNK // self.players)
-        for start in range(0, total, step):  # per profile "\n", then ","-joined numerals
-            buf = (["\n"] + ["", ","] * self.players)[:-1] * min(step, total - start)
-            for i, col in enumerate(columns):  # player i's numeral sits at 2 * i + 1
-                buf[2 * i + 1 :: width] = itertools.islice(col, step)
-            digest.update("".join(buf).encode())
+        digest, n = fed or _label_digest(self.labels), self.players
+        if fed is None:
+            columns = list(map(_numerals, self.ipay, self.scales))
+            # A chunk's list holds 2 * _CHUNK slots, under glibc malloc's 128 KB mmap
+            # threshold: twice that raised solve-wide's peak RSS by 1.7 MB.
+            width, total, step = 2 * n, len(self.ipay[0]), max(1, _CHUNK // n)
+            for start in range(0, total, step):  # per profile "\n", then ","-joined numerals
+                buf = (["\n"] + ["", ","] * n)[:-1] * min(step, total - start)
+                for i, col in enumerate(columns):  # player i's numeral sits at 2 * i + 1
+                    buf[2 * i + 1 :: width] = itertools.islice(col, step)
+                digest.update("".join(buf).encode())
         self._digest = digest.hexdigest()
         self._hash = hash(self._digest)
 
@@ -545,15 +550,12 @@ def parse_game(text: str) -> FiniteGame:
     """Read the game text format; a `FormatError` names the first bad line.
 
     Lines end at `\n` only.  The header is read line by line.  Payoff lines
-    as `render_game` writes them are read in bulk by `_payoff_columns`, one
-    span at a time.  Any other payoff block, with comments, blank lines or
-    lines out of row-major order, and every bad one, is read by
-    `_read_payoff_lines` from the same numbered lines as the header: it
-    takes the lines one by one and raises the first bad line's error.
-    Either reader gives each player's column of numeral tokens in
-    row-major order and a table of its distinct tokens' values: each
-    column is scaled by one `map`, and when every distinct token is
-    canonical the token columns are the digest's text.
+    as `render_game` writes them, also with CRLF ends or other numeral
+    forms, are read in bulk by `_payoff_columns`, one span at a time,
+    straight into integer columns and the digest.  Any other payoff block
+    (comments, blank lines, other spacing, rows out of order) and every bad
+    one is read by `_read_payoff_lines` from the same numbered lines as the
+    header, one by one, raising the first bad line's error.
     """
     numbered = _nonblank(_lines(text))
     lineno, head = next(numbered, (0, ""))
@@ -593,97 +595,100 @@ def parse_game(text: str) -> FiniteGame:
         start = text.find("\n", start) + 1 or len(text)
     read = _payoff_columns(_spans(text, start), labels)
     # `numbered` stands after the header: `zip` stopped at the end of `range`
-    columns, tables = read or _read_payoff_lines(numbered, labels)
-    ipay, scales = [], []
-    for col, table in zip(columns, tables):
-        scale = math.lcm(*{q.denominator for q in table.values()})
-        ints = {t: q.numerator * (scale // q.denominator) for t, q in table.items()}
-        ipay.append(tuple(map(ints.__getitem__, col)))
-        scales.append(scale)
-    canonical = all(render_rational(q) == t for table in tables for t, q in table.items())
+    ipay, scales, digest = read or _read_payoff_lines(numbered, labels)
     try:
-        return FiniteGame._from_columns(labels, ipay, scales, columns if canonical else None)
+        return FiniteGame._from_columns(labels, ipay, scales, digest)
     except InputError as exc:  # a bad label
         raise FormatError(str(exc)) from None
 
 
 def _payoff_columns(
     spans: Iterable[str], labels: Sequence[Sequence[str]]
-) -> tuple[list[list[str]], list[dict[str, int | Fraction]]] | None:
-    """Each player's numeral tokens in row-major order and a table of their
-    distinct tokens' values, read from payoff lines in the layout
-    `render_game` writes; None when any check fails.
+) -> tuple[list[list[int]], list[int], hashlib._Hash] | None:
+    """Each player's integer column in row-major order, its scale, and the
+    digest fed the payoff lines, read from text in the layout `render_game`
+    writes; None when any check fails.
 
-    Each span is tokenized whole: each `\n` becomes a `;` token (no valid
-    payoff line holds a `;`), each `:` is spaced, and one `split()` gives
-    the tokens.  Strided slices check that each record is one line
-    `payoff <n labels> : <n numerals>`, so a blank line fails, and so does
-    any span with a `#`.  Each player's label column is compared, as one
-    list, with its labels in row-major order: a slice of a precomputed
-    period of at most two `_CHUNK`s, or runs built for the span.  The
-    records must then number exactly the profiles.  Equal numeral tokens
-    of a player share one string; each distinct one is checked once.
-    CRLF line ends and non-canonical numerals read here too.
+    Each span is split once, at single spaces.  A line end rides on the
+    line's last numeral, as `q\npayoff`, so record k is the 2n + 1 tokens
+    from k * (2n + 1), one record per line end plus one.  The checks are
+    positional: the first token is `payoff`, the label slices equal the
+    labels in row-major order, each `:` sits at its stride, the final token
+    holds no `\n`, and each numeral, a last one cut of its `\npayoff`, reads
+    by `_numeral`; in all the records number the profiles.  A `\r\n` reads
+    as `\n`; a label holding `:`, which the walk reads otherwise, fails.
+    A table per player reads each distinct token once, to its int on the
+    player's scale.  A span's digest lines are one list filled by strided
+    slices, of tokens while all are canonical, else of canonical text.
     """
     n = len(labels)
-    sizes = [len(labs) for labs in labels]
-    strides = [math.prod(sizes[i + 1 :]) for i in range(n)]
-    # A label that is a separator token (a bad label) matches no token, so
-    # the slot checks also place every `:` and `;`.
-    names = [[lab if lab not in (":", ";") else None for lab in labs] for labs in labels]
-    expected = list(map(_label_column, names, strides))
-
-    width = 2 * n + 3  # payoff, n labels, `:`, n numerals, `;`
-    done = 0  # records read
-    columns: list[list[str]] = [[] for _ in range(n)]
-    distinct: list[dict[str, str]] = [{} for _ in range(n)]
+    if any(":" in lab for labs in labels for lab in labs):
+        return None
+    strides = [math.prod(map(len, labels[i + 1 :])) for i in range(n)]
+    expected = list(map(_label_column, labels, strides))
+    width = 2 * n + 1  # payoff, n labels, `:`, n numerals: the next payoff rides on the last
+    done, digest = 0, _label_digest(labels)  # records read, and their digest lines
+    columns, ints, texts = [[] for _ in range(n)], [{} for _ in range(n)], [{} for _ in range(n)]
+    scales, plain = [1] * n, [True] * (n - 1) + [False]  # the last tokens carry `\npayoff`
     for span in spans:
         if not span:  # after the `\n` that ends the text
             continue
-        if "#" in span:
-            return None
-        body = span[:-1] if span.endswith("\n") else span  # its last line blank
-        records = body.count("\n") + 1
-        toks = body.replace(":", " : ").replace("\n", " ; ").split()
+        if "\r" in span:
+            span = span.replace("\r\n", "\n").removesuffix("\r")
+        body = span.removesuffix("\n")  # its last line blank
+        toks, records = body.split(" "), body.count("\n") + 1
         if not (
-            len(toks) == records * width - 1
-            and toks[::width].count("payoff") == records
+            len(toks) == records * width + 1
+            and toks[0] == "payoff"
             and toks[n + 1 :: width].count(":") == records
-            and toks[width - 1 :: width].count(";") == records - 1
+            and "\n" not in toks[-1]
             and all(toks[1 + i :: width] == expected[i](done, records) for i in range(n))
         ):
             return None
         done += records
-        for i, col in enumerate(columns):
-            vals = toks[n + 2 + i :: width]
-            col += map(distinct[i].setdefault, vals, vals)
-    if done != math.prod(sizes):
+        buf = (["", ","] * n)[:-1] * records
+        for i, table in enumerate(ints):
+            own = toks[n + 2 + i :: width]
+            if fresh := set(own).difference(table):  # each read once, the column scaled once
+                try:
+                    new = {t: _numeral(t.removesuffix("\npayoff" * (i == n - 1))) for t in fresh}
+                except FormatError:
+                    return None
+                scale = math.lcm(scales[i], *(q.denominator for q in new.values()))
+                if scale != scales[i]:
+                    up = {v: v * (scale // scales[i]) for v in set(table.values())}
+                    columns[i], scales[i] = list(map(up.__getitem__, columns[i])), scale
+                    ints[i] = table = {t: up[v] for t, v in table.items()}
+                for t, q in new.items():
+                    table[t] = q.numerator * (scale // q.denominator)
+                    texts[i][t] = render_rational(q) + ("\n" if t.endswith("\npayoff") else "")
+                    plain[i] = plain[i] and texts[i][t] == t
+            columns[i] += map(table.__getitem__, own)
+            buf[2 * i :: 2 * n - 1] = own if plain[i] else map(texts[i].__getitem__, own)
+        digest.update(("\n" + "".join(buf)).encode())
+    if done != math.prod(map(len, labels)):
         return None  # a profile missing, or the block read again
-    try:
-        tables = [{token: _numeral(token) for token in tokens} for tokens in distinct]
-    except FormatError:
-        return None
-    return columns, tables
+    return columns, scales, digest
 
 
 def _read_payoff_lines(
     numbered: Iterable[tuple[int, str]], labels: Sequence[Sequence[str]]
-) -> tuple[list[list[str]], list[dict[str, int | Fraction]]]:
+) -> tuple[list[list[int]], list[int], None]:
     """What `_payoff_columns` returns, read one line at a time from every
     valid payoff block, in any line order; otherwise the error of the first
     bad line, then the label or completeness error of lines that all read.
 
     Per line it keeps one int, the profile's tensor offset, and per player
-    one token, shared by its equal tokens; a set of the offsets shows a
-    repeated profile.  The columns are put in row-major order at the end.
+    its token's value, shared by equal tokens; a set of the offsets shows a
+    repeated profile.  At the end each column is put in row-major order and
+    scaled by one `map`; the digest is left to `_fill`.
     """
     n = len(labels)
     strides = [math.prod(map(len, labels[i + 1 :])) for i in range(n)]
     index = [{lab: k * st for k, lab in enumerate(labs)} for labs, st in zip(labels, strides)]
     offsets: list[int] = []
     seen: set[int] = set()
-    columns: list[list[str]] = [[] for _ in range(n)]
-    distinct: list[dict[str, str]] = [{} for _ in range(n)]
+    columns: list[list[int | Fraction]] = [[] for _ in range(n)]
     tables: list[dict[str, int | Fraction]] = [{} for _ in range(n)]
     for lineno, line in numbered:
         m = _PAYOFF_RE.match(line)
@@ -706,14 +711,13 @@ def _read_payoff_lines(
             raise FormatError(f"line {lineno}: duplicate profile {' '.join(labs)}")
         seen.add(offset)
         offsets.append(offset)
-        for col, tokens, table, val in zip(columns, distinct, tables, vals):
-            if val not in tokens:
+        for col, table, val in zip(columns, tables, vals):
+            if val not in table:
                 try:
                     table[val] = _numeral(val)
                 except FormatError as exc:
                     raise FormatError(f"line {lineno}: {exc}") from None
-                tokens[val] = val
-            col.append(tokens[val])
+            col.append(table[val])
     try:
         _check_labels(labels)
     except InputError as exc:
@@ -722,7 +726,11 @@ def _read_payoff_lines(
     if missing:
         raise FormatError(f"payoff tensor incomplete: {missing} profiles missing")
     order = sorted(range(len(offsets)), key=offsets.__getitem__)
-    return [list(map(col.__getitem__, order)) for col in columns], tables
+    scales = [math.lcm(*{q.denominator for q in table.values()}) for table in tables]
+    for i, (table, scale) in enumerate(zip(tables, scales)):
+        ints = {q: q.numerator * (scale // q.denominator) for q in table.values()}
+        columns[i] = list(map(ints.__getitem__, map(columns[i].__getitem__, order)))
+    return columns, scales, None
 
 
 def render_game(game: FiniteGame, header_comment: str | None = None) -> str:

@@ -7,7 +7,8 @@ written -r.x + s_k = 0, with its surplus s_k basic from the start, and the
 sum row gets the only artificial.  Pivots run in exact integer
 (fraction-free) arithmetic: one running denominator, the determinant of the
 current basis, keeps the tableau integral (Edmonds 1967, Bareiss 1968, as in
-Avis's lrs).  The returned point is `fractions.Fraction`.  Bland's pivoting
+Avis's lrs).  The returned point holds a `Fraction` per basic variable and
+the int 0, which tests false in C, per non-basic one.  Bland's pivoting
 rule makes the run deterministic and cycle-free.
 """
 
@@ -21,7 +22,7 @@ from .games import InputError
 
 def lp_feasible(
     inequalities: Sequence[Sequence[int]], *, num_vars: int
-) -> list[Fraction] | None:
+) -> list[Fraction | int] | None:
     """Feasible basic point of {x >= 0, sum x = 1, r.x >= 0 for r in
     inequalities}, or None when there is none.  Each row holds `num_vars`
     ints: the oracle is the only caller, and other numbers are not checked."""
@@ -67,7 +68,7 @@ def lp_feasible(
         basis[leave], den = enter, piv
         if leave == m:  # the artificial left the basis at 0
             break
-    x = [Fraction(0)] * n
+    x: list[Fraction | int] = [0] * n
     for r, b in enumerate(basis):
         if b < n:
             x[b] = Fraction(tableau[r][-1], den)

@@ -174,6 +174,31 @@ MUTANTS = [
         ["tests/test_games.py::TestTokenRoutes::test_written_text_never_reaches_the_walk"],
     ),
     (
+        "span-reader-passes-a-final-line-end", GAMES,
+        'and "\\n" not in toks[-1]',
+        "and True",
+        ["tests/test_games.py::TestNearLayout"],
+    ),
+    (
+        "span-reader-cuts-any-line-end-suffix", GAMES,
+        '_numeral(t.removesuffix("\\npayoff" * (i == n - 1)))',
+        '_numeral(t.partition("\\n")[0] if i == n - 1 else t)',
+        ["tests/test_games.py::TestNearLayout"],
+    ),
+    (
+        "span-reader-cuts-a-middle-numeral-suffix", GAMES,
+        '_numeral(t.removesuffix("\\npayoff" * (i == n - 1)))',
+        '_numeral(t.removesuffix("\\npayoff"))',
+        ["tests/test_games.py::TestNearLayout"],
+    ),
+    (
+        "digest-keeps-non-canonical-tokens", GAMES,
+        "plain[i] = plain[i] and texts[i][t] == t",
+        "plain[i] = plain[i]",
+        ["tests/test_games.py::TestTokenRoutes"
+         "::test_non_canonical_numerals_read_as_their_canonical_text"],
+    ),
+    (
         "render-restarts-labels-each-chunk", GAMES,
         "buf[1 + i :: width] = label_columns[i](start, count)",
         "buf[1 + i :: width] = label_columns[i](0, count)",
@@ -221,8 +246,8 @@ MUTANTS = [
     ),
     (
         "walk-returns-rows-in-line-order", GAMES,
-        "return [list(map(col.__getitem__, order)) for col in columns], tables",
-        "return columns, tables",
+        "list(map(ints.__getitem__, map(columns[i].__getitem__, order)))",
+        "list(map(ints.__getitem__, columns[i]))",
         ["tests/test_games.py::TestParserParity::test_accepted_mutations_read_the_same_game"],
     ),
     (

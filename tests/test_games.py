@@ -803,6 +803,52 @@ def _walk_must_not_run(*args):
     raise AssertionError("the line walk read the text")
 
 
+# (name, edit of GOOD_TEXT, whether the span reader reads the result): texts
+# a step from the layout `render_game` writes.  Spacing it does not write,
+# a label holding `:` and line ends out of place go to the line walk; the
+# label `payoff` keeps to the layout.
+NEAR_LAYOUT = [
+    ("doubled space", _sub("payoff M L : 0 0", "payoff M  L : 0 0"), False),
+    ("tab", _sub("payoff M L : 0 0", "payoff M L :\t0 0"), False),
+    ("colon glued left", _sub("payoff M L : 0 0", "payoff M L: 0 0"), False),
+    ("colon glued right", _sub("payoff M L : 0 0", "payoff M L :0 0"), False),
+    ("trailing space", _sub("payoff M L : 0 0", "payoff M L : 0 0 "), False),
+    ("trailing space on the last line", _sub("payoff B R : 0 0", "payoff B R : 0 0 "), False),
+    ("keyword label", _sub(" R", " payoff"), True),
+    ("colon label", _sub(" R", " R:"), False),
+    ("keyword cut short", _sub("payoff M R", "payof M R"), False),
+    ("two records on a line", _sub("payoff B L : 1 0\npayoff B R : 0 0\n",
+                                   "payoff B L : 1 0 B R : 0 0\npayoff\n"), False),
+    ("two records on a line, one player set",
+     lambda t: "players 2\nstrategies 1: a\nstrategies 2: b c\n"
+               "payoff a b : 1 2 a c : 3 4\npayoff\n", False),
+    ("a record on two lines", _sub("payoff M R : 1 0", "payoff M R\n: 1 0"), False),
+    ("a line end after a middle numeral",
+     _sub("payoff M R : 1 0\npayoff B L", "payoff M R : 1\npayoff 0 B L"), False),
+]
+
+
+class TestNearLayout:
+    """Each text of `NEAR_LAYOUT` at every span cut, from one character to
+    the whole text: the span reader reads it or leaves it to the walk as
+    listed, and `parse_game` gives the line-by-line reader's outcome."""
+
+    @pytest.mark.parametrize("edit,spanned", [(e, s) for _, e, s in NEAR_LAYOUT],
+                             ids=[name for name, _, _ in NEAR_LAYOUT])
+    def test_parity_and_route_at_every_cut(self, monkeypatch, edit, spanned):
+        text = edit(GOOD_TEXT)
+        for span in range(1, len(text) + 1):
+            monkeypatch.setattr(games, "_SPAN", span)
+            _assert_parity(text)
+            with monkeypatch.context() as m:
+                m.setattr(games, "_read_payoff_lines", _walk_must_not_run)
+                if spanned:
+                    parse_game(text)
+                else:
+                    with pytest.raises(AssertionError, match="the line walk read the text"):
+                        parse_game(text)
+
+
 class TestTokenRoutes:
     """Which reader reads which text: the span reader takes text in the
     layout `render_game` writes, with its label comparison and its table of
