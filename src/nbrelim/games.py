@@ -37,7 +37,7 @@ class FormatError(InputError):
 # ASCII digits only: `\d` and `str.isdigit` also accept other scripts' digits.
 _COUNT_RE = re.compile(r"[0-9]+")
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-#: Rows the text layer holds at once: profiles evaluated by `from_function`,
+#: Rows the game layer holds at once: payoff rows `_build` reads and scales,
 #: lines joined for the digest or by `render_game`, and half the longest
 #: row-major label period the parser precomputes.
 _CHUNK = 4096
@@ -161,12 +161,13 @@ class FiniteGame:
     the mask of its bits, and `bit_pairs[b]` the (player, strategy) of bit b.
 
     One builder, `_fill`, stores per-player integer columns in row-major
-    order with `colmax` and the digest.  `__init__` checks and flattens a
-    profile-keyed table, and `from_function` evaluates its rows one chunk at
-    a time; both scale the rows through `_build`.  `_from_columns` takes
-    integer columns made elsewhere: `parse_game` reads numeral tokens into
-    them (its span reader feeds the digest too), and `catalog` builds the
-    Bertrand and Hotelling grids' columns directly on scale 2.
+    order with `colmax` and the digest.  `__init__` range-checks the keys of
+    a profile-keyed table and `from_function` takes a payoff function; both
+    hand `_build` their rows in row-major order, which it reads and scales
+    one `_CHUNK` at a time.  `_from_columns` takes integer columns made
+    elsewhere: `parse_game` reads numeral tokens into them (its span reader
+    feeds the digest too, its line walk scales by `_extend_scaled`), and
+    `catalog` builds the Bertrand and Hotelling grids' columns on scale 2.
     """
 
     __slots__ = (
@@ -191,16 +192,12 @@ class FiniteGame:
         table: Mapping[JointProfile, Sequence[Rational]],
     ) -> None:
         self._shape(labels)
-        flat = [None] * (self.strides[0] * self.sizes[0])
-        for profile, row in table.items():
-            idx = self.flat_index(profile)
-            if flat[idx] is not None:
-                raise InputError(f"duplicate payoff entry for profile {profile}")
-            flat[idx] = row
-        missing = flat.count(None)
+        for profile in table:
+            self.flat_index(profile)
+        missing = self.strides[0] * self.sizes[0] - len(table)
         if missing:
             raise InputError(f"payoff tensor incomplete: {missing} profiles missing")
-        self._build([(flat, 0)])
+        self._build(map(table.__getitem__, itertools.product(*map(range, self.sizes))))
 
     @classmethod
     def from_function(
@@ -212,9 +209,7 @@ class FiniteGame:
         one `_CHUNK` of profiles at a time."""
         game = cls.__new__(cls)
         game._shape(labels)
-        profiles = itertools.product(*map(range, game.sizes))
-        starts = range(0, game.strides[0] * game.sizes[0], _CHUNK)
-        game._build((list(map(payoff, itertools.islice(profiles, _CHUNK))), k) for k in starts)
+        game._build(map(payoff, itertools.product(*map(range, game.sizes))))
         return game
 
     @classmethod
@@ -244,19 +239,20 @@ class FiniteGame:
         self.bit_pairs = tuple((i, s) for i, n in enumerate(sizes) for s in range(n))
         self._opponents = tuple(tuple(j for j in range(n) if j != i) for i in range(n))
 
-    def _build(self, chunks: Iterable[tuple[Sequence[Sequence[Rational]], int]]) -> None:
-        """The tensor from chunks of payoff rows in row-major order, each with
-        the flat index of its first row.  Each chunk is cut into per-player
-        columns and scaled as it arrives, so no raw column outlives it."""
-        n = self.players
+    def _build(self, rows: Iterable[Sequence[Rational]]) -> None:
+        """The tensor from payoff rows in row-major order, read one `_CHUNK`
+        of rows at a time.  Each chunk is cut into per-player columns and
+        scaled as it arrives, so no raw column outlives it."""
+        n, rows = self.players, iter(rows)
         ipay, scales, shared = [[] for _ in range(n)], [1] * n, [{} for _ in range(n)]
-        for rows, start in chunks:
+        for start in range(0, self.strides[0] * self.sizes[0], _CHUNK):
+            chunk = list(itertools.islice(rows, _CHUNK))
             try:
-                columns = list(zip(*rows, strict=True))
+                columns = list(zip(*chunk, strict=True))
             except ValueError:  # rows of different lengths
                 columns = []
             if len(columns) != n:
-                k = next(k for k, row in enumerate(rows, start) if len(row) != n)
+                k = next(k for k, row in enumerate(chunk, start) if len(row) != n)
                 profile = tuple(k // st % sz for st, sz in zip(self.strides, self.sizes))
                 raise InputError(f"profile {profile}: expected {n} payoffs")
             for i, part in enumerate(columns):
@@ -428,10 +424,10 @@ class Restriction:
         self.parent, self.bits, self._kept = parent, bits, tuple(norm)
 
     @classmethod
-    def _trusted(cls, parent: FiniteGame, kept: tuple | None, bits: int) -> "Restriction":
-        """No checks: `kept` is None (read off `bits` when asked for) or `bits`'s."""
+    def _trusted(cls, parent: FiniteGame, bits: int) -> "Restriction":
+        """No checks: `kept` is read off `bits` when asked for."""
         new = object.__new__(cls)
-        new.parent, new.bits, new._kept = parent, bits, kept
+        new.parent, new.bits, new._kept = parent, bits, None
         return new
 
     @property
@@ -466,7 +462,7 @@ class Restriction:
                     raise InputError(f"cannot remove absent strategies [{bad}] of player {i + 1}")
                 drop |= 1 << s
             bits &= ~(drop << offsets[i])
-        return Restriction._trusted(self.parent, None, bits)
+        return Restriction._trusted(self.parent, bits)
 
     def render(self) -> str:
         """Label form, e.g. `{T}x{L,R}`."""
@@ -480,7 +476,7 @@ class Restriction:
 
 
 def full_restriction(game: FiniteGame) -> Restriction:
-    return Restriction._trusted(game, None, (1 << sum(game.sizes)) - 1)
+    return Restriction._trusted(game, (1 << sum(game.sizes)) - 1)
 
 
 def restrict(game: FiniteGame, kept: Sequence[Iterable[int]]) -> Restriction:
@@ -628,6 +624,8 @@ def _payoff_columns(
     expected = list(map(_label_column, labels, strides))
     width = 2 * n + 1  # payoff, n labels, `:`, n numerals: the next payoff rides on the last
     done, digest = 0, _label_digest(labels)  # records read, and their digest lines
+    # Tables keyed by token, not by value: scaling through a value-keyed table hashes every
+    # Fraction, and `_build` so keyed took twice as long on the 200-wide Bertrand grid.
     columns, ints, texts = [[] for _ in range(n)], [{} for _ in range(n)], [{} for _ in range(n)]
     scales, plain = [1] * n, [True] * (n - 1) + [False]  # the last tokens carry `\npayoff`
     for span in spans:
@@ -681,7 +679,7 @@ def _read_payoff_lines(
     Per line it keeps one int, the profile's tensor offset, and per player
     its token's value, shared by equal tokens; a set of the offsets shows a
     repeated profile.  At the end each column is put in row-major order and
-    scaled by one `map`; the digest is left to `_fill`.
+    scaled by `_extend_scaled`; the digest is left to `_fill`.
     """
     n = len(labels)
     strides = [math.prod(map(len, labels[i + 1 :])) for i in range(n)]
@@ -725,11 +723,11 @@ def _read_payoff_lines(
     missing = math.prod(map(len, labels)) - len(seen)
     if missing:
         raise FormatError(f"payoff tensor incomplete: {missing} profiles missing")
-    order = sorted(range(len(offsets)), key=offsets.__getitem__)
-    scales = [math.lcm(*{q.denominator for q in table.values()}) for table in tables]
-    for i, (table, scale) in enumerate(zip(tables, scales)):
-        ints = {q: q.numerator * (scale // q.denominator) for q in table.values()}
-        columns[i] = list(map(ints.__getitem__, map(columns[i].__getitem__, order)))
+    seen.clear()  # it and `offsets` go before the scaling, which would raise the peak
+    order, scales = sorted(range(len(offsets)), key=offsets.__getitem__), [1] * n
+    offsets.clear()
+    for i, col in enumerate(columns):
+        columns[i], scales[i] = _extend_scaled([], 1, {}, list(map(col.__getitem__, order)))
     return columns, scales, None
 
 

@@ -518,7 +518,7 @@ def iterate(
         key = (current.bits, drop)
         step = shared.get(key)
         if step is None:  # the target's index sets are read only if asked for
-            target = Restriction._trusted(game, None, current.bits & ~drop)
+            target = Restriction._trusted(game, current.bits & ~drop)
         # An arrow or darrow fact may rest on an earlier, larger kept set, so each
         # new transition is validated once.  A tilde fact rests on the full sets
         # and certifies the step; validating it again cost grid orders a tenth.

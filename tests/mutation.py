@@ -162,6 +162,20 @@ MUTANTS = [
         ["tests/test_reductions.py::TestFrontier::test_sets_and_certificates_follow_the_mask"],
     ),
     (
+        "span-reader-keeps-the-read-ints-unscaled", GAMES,
+        "columns[i], scales[i] = list(map(up.__getitem__, columns[i])), scale",
+        "scales[i] = scale",
+        ["tests/test_games.py::TestTokenRoutes"
+         "::test_a_late_denominator_multiplies_the_read_ints_up"],
+    ),
+    (
+        "build-cuts-a-row-short-of-each-chunk", GAMES,
+        "chunk = list(itertools.islice(rows, _CHUNK))",
+        "chunk = list(itertools.islice(rows, _CHUNK - 1))",
+        ["tests/test_games.py::TestTokenRoutes"
+         "::test_a_late_denominator_multiplies_the_stored_ints_up"],
+    ),
+    (
         "span-reader-skips-label-order", GAMES,
         "and all(toks[1 + i :: width] == expected[i](done, records) for i in range(n))",
         "and True",
@@ -246,8 +260,8 @@ MUTANTS = [
     ),
     (
         "walk-returns-rows-in-line-order", GAMES,
-        "list(map(ints.__getitem__, map(columns[i].__getitem__, order)))",
-        "list(map(ints.__getitem__, columns[i]))",
+        "_extend_scaled([], 1, {}, list(map(col.__getitem__, order)))",
+        "_extend_scaled([], 1, {}, col)",
         ["tests/test_games.py::TestParserParity::test_accepted_mutations_read_the_same_game"],
     ),
     (

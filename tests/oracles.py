@@ -805,17 +805,13 @@ def restrictions_outside(game, outcome):
     subset lattice, tested on bit masks before each restriction is built."""
     from nbrelim.games import Restriction
 
-    kepts = [
-        [tuple(s for s in range(size) if m >> s & 1) for m in range(1 << size)]
-        for size in game.sizes
-    ]
     masks = [
         [m << off for m in range(1 << size)]
         for size, off in zip(game.sizes, game.offsets)
     ]
-    for kept, parts in zip(itertools.product(*kepts), itertools.product(*masks)):
+    for parts in itertools.product(*masks):
         if (bits := sum(parts)) & ~outcome.bits:
-            yield Restriction._trusted(game, kept, bits)
+            yield Restriction._trusted(game, bits)
 
 
 def larger_closed_reference(game, outcome, belief_kind, resolution, cache=None):

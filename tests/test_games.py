@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import random
 import re
 import tracemalloc
@@ -27,6 +28,7 @@ from nbrelim import catalog, games
 from nbrelim.catalog import bertrand_grid, gap_3x2, random_game
 
 from oracles import (
+    bertrand_grid_reference,
     digest_reference,
     parse_game_lines_reference,
     parse_game_reference,
@@ -168,14 +170,14 @@ class TestRestriction:
         shape = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
         game = random_game(len(shape), shape, 3, seed=data.draw(st.integers(0, 99)))
         # the checked constructor sorts and deduplicates; the trusted one
-        # takes the normalized sets and an independently built mask
+        # takes an independently built mask and reads its sets off it
         raw = [data.draw(st.lists(st.integers(0, n - 1), max_size=6)) for n in shape]
         kept = tuple(tuple(sorted(set(ks))) for ks in raw)
         offsets = list(itertools.accumulate(shape, initial=0))
         bits = sum(1 << offsets[i] + s for i, ks in enumerate(kept) for s in ks)
-        trusted = Restriction._trusted(game, kept, bits)
+        trusted = Restriction._trusted(game, bits)
         checked = Restriction(game, tuple(map(tuple, raw)))
-        assert (trusted.kept, trusted.bits) == (checked.kept, checked.bits)
+        assert (trusted.kept, trusted.bits) == (checked.kept, checked.bits) == (kept, bits)
         assert trusted == checked and hash(trusted) == hash(checked)
         full = full_restriction(game)
         whole = Restriction(game, tuple(tuple(range(n)) for n in shape))
@@ -185,7 +187,7 @@ class TestRestriction:
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_a_mask_reads_as_its_checked_restriction(self, data):
-        # `_trusted(game, None, bits)` derives `kept` from the mask when read.
+        # `_trusted(game, bits)` derives `kept` from the mask when read.
         # Per-player sets up to 70 wide cross a 64-bit word; every operation
         # runs on a fresh lazy restriction, so none leans on a derived `kept`.
         sizes, room = [], 4900  # profiles in the game
@@ -204,7 +206,7 @@ class TestRestriction:
             )
 
         def lazy(mask):
-            return Restriction._trusted(game, None, mask)
+            return Restriction._trusted(game, mask)
 
         kept, other_kept = sets(bits), sets(other)
         eager, eager_other = Restriction(game, kept), Restriction(game, other_kept)
@@ -666,10 +668,14 @@ def _peak_mb(fn, *args):
 class TestBoundedMemory:
     """Parse, build and render hold one `_CHUNK` of rows beside the game.
 
-    On the 200-wide Bertrand grid (40,000 profiles, ten chunks) a build
-    peaks near 5.0 MB, a render near 1.9 MB and a parse near 3.6 MB.  Each
-    bound sits below the peak of a layer that holds the whole text split
-    into lines, or every row and digest line at once: 7.9, 5.8 and 9.1 MB.
+    On the 200-wide Bertrand grid (40,000 profiles, ten chunks, a 0.92 MB
+    text) a build by `from_function` peaks near 2.5 MB, a build from a
+    profile-keyed table near 1.2 MB (the table not counted), a render near
+    1.9 MB and a parse near 2.4 MB.  Each bound sits below the peak of a
+    layer that holds every row at once (12.3 and 3.7 MB: the two builds
+    with the whole grid as one chunk), every line at once (5.0 MB: the
+    line-at-a-time render reference), or a copy of the text beside the
+    parse (3.3 MB).
     """
 
     @pytest.fixture(scope="class")
@@ -678,39 +684,49 @@ class TestBoundedMemory:
         return game, render_game(game)
 
     def test_build(self):
-        assert _peak_mb(bertrand_grid, 200) < 6.5
+        assert _peak_mb(bertrand_grid_reference, 200) < 6.5
 
     def test_build_scales_each_chunk(self):
         """`from_function` scales each chunk of rows as it arrives, and equal
-        ints share one object: the build peaks near 1.6 MB, the game kept
-        near 0.8 MB.  Holding every raw payoff column until the end peaked
-        near 5.0 MB."""
-        assert _peak_mb(bertrand_grid, 200) < 3.0
+        ints share one object: the build peaks near 2.5 MB, the game kept
+        near 0.7 MB.  The whole grid as one chunk peaks at 12.3 MB."""
+        assert _peak_mb(bertrand_grid_reference, 200) < 3.0
+
+    def test_build_from_a_table(self, grid):
+        """`FiniteGame(labels, table)` hands `_build` the table's rows in
+        row-major order, one chunk at a time: near 1.2 MB beside the table.
+        A list of every row, flattened first, peaked at 3.55 MB."""
+        game = grid[0]
+        table = {p: tuple(game.payoff(p, i) for i in range(2))
+                 for p in itertools.product(range(200), range(200))}
+        assert _peak_mb(FiniteGame, game.labels, table) < 2.0
 
     def test_render(self, grid):
         assert _peak_mb(render_game, grid[0]) < 4.3
 
     def test_parse(self, grid):
-        assert _peak_mb(parse_game, grid[1]) < 6.0
+        assert _peak_mb(parse_game, grid[1]) < 3.0
 
     def test_parse_by_the_line_walk(self, grid):
         """A comment line in the payoff block and rows in reverse order send
         the parse to the line walk, which keeps one offset per profile and
-        one shared token per payoff: it peaks near 6.9 MB.  A walk that kept
-        a tuple or list per line peaked at 15.6 MB."""
+        one shared token per payoff, and frees the offsets before it scales
+        the columns: it peaks near 4.9 MB (8.2 MB with the offsets kept).  A
+        walk that kept a tuple or list per line peaked at 15.6 MB."""
         lines = grid[1].splitlines()
         text = "\n".join(lines[:3] + ["# a comment"] + lines[:2:-1]) + "\n"
-        assert _peak_mb(parse_game, text) < 10.0
+        assert _peak_mb(parse_game, text) < 6.5
 
     def test_parse_player_count_past_the_lines(self, grid):
-        """A header read to the end of the text counts its lines, not holds them."""
+        """A header read to the end of the text counts its lines, not holds
+        them: near 0.6 MB, where the text's lines alone take 3.2 MB."""
         text = grid[1].replace("players 2", "players 99999999999999999999", 1)
 
         def parse():
             with pytest.raises(FormatError, match="^missing strategies lines$"):
                 parse_game(text)
 
-        assert _peak_mb(parse) < 6.0
+        assert _peak_mb(parse) < 2.0
 
 
 def _rows(game, native):
@@ -908,7 +924,7 @@ class TestTokenRoutes:
                 assert _parse_at(monkeypatch, bad, span, chunk) == message
 
     def test_from_function_shares_equal_ints(self):
-        game = bertrand_grid(50)
+        game = bertrand_grid_reference(50)
         assert len(set(map(id, game.ipay[0]))) <= len(set(game.ipay[0]))
         assert len(set(map(id, game.ipay[1]))) <= len(set(game.ipay[1]))
 
@@ -920,12 +936,39 @@ class TestTokenRoutes:
             k = profile[0] * 3 + profile[1]
             return (Fraction(1000 + k, 1 + k // 4), 1000 if k < 7 else 0.5)
 
-        game = FiniteGame.from_function(labels, pay)
         table = {p: pay(p) for p in itertools.product(range(4), range(3))}
-        whole = FiniteGame(labels, table)  # one chunk: scaled once
-        assert game.scales == whole.scales == (6, 2)
-        assert game.ipay == whole.ipay and game.colmax == whole.colmax
-        assert game.digest() == whole.digest()
-        for profile, row in table.items():
-            assert tuple(game.payoff(profile, i) for i in range(2)) == tuple(map(Fraction, row))
-        assert len(set(map(id, game.ipay[1]))) <= len(set(game.ipay[1]))
+        exact = {p: tuple(map(Fraction, row)) for p, row in table.items()}
+        # the reference: each row-major column scaled once, by hand, by its lcm
+        values = list(zip(*exact.values()))
+        scales = [math.lcm(*(q.denominator for q in col)) for col in values]
+        columns = [[int(q * s) for q in col] for col, s in zip(values, scales)]
+        whole = FiniteGame._from_columns(labels, columns, scales)
+        assert whole.digest() == digest_reference(labels, exact)
+        for game in (FiniteGame.from_function(labels, pay), FiniteGame(labels, table)):
+            assert game.scales == whole.scales == (6, 2)
+            assert game.ipay == whole.ipay and game.colmax == whole.colmax
+            assert game.digest() == whole.digest()
+            for profile in table:
+                assert tuple(game.payoff(profile, i) for i in range(2)) == exact[profile]
+            assert len(set(map(id, game.ipay[1]))) <= len(set(game.ipay[1]))
+
+    def test_a_late_denominator_multiplies_the_read_ints_up(self, monkeypatch):
+        """Integer rows, then thirds for player 1 and a half for player 2:
+        at every span cut the span reader multiplies up the ints it read
+        before a new denominator, so the columns equal the built game's."""
+        labels = [["a", "b", "c", "d"], ["x", "y", "z"]]
+
+        def pay(profile):
+            k = profile[0] * 3 + profile[1]
+            return (Fraction(k, 3) if k >= 8 else k, Fraction(k, 2) if k >= 10 else 2 * k)
+
+        game = FiniteGame.from_function(labels, pay)
+        text = render_game(game)
+        assert "8/3" in text and "11/2" in text
+        monkeypatch.setattr(games, "_read_payoff_lines", _walk_must_not_run)
+        for span in range(1, len(text) + 1):
+            monkeypatch.setattr(games, "_SPAN", span)
+            parsed = parse_game(text)
+            assert parsed.scales == game.scales == (3, 2)
+            assert parsed.ipay == game.ipay and parsed.colmax == game.colmax
+            assert parsed == game
